@@ -7,30 +7,23 @@ __version__ = "0.1.0"
 
 from .config import (GridConfig, InitialConfig, OutputConfig, PhysicsConfig, SimConfig,
                      apply_overrides, parse_config, parse_config_text)
-from .diagnostics import (BoundCheck, DiagnosticsRecord, diameter, dist_sq_to_mean,
-                          dual_bound_value, energy_identity_residual, energy_kinetic,
-                          energy_potential, fit_decay_rate, l2_norm_sq, mean_phase,
-                          min_sinc, nonlocal_operator, poincare_sharp_discrete,
-                          seminorm_sq, sin2_seminorm, truncation_functionals,
-                          uniform_bound_report)
-from .dynamics import (ModelParams, PhaseField, bilinear_form, rhs_lattice,
-                       rhs_regularized, rhs_singular, sine_coupling)
+from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
+                          energy_identity_residual, energy_kinetic, energy_potential,
+                          fit_decay_rate, mean_phase, min_sinc, nonlocal_operator,
+                          poincare_sharp_discrete, seminorm_sq, sin2_seminorm,
+                          truncation_functionals, uniform_bound_report)
+from .dynamics import PhaseField, bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
                      ParameterError, ResourceError, SingularityError)
-from .experiments import (CheckOutcome, RefinementReport, RelaxationReport, RungResult,
-                          SweepResult, refinement_study, relaxation_experiment,
-                          restrict_to_coarse, run_invariant_suite, sweep_delta,
-                          sweep_epsilon)
-from .grid import Grid, build_grid, grids_match, poincare_domain_constant
-from .initial import KINDS, initial_field
-from .integrate import (EULER, RK4, IntegratorPolicy, Trajectory, gauge_reduce,
-                        select_dt, step)
-from .kernel import (SINGULAR, TRUNCATED, KernelCache, KernelMatrix, LipschitzBounds,
-                     assemble_kernel_matrix, k_eps_analytic_bound,
+from .experiments import (refinement_study, relaxation_experiment, restrict_to_coarse,
+                          run_invariant_suite, sweep_delta, sweep_epsilon)
+from .grid import build_grid, poincare_domain_constant
+from .initial import initial_field
+from .integrate import IntegratorPolicy, select_dt, step
+from .kernel import (KernelCache, KernelMatrix, assemble_kernel_matrix, k_eps_analytic_bound,
                      k_eps_star_analytic_bound, lipschitz_bounds, load_kernel_matrix,
-                     pairwise_distances, pairwise_kernel_values, psi, psi_eps,
-                     save_kernel_matrix)
+                     pairwise_kernel_values, psi, psi_eps, save_kernel_matrix)
 from .output import (CSV_COLUMNS, build_manifest, read_diagnostics_csv, read_snapshot,
-                     write_diagnostics_csv, write_manifest, write_run_outputs,
-                     write_snapshot, write_sweep_outputs)
-from .run import build_operators, load_frequency, simulate
+                     write_diagnostics_csv, write_run_outputs, write_snapshot,
+                     write_sweep_outputs)
+from .run import build_operators, simulate

@@ -125,8 +125,9 @@ def _cmd_sweep(args, which) -> int:
 
 def cmd_relax(args) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     report, traj = relaxation_experiment(cfg)
-    write_run_outputs(traj)
+    write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "relaxation_report.json").write_text(

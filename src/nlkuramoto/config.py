@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -376,7 +376,3 @@ def _render(cfg: SimConfig) -> str:
         lines.append(f"nu_file = {p.nu_file}")
     lines += [f"s = {num(p.s)}", ""]
     return "\n".join(lines)
-
-
-def with_output_dir(cfg: SimConfig, directory) -> SimConfig:
-    return replace(cfg, output=replace(cfg.output, directory=str(directory)))

@@ -55,13 +55,6 @@ def mean_phase(theta, grid: Grid) -> float:
     return float(grid.weight * values.sum() / grid.measure)
 
 
-def l2_norm_sq(theta, grid: Grid) -> float:
-    """Discrete squared L2 norm, weight * sum of squares."""
-    values, fgrid = _values_and_grid(theta, grid)
-    _check_field(values, grid, fgrid)
-    return float(grid.weight * (values @ values))
-
-
 def dist_sq_to_mean(theta, grid: Grid) -> float:
     """Squared L2 distance to the field's own mean."""
     values, fgrid = _values_and_grid(theta, grid)
@@ -75,33 +68,34 @@ def seminorm_sq(theta, matrix: KernelMatrix) -> float:
     return 2.0 * bilinear_form(theta, theta, matrix)
 
 
-def sin2_seminorm(theta, matrix: KernelMatrix) -> float:
-    """Weighted double sum of sin^2 of phase differences.
+def _cosine_double_sum(theta, matrix: KernelMatrix, scale: float) -> float:
+    """sum_{ij} W_ij (1 - cos(scale * (u_i - u_j))) via two mat-vecs.
 
-    Uses sin^2 z = (1 - cos 2z) / 2 so the double sum reduces to two
-    mat-vecs with the doubled angles.
+    Angles are shifted by a base value first (an exact identity), then
+    cos(a - b) = cos a cos b + sin a sin b splits the double sum.
     """
     values, fgrid = _values_and_grid(theta, matrix.grid)
     _check_field(values, matrix.grid, fgrid)
-    doubled = 2.0 * (values - values.flat[0])
-    c2 = np.cos(doubled)
-    s2 = np.sin(doubled)
+    angle = scale * (values - values.flat[0])
+    c = np.cos(angle)
+    s = np.sin(angle)
     ones = np.ones_like(values)
-    total = ones @ (matrix.weights @ ones) - c2 @ (matrix.weights @ c2) \
-        - s2 @ (matrix.weights @ s2)
+    return ones @ (matrix.weights @ ones) - c @ (matrix.weights @ c) \
+        - s @ (matrix.weights @ s)
+
+
+def sin2_seminorm(theta, matrix: KernelMatrix) -> float:
+    """Weighted double sum of sin^2 of phase differences.
+
+    Uses sin^2 z = (1 - cos 2z) / 2, the cosine double sum at doubled angles.
+    """
+    total = _cosine_double_sum(theta, matrix, 2.0)
     return float(max(0.0, 0.5 * matrix.grid.weight * total))
 
 
 def energy_potential(theta, matrix: KernelMatrix, kappa: float) -> float:
     """(kappa/2) sum_{ij} W_ij w (1 - cos(u_i - u_j)); zero iff constant."""
-    values, fgrid = _values_and_grid(theta, matrix.grid)
-    _check_field(values, matrix.grid, fgrid)
-    shifted = values - values.flat[0]
-    c = np.cos(shifted)
-    s = np.sin(shifted)
-    ones = np.ones_like(values)
-    total = ones @ (matrix.weights @ ones) - c @ (matrix.weights @ c) \
-        - s @ (matrix.weights @ s)
+    total = _cosine_double_sum(theta, matrix, 1.0)
     return float(max(0.0, 0.5 * kappa * matrix.grid.weight * total))
 
 

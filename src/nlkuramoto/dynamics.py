@@ -42,32 +42,6 @@ class PhaseField:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physics parameters of one evolution.
-
-    nu may be a per-node array only for the lattice model; the continuum
-    right-hand sides require a constant natural frequency, which the solver
-    removes by gauge reduction.
-    """
-
-    kappa: float
-    delta: float = 0.0
-    nu: float | np.ndarray = 0.0
-    s: float = 0.5
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ParameterError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.delta < 0.0:
-            raise ParameterError(f"delta must be nonnegative, got {self.delta}")
-
-    @property
-    def nu_is_constant(self) -> bool:
-        return np.ndim(self.nu) == 0
-
-
 def _values_and_grid(theta, fallback_grid: Grid | None):
     if isinstance(theta, PhaseField):
         return theta.values, theta.grid

@@ -1,9 +1,11 @@
 """Scripted studies: truncation and dissipation sweeps, relaxation-rate
 verification, grid refinement, and the run-level invariant suite.
 
-Sweeps share one grid, one fixed step size (chosen for the stiffest rung so
-every rung is stable) and one output stride, so trajectories can be compared
-at identical times.  The successive differences Delta_j are the computable
+Sweeps share one grid, one dissipation matrix, one fixed step size (chosen
+for the stiffest rung so every rung is stable) and one output stride, so
+trajectories can be compared at identical times.  Each rung's coupling is
+assembled once, when the rung runs, and serves both its simulation and its
+uniform-bound report.  The successive differences Delta_j are the computable
 stand-in for the compactness limits the analysis provides: the sweeps certify
 a decreasing Cauchy trend, never a convergence order.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
 from .integrate import Trajectory, select_dt
 from .kernel import TRUNCATED, assemble_kernel_matrix
-from .run import build_operators, simulate
+from .run import Operators, build_operators, simulate
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
@@ -96,21 +99,6 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
     return ladder
 
 
-def _run_rungs(configs: list[SimConfig], ladder, workers: int) -> list[Trajectory]:
-    def one(j):
-        try:
-            return simulate(configs[j])
-        except BlowUpError as exc:
-            raise BlowUpError(
-                f"rung {j} (value {ladder[j]}) blew up: {exc}",
-                trajectory=exc.trajectory, t=exc.t) from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(len(configs))))
-    return [one(j) for j in range(len(configs))]
-
-
 def _successive_differences(trajs: list[Trajectory]) -> list[float]:
     w = trajs[0].grid.weight
     diffs = []
@@ -125,35 +113,51 @@ def _successive_differences(trajs: list[Trajectory]) -> list[float]:
     return diffs
 
 
-def _rung_results(trajs, configs, ladder) -> list[RungResult]:
-    out = []
-    for traj, cfg, value in zip(trajs, configs, ladder):
-        _, coupling, dissipation, _ = build_operators(cfg)
-        checks = uniform_bound_report(traj, coupling, dissipation,
+def _sweep(parameter, ladder, configs: list[SimConfig], workers: int,
+           operators: Callable[[int], Operators]) -> SweepResult:
+    """Run every rung and check its uniform bounds with the operators it ran with.
+
+    ``operators(j)`` supplies rung j's bundle when the rung starts, so a rung's
+    own matrices live only while it runs.
+    """
+    def one(j):
+        cfg, ops = configs[j], operators(j)
+        try:
+            traj = simulate(cfg, ops)
+        except BlowUpError as exc:
+            raise BlowUpError(
+                f"rung {j} (value {ladder[j]}) blew up: {exc}",
+                trajectory=exc.trajectory, t=exc.t) from exc
+        checks = uniform_bound_report(traj, ops.coupling, ops.dissipation,
                                       cfg.physics.kappa, cfg.physics.delta)
-        out.append(RungResult(
-            value=value, config=cfg, config_hash=cfg.content_hash(),
+        return traj, RungResult(
+            value=ladder[j], config=cfg, config_hash=cfg.content_hash(),
             records=traj.records, final_values=traj.snapshots[-1].values.copy(),
-            bound_checks=checks, n_steps=traj.n_steps))
-    return out
+            bound_checks=checks, n_steps=traj.n_steps)
 
-
-def _finish_sweep(parameter, ladder, trajs, configs, stride) -> SweepResult:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(one, range(len(configs))))
+    else:
+        done = [one(j) for j in range(len(configs))]
+    trajs = [traj for traj, _ in done]
+    rungs = [rung for _, rung in done]
     diffs = _successive_differences(trajs)
-    rungs = _rung_results(trajs, configs, ladder)
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     bounds_ok = all(c.satisfied is not False
                     for rung in rungs for c in rung.bound_checks)
     return SweepResult(parameter=parameter, ladder=ladder, rungs=rungs,
                        differences=diffs, decreasing=decreasing, bounds_ok=bounds_ok,
-                       dt=trajs[0].dt, stride=stride)
+                       dt=trajs[0].dt, stride=configs[0].integrator.stride)
 
 
 def sweep_epsilon(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
     """Shrink the kernel truncation along a decreasing ladder at fixed delta.
 
     The step size is chosen for the smallest truncation (the stiffest rung)
-    and shared; each rung's report includes the dissipation-seminorm uniform
+    and shared: row sums grow as the truncation shrinks, so that rung's step
+    is the smallest on the ladder.  Every rung shares the stiffest rung's
+    dissipation matrix; each report includes the dissipation-seminorm uniform
     bound.
     """
     ladder = _check_ladder(ladder, "epsilon ladder")
@@ -165,29 +169,34 @@ def sweep_epsilon(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
     if problems:
         raise ConfigurationError(problems)
 
-    grid, _, dissipation, _ = build_operators(replace(
-        base, physics=replace(base.physics, epsilon=ladder[0])))
-    dt = math.inf
-    for eps in ladder:
-        coupling = assemble_kernel_matrix(grid, TRUNCATED, base.physics.s, eps)
-        dt = min(dt, select_dt(coupling, dissipation, base.physics.kappa,
-                               base.physics.delta, base.integrator.safety,
-                               free_drift_horizon=base.integrator.horizon))
+    stiffest = build_operators(replace(
+        base, physics=replace(base.physics, epsilon=ladder[-1])))
+    dt = select_dt(stiffest.coupling, stiffest.dissipation, base.physics.kappa,
+                   base.physics.delta, base.integrator.safety,
+                   free_drift_horizon=base.integrator.horizon)
     configs = [
         replace(base,
                 physics=replace(base.physics, epsilon=eps),
                 integrator=replace(base.integrator, dt=dt))
         for eps in ladder
     ]
-    trajs = _run_rungs(configs, ladder, workers)
-    return _finish_sweep("epsilon", ladder, trajs, configs, base.integrator.stride)
+
+    def operators(j):
+        if j == len(ladder) - 1:
+            return stiffest
+        return stiffest._replace(coupling=assemble_kernel_matrix(
+            stiffest.grid, TRUNCATED, base.physics.s, ladder[j]))
+
+    return _sweep("epsilon", ladder, configs, workers, operators)
 
 
 def sweep_delta(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
     """Shrink the dissipation strength with the singular coupling in force.
 
     The initial diameter must be below pi: that hypothesis backs the
-    sinc-seminorm uniform bound checked on every rung.
+    sinc-seminorm uniform bound checked on every rung.  The operators do not
+    depend on delta, so one bundle serves every rung, and the step size is
+    the largest delta's.
     """
     ladder = _check_ladder(ladder, "delta ladder")
     problems = []
@@ -201,20 +210,16 @@ def sweep_delta(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
     if problems:
         raise ConfigurationError(problems)
 
-    probe = replace(base, physics=replace(base.physics, delta=ladder[0]))
-    _, coupling, dissipation, _ = build_operators(probe)
-    dt = min(select_dt(coupling, dissipation, base.physics.kappa, d,
-                       base.integrator.safety,
-                       free_drift_horizon=base.integrator.horizon)
-             for d in ladder)
+    ops = build_operators(base)
+    dt = select_dt(ops.coupling, ops.dissipation, base.physics.kappa, ladder[0],
+                   base.integrator.safety, free_drift_horizon=base.integrator.horizon)
     configs = [
         replace(base,
                 physics=replace(base.physics, delta=d),
                 integrator=replace(base.integrator, dt=dt))
         for d in ladder
     ]
-    trajs = _run_rungs(configs, ladder, workers)
-    return _finish_sweep("delta", ladder, trajs, configs, base.integrator.stride)
+    return _sweep("delta", ladder, configs, workers, lambda j: ops)
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,28 @@ class RelaxationReport:
         }
 
 
+def pointwise_relaxation(records, kappa: float, lam_star: float):
+    """Check dist_sq(t) <= dist_sq(0) * exp(-rate t) * (1 + RELAXATION_TOL) at every record.
+
+    The certified rate is kappa * min_sinc(M) * lambda_star with M the
+    initial diameter.  Returns (rate, table, ok, margin): one
+    {t, dist_sq, bound} row per record, whether every row holds, and the
+    smallest bound / dist_sq (1 when every distance is zero).
+    """
+    rate = kappa * min_sinc(records[0].diameter) * lam_star
+    dist0 = records[0].dist_sq
+    table = []
+    ok = True
+    margin = math.inf
+    for rec in records:
+        bound = dist0 * math.exp(-rate * rec.t) * (1.0 + RELAXATION_TOL)
+        table.append({"t": rec.t, "dist_sq": rec.dist_sq, "bound": bound})
+        ok = ok and rec.dist_sq <= bound
+        if rec.dist_sq > 0.0:
+            margin = min(margin, bound / rec.dist_sq)
+    return rate, table, ok, 1.0 if math.isinf(margin) else margin
+
+
 def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]:
     """Run the undamped singular dynamics and verify exponential relaxation.
 
@@ -273,28 +300,16 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     if problems:
         raise ConfigurationError(problems)
 
-    _, _, dissipation, _ = build_operators(cfg)
-    lam_star = poincare_sharp_discrete(dissipation)
-    c_p_dom = poincare_domain_constant(dissipation.grid, cfg.physics.s)
-    traj = simulate(cfg)
+    ops = build_operators(cfg)
+    lam_star = poincare_sharp_discrete(ops.dissipation)
+    c_p_dom = poincare_domain_constant(ops.grid, cfg.physics.s)
+    traj = simulate(cfg, ops)
 
     m0 = traj.records[0].diameter
-    c_m = min_sinc(m0)
-    rate = cfg.physics.kappa * c_m * lam_star
-    dist0 = traj.records[0].dist_sq
+    rate, table, pointwise_ok, margin = pointwise_relaxation(
+        traj.records, cfg.physics.kappa, lam_star)
 
-    table = []
-    pointwise_ok = True
-    margin = math.inf
-    for rec in traj.records:
-        bound = dist0 * math.exp(-rate * rec.t) * (1.0 + RELAXATION_TOL)
-        table.append({"t": rec.t, "dist_sq": rec.dist_sq, "bound": bound})
-        if rec.dist_sq > bound:
-            pointwise_ok = False
-        if rec.dist_sq > 0.0:
-            margin = min(margin, bound / rec.dist_sq)
-
-    if dist0 <= 1e-28:
+    if traj.records[0].dist_sq <= 1e-28:
         # Already at the mean: nothing decays, the bound holds trivially.
         gamma_hat, residual, rate_ok = 0.0, 0.0, True
     else:
@@ -303,10 +318,9 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
         rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
 
     report = RelaxationReport(
-        m=m0, c_m=c_m, lambda_star=lam_star, c_p_domain=c_p_dom,
+        m=m0, c_m=min_sinc(m0), lambda_star=lam_star, c_p_domain=c_p_dom,
         certified_rate=rate, gamma_hat=gamma_hat, fit_residual=residual,
-        pointwise_ok=pointwise_ok,
-        pointwise_margin=margin if margin is not math.inf else 1.0,
+        pointwise_ok=pointwise_ok, pointwise_margin=margin,
         rate_ok=rate_ok, satisfied=pointwise_ok and rate_ok, table=table,
     )
     return report, traj
@@ -349,20 +363,28 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
             raise ConfigurationError(
                 [f"refinement ladder: {n} is not a multiple of the coarsest {n_ladder[0]}"])
 
+    n0 = n_ladder[0]
     rows = []
     finals = []
     for n in n_ladder:
         cfg = replace(base, grid=replace(base.grid, nodes=n))
-        traj = simulate(cfg)
+        ops = build_operators(cfg)
+        traj = simulate(cfg, ops)
         e0 = traj.records[0].e_pot + traj.records[0].e_kin
         residual = energy_identity_residual(traj)
         rows.append({"n": n, "dt": traj.dt, "n_steps": traj.n_steps,
                      "energy_residual": residual,
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
         finals.append(traj.snapshots[-1].values.copy())
+        if n == n0:
+            # step-halving row on the coarsest rung, with that rung's operators
+            cfg_half = replace(cfg, integrator=replace(cfg.integrator, dt=traj.dt / 2.0))
+            res_half = energy_identity_residual(simulate(cfg_half, ops))
+            dt_halving = {"n": n0, "dt": traj.dt, "residual": residual,
+                          "residual_half": res_half,
+                          "ratio": residual / res_half if res_half > 0 else math.inf}
 
     dim = base.grid.dimension
-    n0 = n_ladder[0]
     w_coarse = build_grid(dim, n0, base.grid.extents).weight
     diffs = []
     for (na, fa), (nb, fb) in zip(zip(n_ladder, finals), zip(n_ladder[1:], finals[1:])):
@@ -370,16 +392,6 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
         rb = restrict_to_coarse(fb, dim, nb, n0)
         d = ra - rb
         diffs.append(math.sqrt(w_coarse * float(d @ d)))
-
-    cfg0 = replace(base, grid=replace(base.grid, nodes=n0))
-    traj_a = simulate(cfg0)
-    cfg_half = replace(cfg0, integrator=replace(cfg0.integrator, dt=traj_a.dt / 2.0))
-    traj_b = simulate(cfg_half)
-    res_a = energy_identity_residual(traj_a)
-    res_b = energy_identity_residual(traj_b)
-    dt_halving = {"n": n0, "dt": traj_a.dt, "residual": res_a,
-                  "residual_half": res_b,
-                  "ratio": res_a / res_b if res_b > 0 else math.inf}
     return RefinementReport(rows=rows, coarse_diffs=diffs, dt_halving=dt_halving)
 
 
@@ -401,8 +413,9 @@ def run_invariant_suite(cfg: SimConfig, lambda_star_cap: int = 1024):
     as skipped with the reason; ok means no applicable check failed.
     """
     cfg.validate()
-    traj = simulate(cfg)
-    grid, coupling, dissipation, _ = build_operators(cfg)
+    ops = build_operators(cfg)
+    grid, coupling, dissipation, _ = ops
+    traj = simulate(cfg, ops)
     kappa, delta = cfg.physics.kappa, cfg.physics.delta
     model = cfg.physics.model
     continuum = model != "lattice"
@@ -473,11 +486,8 @@ def run_invariant_suite(cfg: SimConfig, lambda_star_cap: int = 1024):
     relax_applies = (model == "singular" and delta == 0.0 and kappa > 0.0
                      and 0.0 < m0 < math.pi)
     if relax_applies and grid.node_count <= lambda_star_cap:
-        lam_star = poincare_sharp_discrete(dissipation)
-        rate = kappa * min_sinc(m0) * lam_star
-        dist0 = traj.records[0].dist_sq
-        ok = all(r.dist_sq <= dist0 * math.exp(-rate * r.t) * (1.0 + RELAXATION_TOL)
-                 for r in traj.records)
+        rate, _, ok, _ = pointwise_relaxation(
+            traj.records, kappa, poincare_sharp_discrete(dissipation))
         checks.append(CheckOutcome("relaxation-pointwise", ok,
                                    f"certified rate {rate:.6g}"))
     elif relax_applies:

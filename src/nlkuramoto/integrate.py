@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, mean_phase
+from .diagnostics import DiagnosticsRecord
 from .dynamics import PhaseField
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid
@@ -59,17 +59,6 @@ class IntegratorPolicy:
         problems = self.problems()
         if problems:
             raise ConfigurationError(problems)
-
-
-def gauge_reduce(theta: PhaseField) -> tuple[PhaseField, float]:
-    """Subtract the weighted mean so the field evolves with zero average.
-
-    Returns the reduced field and the removed mean; together with a constant
-    natural frequency nu, the physical field is recovered as
-    reduced + mean + nu * t.
-    """
-    bar = mean_phase(theta.values, theta.grid)
-    return PhaseField(theta.values - bar, theta.t, theta.grid), bar
 
 
 def select_dt(coupling: KernelMatrix | None, dissipation: KernelMatrix | None,

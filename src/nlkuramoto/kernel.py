@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, ResourceError, SingularityError
-from .grid import Grid, grids_match
+from .grid import Grid
 
 SINGULAR = "singular"
 TRUNCATED = "truncated"
@@ -86,10 +86,6 @@ class KernelMatrix:
     @property
     def is_singular(self) -> bool:
         return self.variant == SINGULAR
-
-    def total_weight(self) -> float:
-        """Double sum of all entries (the discrete double integral of k)."""
-        return float(self.row_sums.sum())
 
 
 def assemble_kernel_matrix(grid: Grid, variant: str, s: float, eps: float | None = None) -> KernelMatrix:
@@ -251,8 +247,3 @@ class KernelCache:
         matrix = assemble_kernel_matrix(grid, variant, s, eps)
         save_kernel_matrix(matrix, path)
         return matrix
-
-
-def check_same_grid(matrix: KernelMatrix, grid: Grid) -> None:
-    if not grids_match(matrix.grid, grid):
-        raise GridMismatchError("kernel matrix was assembled on a different grid")

@@ -1,14 +1,18 @@
-"""Run orchestration: configuration -> grid, kernels, initial data, trajectory.
+"""Run orchestration: configuration -> operator bundle, initial data, trajectory.
 
-Continuum models always evolve in the zero-mean, zero-frequency gauge; the
-affine shift mean + nu * t is reapplied when physical fields are requested.
-The lattice model is gauge-reduced too when its frequency is constant, and
-integrated as-is when per-node frequencies are supplied.
+:func:`build_operators` assembles a run's grid and kernel matrices once;
+callers that need them again after the run pass that bundle to
+:func:`simulate`.  Continuum models always evolve in the zero-mean,
+zero-frequency gauge: the mean is subtracted from the initial field here, and
+the affine shift mean + nu * t is reapplied when physical fields are
+requested.  The lattice model is gauge-reduced too when its frequency is
+constant, and integrated as-is when per-node frequencies are supplied.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,22 +20,31 @@ from .config import SimConfig
 from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
                           energy_kinetic, energy_potential, mean_phase, seminorm_sq)
 from .dynamics import rhs_lattice, rhs_regularized, rhs_singular
-from .errors import BlowUpError, ConfigurationError
-from .grid import Grid, build_grid
+from .errors import BlowUpError, ConfigurationError, ParameterError
+from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import Trajectory, integrate_flow, select_dt
-from .kernel import SINGULAR, TRUNCATED, assemble_kernel_matrix, pairwise_kernel_values
+from .kernel import (SINGULAR, TRUNCATED, KernelMatrix, assemble_kernel_matrix,
+                     pairwise_kernel_values)
 
 
-def build_operators(cfg: SimConfig):
-    """Assemble the grid and the kernel operators a config asks for.
+class Operators(NamedTuple):
+    """The grid and kernel operators of one run.
 
-    Returns (grid, coupling, dissipation, lattice_weights); ``coupling`` is
-    the matrix driving the sine term (for the lattice model it is the
-    singular matrix, used for diagnostics only), ``dissipation`` is always
-    the singular matrix, and ``lattice_weights`` is the raw unweighted
+    ``coupling`` is the matrix driving the sine term (for the lattice model
+    it is the singular matrix, used for diagnostics only), ``dissipation`` is
+    always the singular matrix, and ``lattice_weights`` is the raw unweighted
     pairwise kernel (None for continuum models).
     """
+
+    grid: Grid
+    coupling: KernelMatrix
+    dissipation: KernelMatrix
+    lattice_weights: np.ndarray | None
+
+
+def build_operators(cfg: SimConfig) -> Operators:
+    """Assemble the grid and the kernel operators a config asks for."""
     grid = build_grid(cfg.grid.dimension, cfg.grid.nodes, cfg.grid.extents)
     s = cfg.physics.s
     dissipation = assemble_kernel_matrix(grid, SINGULAR, s)
@@ -42,7 +55,18 @@ def build_operators(cfg: SimConfig):
         coupling = dissipation
         if cfg.physics.model == "lattice":
             lattice_weights = pairwise_kernel_values(grid, s)
-    return grid, coupling, dissipation, lattice_weights
+    return Operators(grid, coupling, dissipation, lattice_weights)
+
+
+def _check_operators(ops: Operators, cfg: SimConfig) -> None:
+    """Refuse a bundle built for another grid, kernel exponent, truncation or model."""
+    grid = build_grid(cfg.grid.dimension, cfg.grid.nodes, cfg.grid.extents)
+    model = cfg.physics.model
+    eps = cfg.physics.epsilon if model == "regularized" else None
+    if not (grids_match(ops.grid, grid) and ops.dissipation.s == cfg.physics.s
+            and ops.coupling.eps == eps
+            and (ops.lattice_weights is None) == (model != "lattice")):
+        raise ParameterError("operator bundle was built for another grid, s, eps or model")
 
 
 def load_frequency(cfg: SimConfig, grid: Grid):
@@ -62,15 +86,21 @@ def _step_count(horizon: float, dt: float) -> int:
     return max(1, int(math.ceil(horizon / dt - 1e-12)))
 
 
-def simulate(cfg: SimConfig) -> Trajectory:
+def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
     """Integrate the configured evolution over [0, horizon].
 
-    Deterministic: the same config (and seed) reproduces the trajectory
-    bitwise on one platform.  On numerical blow-up a BlowUpError is raised
-    carrying the partial trajectory (status "blow-up") for persistence.
+    ``ops`` is the config's operator bundle when the caller has already built
+    it; a bundle built for another grid, ``s`` or ``eps`` raises
+    ParameterError.  Deterministic: the same config (and seed) reproduces the
+    trajectory bitwise on one platform.  On numerical blow-up a BlowUpError is
+    raised carrying the partial trajectory (status "blow-up") for persistence.
     """
     cfg.validate()
-    grid, coupling, dissipation, lattice_weights = build_operators(cfg)
+    if ops is None:
+        ops = build_operators(cfg)
+    else:
+        _check_operators(ops, cfg)
+    grid, coupling, dissipation, lattice_weights = ops
 
     theta0 = initial_field(cfg.initial.kind, grid, diameter=cfg.initial.diameter,
                            seed=cfg.initial.seed, value=cfg.initial.value)

@@ -118,6 +118,13 @@ def test_relax_command(tmp_path, capsys):
     assert report["satisfied"] is True
 
 
+def test_relax_manifest_records_wall_clock(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["relax", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "run_out" / "manifest.json").read_text())
+    assert manifest["wall_clock_s"] > 0.0
+
+
 def test_sweep_eps_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     code = main(["sweep-eps", str(cfg), "--ladder", "0.2,0.1,0.05",

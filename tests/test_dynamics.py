@@ -150,17 +150,6 @@ def test_rhs_domination_consistency(grid16, singular16):
     assert np.all(gap <= allowance * (1 + 1e-12) + 1e-15)
 
 
-def test_model_params_validation():
-    from nlkuramoto import ModelParams
-    params = ModelParams(kappa=1.0, delta=0.1, nu=0.3, s=0.5, eps=0.05)
-    assert params.nu_is_constant
-    assert not ModelParams(kappa=1.0, nu=np.zeros(4)).nu_is_constant
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=-1.0)
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=0.0, delta=-0.5)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), kappa=st.floats(0.0, 3.0), delta=st.floats(0.0, 1.0))
 def test_rhs_properties(seed, kappa, delta, grid16, singular16):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nlkuramoto import (ConfigurationError, ParameterError, initial_field,
-                        refinement_study, relaxation_experiment, restrict_to_coarse,
-                        run_invariant_suite, sweep_delta, sweep_epsilon)
+import nlkuramoto.experiments as experiments
+import nlkuramoto.run as run
+from nlkuramoto import (ConfigurationError, ParameterError, assemble_kernel_matrix,
+                        build_operators, initial_field, refinement_study,
+                        relaxation_experiment, restrict_to_coarse, run_invariant_suite,
+                        select_dt, sweep_delta, sweep_epsilon)
 
 import oracles
 from conftest import make_config
@@ -76,10 +79,18 @@ def test_sweep_epsilon_zero_coupling_rungs_identical():
 
 
 def test_sweep_epsilon_shares_dt_and_times():
-    sweep = sweep_epsilon(eps_base(), [0.4, 0.2, 0.1])
+    base = eps_base()
+    ladder = [0.4, 0.2, 0.1]
+    sweep = sweep_epsilon(base, ladder)
     assert len({rung.n_steps for rung in sweep.rungs}) == 1
     requested = {rung.config.integrator.dt for rung in sweep.rungs}
-    assert len(requested) == 1
+    # the stiffest rung's step is exactly the smallest automatic step on the ladder
+    dissipation = build_operators(base).dissipation
+    assert requested == {min(
+        select_dt(assemble_kernel_matrix(dissipation.grid, "truncated", 0.5, eps),
+                  dissipation, base.physics.kappa, base.physics.delta,
+                  base.integrator.safety, free_drift_horizon=base.integrator.horizon)
+        for eps in ladder)}
     # the executed step is the request rounded down to land on the horizon
     assert sweep.dt <= requested.pop() * (1 + 1e-12)
 
@@ -145,6 +156,43 @@ def test_sweep_report_shape():
     assert report["parameter"] == "delta"
     assert [r["value"] for r in report["rungs"]] == [0.2, 0.1]
     assert isinstance(report["rungs"][0]["bounds"], list)
+
+
+# ---------------------------------------------------------------------------
+# each experiment builds its operators once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Every kernel-matrix assembly made through run or experiments, by variant."""
+    calls = []
+    for module in (run, experiments):
+        def counted(*args, _assemble=module.assemble_kernel_matrix, **kwargs):
+            calls.append(args[1])
+            return _assemble(*args, **kwargs)
+        monkeypatch.setattr(module, "assemble_kernel_matrix", counted)
+    return calls
+
+
+def test_sweep_epsilon_assembles_each_coupling_once(assemblies):
+    # one shared singular dissipation plus one truncated coupling per rung
+    sweep_epsilon(eps_base(), [0.2, 0.1, 0.05])
+    assert sorted(assemblies) == ["singular", "truncated", "truncated", "truncated"]
+
+
+def test_sweep_delta_shares_one_bundle(assemblies):
+    sweep_delta(delta_base(), [0.4, 0.2, 0.1])
+    assert assemblies == ["singular"]
+
+
+def test_relaxation_experiment_assembles_once(assemblies):
+    relaxation_experiment(delta_base())
+    assert assemblies == ["singular"]
+
+
+def test_invariant_suite_assembles_once(assemblies):
+    run_invariant_suite(delta_base())
+    assert assemblies == ["singular"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nlkuramoto import (BlowUpError, ParameterError, PhaseField, assemble_kernel_matrix,
-                        build_grid, gauge_reduce, mean_phase, select_dt, simulate, step)
+from nlkuramoto import (BlowUpError, ParameterError, assemble_kernel_matrix, build_grid,
+                        build_operators, mean_phase, select_dt, simulate, step)
 
 import oracles
 from conftest import make_config
-
-
-def test_gauge_reduce_constant(grid16):
-    reduced, bar = gauge_reduce(PhaseField(np.full(16, 2.5), 0.0, grid16))
-    assert bar == pytest.approx(2.5, rel=1e-15)
-    assert np.allclose(reduced.values, 0.0, atol=1e-15)
-
-
-def test_gauge_reduce_mean_zero_is_identity(grid16):
-    values = np.sin(2 * np.pi * grid16.coords[:, 0])
-    values -= grid16.weight * values.sum() / grid16.measure
-    reduced, bar = gauge_reduce(PhaseField(values, 0.0, grid16))
-    assert abs(bar) <= 1e-15
-    assert np.allclose(reduced.values, values, atol=1e-15)
-
-
-def test_gauge_reduce_zeroes_mean(grid64):
-    rng = np.random.default_rng(0)
-    reduced, _ = gauge_reduce(PhaseField(rng.uniform(-3, 3, 64), 0.0, grid64))
-    assert abs(mean_phase(reduced.values, grid64)) < 1e-13
 
 
 def test_select_dt_free_drift(grid16, singular16):
@@ -201,6 +183,26 @@ def test_simulate_mean_conserved_in_gauge():
                       kind="random", seed=8, diameter=2.5, horizon=1.0, stride=7)
     traj = simulate(cfg)
     assert max(abs(r.mean) for r in traj.records) <= 1e-10
+
+
+def test_simulate_with_its_bundle_matches_a_fresh_build():
+    cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.1)
+    shared = simulate(cfg, build_operators(cfg))
+    fresh = simulate(cfg)
+    assert shared.records == fresh.records
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(shared.snapshots, fresh.snapshots))
+
+
+def test_simulate_rejects_a_bundle_built_for_another_config():
+    cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.1)
+    ops = build_operators(cfg)
+    for other in (replace(cfg, physics=replace(cfg.physics, epsilon=0.05)),
+                  replace(cfg, physics=replace(cfg.physics, s=0.4)),
+                  replace(cfg, grid=replace(cfg.grid, nodes=32)),
+                  replace(cfg, grid=replace(cfg.grid, extents=((0.0, 2.0),)))):
+        with pytest.raises(ParameterError):
+            simulate(other, ops)
 
 
 def test_simulate_deterministic():
