@@ -20,9 +20,8 @@ from .experiments import (refinement_study, relaxation_experiment, restrict_to_c
 from .grid import build_grid, poincare_domain_constant
 from .initial import initial_field
 from .integrate import IntegratorPolicy, select_dt, step
-from .kernel import (KernelCache, KernelMatrix, assemble_kernel_matrix, k_eps_analytic_bound,
-                     k_eps_star_analytic_bound, lipschitz_bounds, load_kernel_matrix,
-                     pairwise_kernel_values, psi, psi_eps, save_kernel_matrix)
+from .kernel import (assemble_kernel_matrix, k_eps_analytic_bound, k_eps_star_analytic_bound,
+                     lipschitz_bounds, psi, psi_eps)
 from .output import (CSV_COLUMNS, build_manifest, read_diagnostics_csv, read_snapshot,
                      write_diagnostics_csv, write_run_outputs, write_snapshot,
                      write_sweep_outputs)

@@ -9,14 +9,15 @@ operate on immutable inputs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import _check_field, _values_and_grid, bilinear_form
-from .errors import IterationError, ParameterError
+from .errors import IterationError, ParameterError, ResourceError
 from .grid import Grid
-from .kernel import KernelMatrix
+from .kernel import KernelOperator
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,30 @@ def dist_sq_to_mean(theta, grid: Grid) -> float:
     return float(grid.weight * (centered @ centered))
 
 
-def seminorm_sq(theta, matrix: KernelMatrix) -> float:
+def seminorm_sq(theta, matrix: KernelOperator) -> float:
     """Squared Gagliardo-type seminorm sum_{ij} W_ij w (u_i - u_j)^2."""
     return 2.0 * bilinear_form(theta, theta, matrix)
 
 
-def _cosine_double_sum(theta, matrix: KernelMatrix, scale: float) -> float:
-    """sum_{ij} W_ij (1 - cos(scale * (u_i - u_j))) via two mat-vecs.
+def _cosine_double_sum(theta, matrix: KernelOperator, scale: float) -> float:
+    """sum_{ij} W_ij (1 - cos(scale * (u_i - u_j))) via one batched apply.
 
-    Angles are shifted by a base value first (an exact identity), then
-    cos(a - b) = cos a cos b + sin a sin b splits the double sum.
+    Angles are shifted by a base value first (an exact identity).  With
+    a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), the summand is
+    a_i + a_j - a_i a_j - s_i s_j, so the sum is 2 a.r - a.Wa - s.Ws: exactly
+    zero for a constant field, and without the cancellation of
+    1.W1 - c.Wc - s.Ws at small amplitude.
     """
     values, fgrid = _values_and_grid(theta, matrix.grid)
     _check_field(values, matrix.grid, fgrid)
     angle = scale * (values - values.flat[0])
-    c = np.cos(angle)
-    s = np.sin(angle)
-    ones = np.ones_like(values)
-    return ones @ (matrix.weights @ ones) - c @ (matrix.weights @ c) \
-        - s @ (matrix.weights @ s)
+    a_s = np.stack([2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)])
+    wa, ws = matrix.apply(a_s)
+    a, s = a_s
+    return 2.0 * (a @ matrix.row_sums) - a @ wa - s @ ws
 
 
-def sin2_seminorm(theta, matrix: KernelMatrix) -> float:
+def sin2_seminorm(theta, matrix: KernelOperator) -> float:
     """Weighted double sum of sin^2 of phase differences.
 
     Uses sin^2 z = (1 - cos 2z) / 2, the cosine double sum at doubled angles.
@@ -93,13 +96,13 @@ def sin2_seminorm(theta, matrix: KernelMatrix) -> float:
     return float(max(0.0, 0.5 * matrix.grid.weight * total))
 
 
-def energy_potential(theta, matrix: KernelMatrix, kappa: float) -> float:
+def energy_potential(theta, matrix: KernelOperator, kappa: float) -> float:
     """(kappa/2) sum_{ij} W_ij w (1 - cos(u_i - u_j)); zero iff constant."""
     total = _cosine_double_sum(theta, matrix, 1.0)
     return float(max(0.0, 0.5 * kappa * matrix.grid.weight * total))
 
 
-def energy_kinetic(theta, dissipation: KernelMatrix, delta: float) -> float:
+def energy_kinetic(theta, dissipation: KernelOperator, delta: float) -> float:
     """(delta/4) times the squared seminorm taken with the singular matrix."""
     if not dissipation.is_singular:
         raise ParameterError("the dissipative energy uses the singular kernel matrix")
@@ -117,7 +120,7 @@ def min_sinc(m: float) -> float:
     return math.sin(m) / m
 
 
-def dual_bound_value(theta, coupling: KernelMatrix, dissipation: KernelMatrix,
+def dual_bound_value(theta, coupling: KernelOperator, dissipation: KernelOperator,
                      kappa: float, delta: float, m: float) -> float:
     """Computable upper bound for the dual norm of the rate field.
 
@@ -165,7 +168,7 @@ def _holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + _REL_SLACK) + _ABS_SLACK
 
 
-def uniform_bound_report(trajectory, coupling: KernelMatrix, dissipation: KernelMatrix,
+def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: KernelOperator,
                          kappa: float, delta: float) -> list[BoundCheck]:
     """Evaluate the uniform a priori bounds at every recorded instant.
 
@@ -213,31 +216,53 @@ def uniform_bound_report(trajectory, coupling: KernelMatrix, dissipation: Kernel
     return rows
 
 
-def nonlocal_operator(matrix: KernelMatrix) -> np.ndarray:
+def nonlocal_operator(matrix: KernelOperator) -> np.ndarray:
     """Dense symmetric PSD operator B with seminorm_sq(u) = w * u^T B u.
 
     B = 2 (diag(row sums) - W); its kernel is the constants and its smallest
-    nonzero eigenvalue is the sharp discrete Poincare constant.
+    nonzero eigenvalue is the sharp discrete Poincare constant.  Built in
+    place on one dense copy of W, whose diagonal is zero.
     """
-    return 2.0 * (np.diag(matrix.row_sums) - matrix.weights)
+    op = matrix.to_dense()
+    op *= -2.0
+    op.flat[::op.shape[0] + 1] += 2.0 * matrix.row_sums
+    return op
 
 
-def poincare_sharp_discrete(matrix: KernelMatrix, tol: float = 1e-11,
+# N x N arrays alive at the solve's peak: B, its augmented copy, and the
+# inverse plus the two work arrays np.linalg.inv allocates
+_POINCARE_DENSE_ARRAYS = 5
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of the machine, from os.sysconf."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
                             max_iter: int = 5000) -> float:
     """Sharp discrete Poincare constant lambda_star.
 
     The smallest ratio seminorm_sq(u) / ||u||_L2^2 over mean-zero fields,
     computed by inverse iteration restricted to the mean-zero subspace.  The
     reciprocal never exceeds the constructive domain constant.
+
+    This is the one dense O(N^3) computation left: it refuses with a
+    ResourceError, before allocating, when its N x N arrays would exceed
+    physical memory.
     """
+    nn = matrix.grid.node_count
+    need = _POINCARE_DENSE_ARRAYS * nn * nn * 8
+    if need > physical_memory_bytes():
+        raise ResourceError(
+            f"the sharp Poincare solve for N = {nn} nodes needs about {need / 1e9:.3g} GB "
+            f"of dense arrays, more than this machine's physical memory; reduce grid.nodes")
     op = nonlocal_operator(matrix)
-    nn = op.shape[0]
     # Rank-one augmentation shifts the constant mode away from zero so the
     # factorized system is positive definite; it acts as the identity times
     # the mean on that mode and leaves the mean-zero subspace untouched.
     shift = float(np.trace(op)) / nn
-    augmented = op + (shift / nn) * np.ones((nn, nn))
-    inv = np.linalg.inv(augmented)
+    inv = np.linalg.inv(op + shift / nn)
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(nn)

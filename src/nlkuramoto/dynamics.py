@@ -1,13 +1,16 @@
 """Right-hand sides of the phase evolutions and the nonlocal Dirichlet form.
 
-Kernel matrices already carry the inner quadrature weight, so right-hand side
-values are per-node rates shaped like the pointwise equation; double-integral
-quantities (the bilinear form, energies, seminorms) multiply the remaining
-outer weight explicitly.
+Kernel operators already carry the inner quadrature weight, so right-hand
+side values are per-node rates shaped like the pointwise equation;
+double-integral quantities (the bilinear form, energies, seminorms) multiply
+the remaining outer weight explicitly.
 
 The sine coupling sum_j W_ij sin(theta_j - theta_i) is evaluated through the
-exact expansion cos(theta_i) * (W sin theta)_i - sin(theta_i) * (W cos theta)_i,
-two matrix-vector products instead of an N^2 table of sine evaluations.
+exact expansion cos(theta_i) * (W sin theta)_i - sin(theta_i) * (W cos theta)_i:
+one batched operator apply to the stacked (cos, sin) fields, O(N log N) with
+the Toeplitz/BTTB kernel operator, instead of an N^2 table of sine
+evaluations.  Every apply is real, and every form is evaluated about a base
+angle, so a constant field gives exactly zero rates and energies.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .grid import Grid, grids_match
-from .kernel import KernelMatrix
+from .kernel import KernelOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,19 +60,21 @@ def _check_field(values: np.ndarray, grid: Grid, field_grid: Grid | None) -> Non
         )
 
 
-def sine_coupling(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[i, j] * sin(values[j] - values[i]) via two mat-vecs.
+def sine_coupling(values: np.ndarray, kernel: KernelOperator) -> np.ndarray:
+    """sum_j W[i, j] * sin(values[j] - values[i]) via one batched apply.
 
     Angles are shifted by a base value first (an exact identity), so a
     constant field yields an exactly zero rate and equilibria stay fixed.
     """
     shifted = values - values.flat[0]
-    c = np.cos(shifted)
-    s = np.sin(shifted)
-    return c * (weights @ s) - s * (weights @ c)
+    c, s = cs = np.empty((2, shifted.size))
+    np.cos(shifted, out=c)
+    np.sin(shifted, out=s)
+    wc, ws = kernel.apply(cs)
+    return c * ws - s * wc
 
 
-def rhs_singular(theta, coupling: KernelMatrix, kappa: float) -> np.ndarray:
+def rhs_singular(theta, coupling: KernelOperator, kappa: float) -> np.ndarray:
     """Rate field of the singular sine-coupled evolution (zero-frequency gauge).
 
     The principal value is realized by the matrix's excluded diagonal.  A
@@ -79,10 +84,10 @@ def rhs_singular(theta, coupling: KernelMatrix, kappa: float) -> np.ndarray:
         raise ParameterError("rhs_singular needs the singular kernel matrix")
     values, fgrid = _values_and_grid(theta, coupling.grid)
     _check_field(values, coupling.grid, fgrid)
-    return kappa * sine_coupling(values, coupling.weights)
+    return kappa * sine_coupling(values, coupling)
 
 
-def rhs_regularized(theta, coupling: KernelMatrix, dissipation: KernelMatrix,
+def rhs_regularized(theta, coupling: KernelOperator, dissipation: KernelOperator,
                     kappa: float, delta: float) -> np.ndarray:
     """Rate field of the dissipative evolution.
 
@@ -97,42 +102,46 @@ def rhs_regularized(theta, coupling: KernelMatrix, dissipation: KernelMatrix,
         raise GridMismatchError("coupling and dissipation matrices live on different grids")
     values, fgrid = _values_and_grid(theta, coupling.grid)
     _check_field(values, coupling.grid, fgrid)
-    rate = kappa * sine_coupling(values, coupling.weights)
+    rate = kappa * sine_coupling(values, coupling)
     if delta != 0.0:
         # shift-invariant difference term, evaluated about a base angle so a
         # constant field stays an exact equilibrium
         shifted = values - values.flat[0]
-        rate -= delta * (dissipation.row_sums * shifted - dissipation.weights @ shifted)
+        rate -= delta * (dissipation.row_sums * shifted - dissipation.apply(shifted))
     return rate
 
 
-def rhs_lattice(theta, weights: np.ndarray, kappa: float, nu) -> np.ndarray:
+def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu) -> np.ndarray:
     """Rate field of the node-count-normalized lattice model.
 
-    ``weights`` is a general symmetric nonnegative matrix with zero diagonal;
-    the coupling is scaled by kappa / node_count, not by quadrature weights.
-    nu may be a scalar or a per-node array.
+    The lattice couples through the raw pairwise kernel, ``kernel`` without
+    its cell weight, scaled by kappa / node_count instead of by quadrature
+    weights.  nu may be a scalar or a per-node array.
     """
     values, _ = _values_and_grid(theta, None)
     nn = values.shape[0]
-    if weights.shape != (nn, nn):
+    if kernel.grid.node_count != nn:
         raise GridMismatchError(
-            f"weights are {weights.shape} for a field with {nn} nodes"
+            f"kernel has {kernel.grid.node_count} nodes for a field with {nn} nodes"
         )
     nu = np.asarray(nu, dtype=float)
     if nu.ndim not in (0, 1) or (nu.ndim == 1 and nu.shape[0] != nn):
         raise GridMismatchError("per-node frequencies must match the node count")
-    return nu + (kappa / nn) * sine_coupling(values, weights)
+    return nu + (kappa / (nn * kernel.grid.weight)) * sine_coupling(values, kernel)
 
 
-def bilinear_form(u, v, matrix: KernelMatrix) -> float:
+def bilinear_form(u, v, matrix: KernelOperator) -> float:
     """Symmetric Dirichlet form (1/2) sum_{ij} W_ij w (u_i-u_j)(v_i-v_j).
 
-    Nonnegative on the diagonal; vanishes when either argument is constant.
+    Nonnegative on the diagonal; exactly zero when either argument is
+    constant, since both are taken about their first value (the form sees
+    differences only).
     """
     uv, ug = _values_and_grid(u, matrix.grid)
     vv, vg = _values_and_grid(v, matrix.grid)
     _check_field(uv, matrix.grid, ug)
     _check_field(vv, matrix.grid, vg)
+    uv = uv - uv.flat[0]
+    vv = vv - vv.flat[0]
     w = matrix.grid.weight
-    return float(w * ((matrix.row_sums * uv) @ vv - uv @ (matrix.weights @ vv)))
+    return float(w * ((matrix.row_sums * uv) @ vv - uv @ matrix.apply(vv)))

@@ -34,7 +34,7 @@ class SingularityError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """Allocation failure; the message says how to shrink the problem."""
+    """A computation would not fit in memory; the message says how to shrink it."""
 
 
 class BlowUpError(RuntimeError):

@@ -1,10 +1,10 @@
 """Scripted studies: truncation and dissipation sweeps, relaxation-rate
 verification, grid refinement, and the run-level invariant suite.
 
-Sweeps share one grid, one dissipation matrix, one fixed step size (chosen
+Sweeps share one grid, one dissipation operator, one fixed step size (chosen
 for the stiffest rung so every rung is stable) and one output stride, so
 trajectories can be compared at identical times.  Each rung's coupling is
-assembled once, when the rung runs, and serves both its simulation and its
+built once, when the rung runs, and serves both its simulation and its
 uniform-bound report.  The successive differences Delta_j are the computable
 stand-in for the compactness limits the analysis provides: the sweeps certify
 a decreasing Cauchy trend, never a convergence order.
@@ -118,7 +118,7 @@ def _sweep(parameter, ladder, configs: list[SimConfig], workers: int,
     """Run every rung and check its uniform bounds with the operators it ran with.
 
     ``operators(j)`` supplies rung j's bundle when the rung starts, so a rung's
-    own matrices live only while it runs.
+    own operators live only while it runs.
     """
     def one(j):
         cfg, ops = configs[j], operators(j)
@@ -157,7 +157,7 @@ def sweep_epsilon(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
     The step size is chosen for the smallest truncation (the stiffest rung)
     and shared: row sums grow as the truncation shrinks, so that rung's step
     is the smallest on the ladder.  Every rung shares the stiffest rung's
-    dissipation matrix; each report includes the dissipation-seminorm uniform
+    dissipation operator; each report includes the dissipation-seminorm uniform
     bound.
     """
     ladder = _check_ladder(ladder, "epsilon ladder")
@@ -414,7 +414,7 @@ def run_invariant_suite(cfg: SimConfig, lambda_star_cap: int = 1024):
     """
     cfg.validate()
     ops = build_operators(cfg)
-    grid, coupling, dissipation, _ = ops
+    grid, coupling, dissipation = ops
     traj = simulate(cfg, ops)
     kappa, delta = cfg.physics.kappa, cfg.physics.delta
     model = cfg.physics.model

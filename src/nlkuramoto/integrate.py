@@ -19,7 +19,7 @@ from .diagnostics import DiagnosticsRecord
 from .dynamics import PhaseField
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid
-from .kernel import KernelMatrix
+from .kernel import KernelOperator
 
 RK4 = "rk4"
 EULER = "euler"
@@ -61,7 +61,7 @@ class IntegratorPolicy:
             raise ConfigurationError(problems)
 
 
-def select_dt(coupling: KernelMatrix | None, dissipation: KernelMatrix | None,
+def select_dt(coupling: KernelOperator | None, dissipation: KernelOperator | None,
               kappa: float, delta: float, safety: float,
               free_drift_horizon: float = 1.0) -> float:
     """Step size safety / (2 kappa max_row(coupling) + 2 delta max_row(dissipation)).

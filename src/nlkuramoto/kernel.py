@@ -1,34 +1,33 @@
-"""Power-law interaction kernels and their dense quadrature matrices.
+"""Power-law interaction kernels as matrix-free Toeplitz/BTTB operators.
 
 The interaction weight between points at distance r is ``r**-(d+2s)``
 (principal value at the diagonal, realized here as an exactly zero diagonal
 entry) or its truncation ``(r+eps)**-(d+2s)``, which is finite everywhere.
-Matrix entries carry the quadrature weight of the inner integral, so a
-matrix-vector product discretizes ``\\int k(x,y) f(y) dy`` at each node.
+Entries carry the quadrature weight of the inner integral, so an apply
+discretizes ``\\int k(x,y) f(y) dy`` at each node.
 
-Matrices are symmetric, nonnegative, and immutable after assembly.  A small
-binary cache format (header ``{d, n, s, variant, eps}`` followed by row-major
-64-bit floats) avoids repeated O(N^2) assembly across runs.
+On the uniform midpoint lattice an entry depends only on the index offset
+between its two nodes, so the matrix is Toeplitz in 1d and block-Toeplitz
+with Toeplitz blocks (BTTB) in 2d.  An operator keeps the generator (the
+entry at each nonnegative offset) and the real spectrum of its even circulant
+embedding, twice as long on each axis; an apply zero-pads, multiplies in
+Fourier space with real transforms and truncates, in O(N log N) time and
+O(N) memory.  The dense matrix is built only on request (:meth:`to_dense`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatchError, ParameterError, ResourceError, SingularityError
+from .errors import ParameterError, SingularityError
 from .grid import Grid
 
 SINGULAR = "singular"
 TRUNCATED = "truncated"
 VARIANTS = (SINGULAR, TRUNCATED)
-
-_HEADER = struct.Struct("<qqdqd")  # dim, nodes per axis, s, variant code, eps
-_VARIANT_CODE = {SINGULAR: 0, TRUNCATED: 1}
-_CODE_VARIANT = {v: k for k, v in _VARIANT_CODE.items()}
 
 
 def _check_s(s: float) -> None:
@@ -56,44 +55,80 @@ def psi_eps(r, d: int, s: float, eps: float):
     return (r + eps) ** (-(d + 2.0 * s))
 
 
-def pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Dense (N, N) Euclidean distance matrix, accumulated per axis."""
-    n = coords.shape[0]
-    d2 = np.zeros((n, n))
-    for k in range(coords.shape[1]):
-        diff = coords[:, k, None] - coords[None, :, k]
-        d2 += diff * diff
-    return np.sqrt(d2)
+def _offset_distances(grid: Grid) -> np.ndarray:
+    """Node distance at each nonnegative index offset: shape (n,) or (n, n)."""
+    axes = np.ix_(*[np.arange(grid.n) * h for h in grid.spacing])
+    return np.sqrt(sum(a * a for a in axes))
+
+
+def _toeplitz_row_sums(generator: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric (multilevel) Toeplitz matrix of a generator.
+
+    Per axis, row i sums the offsets 0..i and 1..n-1-i: two prefix sums less
+    the offset-0 entry counted twice.
+    """
+    for axis in range(generator.ndim):
+        prefix = np.cumsum(generator, axis=axis)
+        generator = prefix + np.flip(prefix, axis) - generator.take([0], axis)
+    return generator.ravel()
 
 
 @dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Dense symmetric kernel matrix with quadrature weights folded in.
+class KernelOperator:
+    """Symmetric kernel matrix W with quadrature weights folded in, matrix-free.
 
-    ``weights[i, j] = k(x_i, x_j) * w`` off the diagonal and exactly zero on
-    it.  The zero diagonal is exact for every right-hand side built on phase
+    ``W[i, j] = generator[|offset(i, j)|]``, the kernel at the nodes'
+    distance times the cell weight off the diagonal and exactly zero on it.
+    The zero diagonal is exact for every right-hand side built on phase
     differences: the sine or difference factor vanishes at y = x, so the
     excluded entry contributes nothing even for the truncated kernel.
+    ``spectrum`` is the real half-spectrum of the generator's even circulant
+    embedding (shape (n+1,) in 1d, (2n, n+1) in 2d).
     """
 
     variant: str
     s: float
     eps: float | None
     grid: Grid
-    weights: np.ndarray
+    generator: np.ndarray
+    spectrum: np.ndarray
     row_sums: np.ndarray
 
     @property
     def is_singular(self) -> bool:
         return self.variant == SINGULAR
 
+    def apply(self, x) -> np.ndarray:
+        """W x for real x of shape (..., N), batched over the leading axes.
 
-def assemble_kernel_matrix(grid: Grid, variant: str, s: float, eps: float | None = None) -> KernelMatrix:
-    """Assemble the dense kernel matrix for a grid.
+        In 2d, the padding rows are never transformed along the last axis:
+        they are added after the first forward transform and cut before the
+        last inverse one.
+        """
+        x = np.asarray(x, dtype=float)
+        n, d = self.grid.n, self.grid.dim
+        lead = x.shape[:-1]
+        f = np.fft.rfft(x.reshape(*lead, *(n,) * d), 2 * n)
+        if d == 2:
+            f = np.fft.fft(f, 2 * n, axis=-2)
+        f *= self.spectrum
+        if d == 2:
+            f = np.fft.ifft(f, axis=-2)[..., :n, :]
+        return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
 
-    Memory is O(N^2); on allocation failure a :class:`ResourceError` says how
-    large the matrix would have been.
-    """
+    def to_dense(self) -> np.ndarray:
+        """The explicit (N, N) matrix, built without N^2-sized index arrays."""
+        n, d = self.grid.n, self.grid.dim
+        offsets = np.abs(np.arange(1 - n, n))
+        extended = self.generator[np.ix_(*[offsets] * d)]  # entry at signed offsets
+        # windows[k, m] = extended[k + m]; reversing k gives W[i, j] = extended[j - i + n - 1]
+        windows = sliding_window_view(extended, (n,) * d)[(slice(None, None, -1),) * d]
+        return windows.copy().reshape(n ** d, n ** d)
+
+
+def assemble_kernel_matrix(grid: Grid, variant: str, s: float,
+                           eps: float | None = None) -> KernelOperator:
+    """Build the kernel operator for a grid in O(N log N) time and O(N) memory."""
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _check_s(s)
@@ -103,39 +138,25 @@ def assemble_kernel_matrix(grid: Grid, variant: str, s: float, eps: float | None
     else:
         eps = None
 
-    nn = grid.node_count
-    try:
-        r = pairwise_distances(grid.coords)
-        if variant == TRUNCATED:
-            vals = psi_eps(r, grid.dim, s, eps)
-        else:
-            np.fill_diagonal(r, 1.0)  # placeholder; the diagonal is zeroed below
-            vals = psi(r, grid.dim, s)
-        weights = vals * grid.weight
-    except MemoryError as exc:
-        need = nn * nn * 8 / 2**30
-        raise ResourceError(
-            f"cannot allocate the {nn}x{nn} kernel matrix (~{need:.1f} GiB); reduce grid.nodes"
-        ) from exc
+    r = _offset_distances(grid)
+    if variant == TRUNCATED:
+        generator = psi_eps(r, grid.dim, s, eps)
+    else:
+        r.flat[0] = 1.0  # placeholder; the diagonal is zeroed below
+        generator = psi(r, grid.dim, s)
+    generator *= grid.weight
+    generator.flat[0] = 0.0
 
-    np.fill_diagonal(weights, 0.0)
-    row_sums = weights.sum(axis=1)
-    weights.setflags(write=False)
-    row_sums.setflags(write=False)
-    return KernelMatrix(variant=variant, s=s, eps=eps, grid=grid, weights=weights, row_sums=row_sums)
-
-
-def pairwise_kernel_values(grid: Grid, s: float) -> np.ndarray:
-    """Raw pairwise kernel values psi(|x_i - x_j|) with zero diagonal.
-
-    No quadrature weight: this is the network-topology form used by the
-    node-count-normalized lattice right-hand side.
-    """
-    r = pairwise_distances(grid.coords)
-    np.fill_diagonal(r, 1.0)
-    vals = psi(r, grid.dim, s)
-    np.fill_diagonal(vals, 0.0)
-    return vals
+    # even circulant embedding: offsets 0..n-1, one zero, then n-1..1
+    n, d = grid.n, grid.dim
+    wrap = np.minimum(np.arange(2 * n), np.arange(2 * n, 0, -1))
+    embedded = np.pad(generator, [(0, 1)] * d)[np.ix_(*[wrap] * d)]
+    spectrum = np.fft.rfftn(embedded, axes=tuple(range(d))).real
+    row_sums = _toeplitz_row_sums(generator)
+    for a in (generator, spectrum, row_sums):
+        a.setflags(write=False)
+    return KernelOperator(variant=variant, s=s, eps=eps, grid=grid, generator=generator,
+                          spectrum=spectrum, row_sums=row_sums)
 
 
 @dataclass(frozen=True)
@@ -159,10 +180,9 @@ def lipschitz_bounds(grid: Grid, s: float, eps: float) -> LipschitzBounds:
     The diagonal is included: the truncated kernel is finite at r = 0, and the
     underlying integrals run over the whole domain.
     """
-    r = pairwise_distances(grid.coords)
-    pe = psi_eps(r, grid.dim, s, eps)
-    k_eps = float((pe * pe).sum(axis=1).max() * grid.weight)
-    k_star = float(pe.sum(axis=1).max() * grid.weight)
+    pe = psi_eps(_offset_distances(grid), grid.dim, s, eps)
+    k_eps = float(_toeplitz_row_sums(pe * pe).max() * grid.weight)
+    k_star = float(_toeplitz_row_sums(pe).max() * grid.weight)
     # Any valid upper bound serves here; 2*max(|domain|, 1) dominates the
     # constants from splitting the coupling difference into its two terms.
     c_dom = 2.0 * max(grid.measure, 1.0)
@@ -182,68 +202,3 @@ def k_eps_analytic_bound(grid: Grid, s: float, eps: float) -> float:
 def k_eps_star_analytic_bound(grid: Grid, s: float, eps: float) -> float:
     """Closed-form bound |domain| * eps**-(d+2s) dominating k_eps_star."""
     return grid.measure * eps ** (-(grid.dim + 2.0 * s))
-
-
-def save_kernel_matrix(matrix: KernelMatrix, path) -> None:
-    """Write a matrix in the binary cache format."""
-    path = Path(path)
-    header = _HEADER.pack(
-        matrix.grid.dim,
-        matrix.grid.n,
-        matrix.s,
-        _VARIANT_CODE[matrix.variant],
-        0.0 if matrix.eps is None else matrix.eps,
-    )
-    data = np.ascontiguousarray(matrix.weights, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def load_kernel_matrix(path, grid: Grid) -> KernelMatrix:
-    """Read a cached matrix back, validating it against the given grid."""
-    path = Path(path)
-    raw = path.read_bytes()
-    dim, n, s, code, eps = _HEADER.unpack_from(raw, 0)
-    if (dim, n) != (grid.dim, grid.n):
-        raise GridMismatchError(
-            f"cached matrix is for a {dim}d grid with n={n}, "
-            f"not the given {grid.dim}d grid with n={grid.n}"
-        )
-    nn = grid.node_count
-    expect = _HEADER.size + nn * nn * 8
-    if len(raw) != expect:
-        raise ValueError(f"cache file {path} has {len(raw)} bytes, expected {expect}")
-    weights = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nn, nn).copy()
-    row_sums = weights.sum(axis=1)
-    weights.setflags(write=False)
-    row_sums.setflags(write=False)
-    variant = _CODE_VARIANT[code]
-    return KernelMatrix(
-        variant=variant,
-        s=s,
-        eps=None if variant == SINGULAR else eps,
-        grid=grid,
-        weights=weights,
-        row_sums=row_sums,
-    )
-
-
-class KernelCache:
-    """Directory of assembled matrices keyed by (grid hash, variant, s, eps)."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, grid: Grid, variant: str, s: float, eps: float | None = None) -> Path:
-        tag = f"{grid.content_hash()[:16]}_{variant}_s{s!r}_e{0.0 if eps is None else eps!r}"
-        return self.directory / f"{tag}.kmat"
-
-    def get(self, grid: Grid, variant: str, s: float, eps: float | None = None) -> KernelMatrix:
-        path = self.path_for(grid, variant, s, eps)
-        if path.exists():
-            return load_kernel_matrix(path, grid)
-        matrix = assemble_kernel_matrix(grid, variant, s, eps)
-        save_kernel_matrix(matrix, path)
-        return matrix

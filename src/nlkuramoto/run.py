@@ -1,6 +1,6 @@
 """Run orchestration: configuration -> operator bundle, initial data, trajectory.
 
-:func:`build_operators` assembles a run's grid and kernel matrices once;
+:func:`build_operators` builds a run's grid and kernel operators once;
 callers that need them again after the run pass that bundle to
 :func:`simulate`.  Continuum models always evolve in the zero-mean,
 zero-frequency gauge: the mean is subtracted from the initial field here, and
@@ -24,49 +24,41 @@ from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import Trajectory, integrate_flow, select_dt
-from .kernel import (SINGULAR, TRUNCATED, KernelMatrix, assemble_kernel_matrix,
-                     pairwise_kernel_values)
+from .kernel import SINGULAR, TRUNCATED, KernelOperator, assemble_kernel_matrix
 
 
 class Operators(NamedTuple):
     """The grid and kernel operators of one run.
 
-    ``coupling`` is the matrix driving the sine term (for the lattice model
-    it is the singular matrix, used for diagnostics only), ``dissipation`` is
-    always the singular matrix, and ``lattice_weights`` is the raw unweighted
-    pairwise kernel (None for continuum models).
+    ``coupling`` is the operator driving the sine term: the truncated one for
+    the regularized model, the singular one otherwise (the lattice model
+    couples through it without its cell weight).  ``dissipation`` is always
+    the singular operator.
     """
 
     grid: Grid
-    coupling: KernelMatrix
-    dissipation: KernelMatrix
-    lattice_weights: np.ndarray | None
+    coupling: KernelOperator
+    dissipation: KernelOperator
 
 
 def build_operators(cfg: SimConfig) -> Operators:
-    """Assemble the grid and the kernel operators a config asks for."""
+    """Build the grid and the kernel operators a config asks for."""
     grid = build_grid(cfg.grid.dimension, cfg.grid.nodes, cfg.grid.extents)
     s = cfg.physics.s
     dissipation = assemble_kernel_matrix(grid, SINGULAR, s)
-    lattice_weights = None
+    coupling = dissipation
     if cfg.physics.model == "regularized":
         coupling = assemble_kernel_matrix(grid, TRUNCATED, s, cfg.physics.epsilon)
-    else:
-        coupling = dissipation
-        if cfg.physics.model == "lattice":
-            lattice_weights = pairwise_kernel_values(grid, s)
-    return Operators(grid, coupling, dissipation, lattice_weights)
+    return Operators(grid, coupling, dissipation)
 
 
 def _check_operators(ops: Operators, cfg: SimConfig) -> None:
-    """Refuse a bundle built for another grid, kernel exponent, truncation or model."""
+    """Refuse a bundle built for another grid, kernel exponent or truncation."""
     grid = build_grid(cfg.grid.dimension, cfg.grid.nodes, cfg.grid.extents)
-    model = cfg.physics.model
-    eps = cfg.physics.epsilon if model == "regularized" else None
+    eps = cfg.physics.epsilon if cfg.physics.model == "regularized" else None
     if not (grids_match(ops.grid, grid) and ops.dissipation.s == cfg.physics.s
-            and ops.coupling.eps == eps
-            and (ops.lattice_weights is None) == (model != "lattice")):
-        raise ParameterError("operator bundle was built for another grid, s, eps or model")
+            and ops.coupling.eps == eps):
+        raise ParameterError("operator bundle was built for another grid, s or eps")
 
 
 def load_frequency(cfg: SimConfig, grid: Grid):
@@ -100,7 +92,7 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
         ops = build_operators(cfg)
     else:
         _check_operators(ops, cfg)
-    grid, coupling, dissipation, lattice_weights = ops
+    grid, coupling, dissipation = ops
 
     theta0 = initial_field(cfg.initial.kind, grid, diameter=cfg.initial.diameter,
                            seed=cfg.initial.seed, value=cfg.initial.value)
@@ -117,14 +109,13 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
         work = theta0 - theta_bar
 
     policy = cfg.integrator
-    if policy.dt is not None:
-        dt = policy.dt
-    elif model == "lattice":
-        lam = 2.0 * kappa * float(lattice_weights.sum(axis=1).max()) / grid.node_count
-        dt = policy.safety / lam if lam > 0.0 else policy.safety * policy.horizon
-    else:
-        dt = select_dt(coupling, dissipation, kappa, delta, policy.safety,
-                       free_drift_horizon=policy.horizon)
+    dt = policy.dt
+    if dt is None:
+        # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
+        lattice = model == "lattice"
+        kappa_dt = kappa / (grid.node_count * grid.weight) if lattice else kappa
+        dt = select_dt(coupling, dissipation, kappa_dt, 0.0 if lattice else delta,
+                       policy.safety, free_drift_horizon=policy.horizon)
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
 
@@ -132,7 +123,7 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
         nu_term = 0.0 if gauge else nu
 
         def rhs(values):
-            return rhs_lattice(values, lattice_weights, kappa, nu_term)
+            return rhs_lattice(values, coupling, kappa, nu_term)
     elif model == "regularized" or delta > 0.0:
 
         def rhs(values):

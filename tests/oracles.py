@@ -23,7 +23,9 @@ def kernel_value(r: float, d: int, s: float, eps: float | None = None) -> float:
     return (r + eps) ** (-(d + 2.0 * s))
 
 
-def kernel_matrix_loop(grid, s, eps=None) -> np.ndarray:
+def kernel_matrix_loop(grid, s, eps=None, weight=None) -> np.ndarray:
+    """Dense kernel matrix times ``weight`` (default: the cell weight), zero diagonal."""
+    weight = grid.weight if weight is None else weight
     pts = [tuple(p) for p in grid.coords]
     nn = len(pts)
     out = np.zeros((nn, nn))
@@ -31,8 +33,33 @@ def kernel_matrix_loop(grid, s, eps=None) -> np.ndarray:
         for j in range(nn):
             if i == j:
                 continue
-            out[i, j] = kernel_value(dist(pts[i], pts[j]), grid.dim, s, eps) * grid.weight
+            out[i, j] = kernel_value(dist(pts[i], pts[j]), grid.dim, s, eps) * weight
     return out
+
+
+class DenseOperator:
+    """The kernel-operator interface (apply, row_sums, to_dense) over an
+    explicit symmetric matrix, for synthetic weights the lattice has no
+    generator for.
+
+    Without a grid, the matrix lives on a 1d grid of unit cell weight.
+    """
+
+    is_singular = True
+
+    def __init__(self, weights, grid=None):
+        from nlkuramoto import build_grid
+
+        self.weights = np.asarray(weights, dtype=float)
+        nn = self.weights.shape[0]
+        self.grid = build_grid(1, nn, [(0.0, float(nn))]) if grid is None else grid
+        self.row_sums = self.weights.sum(axis=1)
+
+    def apply(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float) @ self.weights  # symmetric: x W = (W x^T)^T
+
+    def to_dense(self) -> np.ndarray:
+        return self.weights.copy()
 
 
 def rhs_singular_loop(grid, theta, s, kappa) -> np.ndarray:
@@ -117,7 +144,9 @@ def sin2_loop(grid, theta, s, eps=None) -> float:
 
 
 def energy_potential_loop(grid, theta, s, kappa, eps=None) -> float:
-    return 0.5 * kappa * double_sum_loop(grid, theta, s, lambda z: 1.0 - math.cos(z), eps)
+    # 1 - cos z written as 2 sin^2(z/2), which does not cancel at small z
+    return 0.5 * kappa * double_sum_loop(grid, theta, s, lambda z: 2.0 * math.sin(0.5 * z) ** 2,
+                                         eps)
 
 
 def k_sums_loop(grid, s, eps):

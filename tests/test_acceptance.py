@@ -151,7 +151,7 @@ def test_criterion_5_uniform_bounds(battery, energy_runs):
     applicable = 0
     violated = []
     for cfg, traj in pool:
-        _, coupling, dissipation, _ = build_operators(cfg)
+        _, coupling, dissipation = build_operators(cfg)
         for row in uniform_bound_report(traj, coupling, dissipation,
                                         cfg.physics.kappa, cfg.physics.delta):
             if row.satisfied is None:
@@ -280,7 +280,7 @@ def test_criterion_11_rhs_oracle_equivalence():
         delta = float(rng.uniform(0.0, 0.5))
         theta = rng.uniform(-2.0, 2.0, grid.node_count)
 
-        from nlkuramoto import assemble_kernel_matrix, pairwise_kernel_values
+        from nlkuramoto import assemble_kernel_matrix
         sing = assemble_kernel_matrix(grid, "singular", s)
         trunc = assemble_kernel_matrix(grid, "truncated", s, eps)
 
@@ -290,10 +290,10 @@ def test_criterion_11_rhs_oracle_equivalence():
             (rhs_regularized(theta, trunc, sing, kappa, delta),
              oracles.rhs_regularized_loop(grid, theta, s, eps, kappa, delta)),
         ]
-        weights = pairwise_kernel_values(grid, s)
+        raw = oracles.kernel_matrix_loop(grid, s, weight=1.0)
         nu = rng.uniform(-1.0, 1.0, grid.node_count)
-        pairs.append((rhs_lattice(theta, weights, kappa, nu),
-                      oracles.rhs_lattice_loop(theta, weights, kappa, nu)))
+        pairs.append((rhs_lattice(theta, sing, kappa, nu),
+                      oracles.rhs_lattice_loop(theta, raw, kappa, nu)))
         for got, expect in pairs:
             scale = max(np.abs(expect).max(), 1e-30)
             worst = max(worst, float(np.abs(got - expect).max()) / scale)

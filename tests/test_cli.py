@@ -107,6 +107,16 @@ def test_poincare_prints_constants(tmp_path, capsys):
     assert "ok" in out
 
 
+def test_poincare_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from nlkuramoto import diagnostics
+
+    monkeypatch.setattr(diagnostics, "physical_memory_bytes", lambda: 10**6)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["poincare", str(cfg), "--nodes", "256"]) == 2
+    err = capsys.readouterr().err
+    assert "N = 256" in err and "reduce grid.nodes" in err
+
+
 def test_relax_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["relax", str(cfg), "--diameter", str(math.pi / 2),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (IterationError, KernelMatrix, ParameterError, assemble_kernel_matrix,
+from nlkuramoto import (IterationError, ParameterError, assemble_kernel_matrix,
                         build_grid, diameter, dist_sq_to_mean, dual_bound_value,
                         energy_identity_residual, energy_kinetic, energy_potential,
                         fit_decay_rate, min_sinc, nonlocal_operator, poincare_domain_constant,
@@ -21,15 +21,12 @@ def random_field(grid, scale, seed):
 
 
 def synthetic_matrix(weights, w=1.0):
-    """KernelMatrix wrapper around explicit weights.
+    """Operator over explicit weights.
 
     The grid spans [0, n*w] so its quadrature weight is exactly w.
     """
     n = weights.shape[0]
-    grid = build_grid(1, n, [(0.0, n * w)])
-    weights = np.asarray(weights, dtype=float)
-    return KernelMatrix(variant="singular", s=0.5, eps=None, grid=grid,
-                        weights=weights, row_sums=weights.sum(axis=1))
+    return oracles.DenseOperator(weights, build_grid(1, n, [(0.0, n * w)]))
 
 
 def test_diameter_examples():
@@ -79,6 +76,18 @@ def test_sin2_seminorm_oracle(grid16, singular16):
     theta = random_field(grid16, 1.0, seed=24)
     expect = oracles.sin2_loop(grid16, theta, 0.5)
     assert sin2_seminorm(theta, singular16) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_small_amplitude_energies_do_not_cancel(amplitude, grid64, singular64):
+    # 1 - cos evaluated as 1.W1 - c.Wc - s.Ws loses every digit here; the
+    # oracle writes it as 2 sin^2(z/2), which does not cancel either
+    theta = random_field(grid64, amplitude, seed=26)
+    expect = oracles.energy_potential_loop(grid64, theta, 0.5, 1.0)
+    got = energy_potential(theta, singular64, kappa=1.0)
+    assert got == pytest.approx(expect, rel=1e-10, abs=0.0)
+    expect = oracles.sin2_loop(grid64, theta, 0.5)
+    assert sin2_seminorm(theta, singular64) == pytest.approx(expect, rel=1e-10, abs=0.0)
 
 
 def test_dual_bound_value(grid16, singular16):
@@ -135,7 +144,7 @@ def test_uniform_bound_report_rows():
                       seed=5, diameter=2.0, horizon=0.5, stride=4)
     traj = simulate(cfg)
     from nlkuramoto import build_operators
-    _, coupling, dissipation, _ = build_operators(cfg)
+    _, coupling, dissipation = build_operators(cfg)
     rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, 0.2)}
     assert rows["seminorm-dissipation-bound"].satisfied is True
     assert rows["seminorm-sinc-bound"].satisfied is None  # truncated coupling
@@ -149,7 +158,7 @@ def test_uniform_bound_report_singular_model():
                       diameter=math.pi / 2, horizon=0.5, stride=4)
     traj = simulate(cfg)
     from nlkuramoto import build_operators
-    _, coupling, dissipation, _ = build_operators(cfg)
+    _, coupling, dissipation = build_operators(cfg)
     rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, 0.05)}
     assert all(c.satisfied for c in rows.values())
 
@@ -158,7 +167,7 @@ def test_uniform_bound_report_constant_field_trivial():
     cfg = make_config(n=16, kind="constant", value=0.2, horizon=0.2)
     traj = simulate(cfg)
     from nlkuramoto import build_operators
-    _, coupling, dissipation, _ = build_operators(cfg)
+    _, coupling, dissipation = build_operators(cfg)
     rows = uniform_bound_report(traj, coupling, dissipation, 1.0, 0.0)
     for row in rows:
         if row.satisfied is not None:
@@ -191,9 +200,7 @@ def test_poincare_2d_grid():
 
 def test_poincare_scaling_covariance(grid16, singular16):
     lam = poincare_sharp_discrete(singular16)
-    scaled = KernelMatrix(variant="singular", s=0.5, eps=None, grid=grid16,
-                          weights=3.0 * singular16.weights,
-                          row_sums=3.0 * singular16.row_sums)
+    scaled = oracles.DenseOperator(3.0 * singular16.to_dense(), grid16)
     assert poincare_sharp_discrete(scaled) == pytest.approx(3.0 * lam, rel=1e-10)
 
 

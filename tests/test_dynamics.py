@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkuramoto import (GridMismatchError, ParameterError, PhaseField, assemble_kernel_matrix,
-                        bilinear_form, build_grid, rhs_lattice, rhs_regularized, rhs_singular,
-                        seminorm_sq)
+                        bilinear_form, build_grid, dual_bound_value, energy_kinetic,
+                        energy_potential, rhs_lattice, rhs_regularized, rhs_singular,
+                        seminorm_sq, sin2_seminorm)
 
 import oracles
 from conftest import rel_close
@@ -36,7 +37,7 @@ def test_rhs_singular_two_nodes_antisymmetric():
     m = assemble_kernel_matrix(g, "singular", 0.5)
     a = 0.4
     rate = rhs_singular(np.array([a, -a]), m, kappa=1.0)
-    expect = m.weights[0, 1] * np.sin(-2.0 * a)
+    expect = m.to_dense()[0, 1] * np.sin(-2.0 * a)
     assert rate[0] == pytest.approx(expect, rel=1e-14)
     assert rate[1] == pytest.approx(-expect, rel=1e-14)
 
@@ -58,6 +59,28 @@ def test_rhs_regularized_constant_field(grid16, singular16):
     trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
     rate = rhs_regularized(np.full(16, -2.0), trunc, singular16, kappa=1.0, delta=0.3)
     assert np.all(rate == 0.0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 37), (2, 7)])
+@pytest.mark.parametrize("value", [0.0, -2.3, 1e3])
+def test_constant_field_is_exactly_still(dim, n, value):
+    # real transforms of all-zero shifted fields: every rate, energy and
+    # seminorm of every variant is exactly zero, not merely round-off small
+    g = build_grid(dim, n, [(0.0, 1.0), (0.0, 1.7)][:dim])
+    sing = assemble_kernel_matrix(g, "singular", 0.6)
+    trunc = assemble_kernel_matrix(g, "truncated", 0.6, 0.05)
+    theta = np.full(g.node_count, value)
+    rates = [rhs_singular(theta, sing, 1.3),
+             rhs_regularized(theta, trunc, sing, 1.3, 0.4),
+             rhs_regularized(theta, sing, sing, 1.3, 0.4),
+             rhs_lattice(theta, sing, 1.3, 0.0)]
+    assert all(np.all(rate == 0.0) for rate in rates)
+    values = [energy_potential(theta, m, 1.3) for m in (sing, trunc)]
+    values += [sin2_seminorm(theta, m) for m in (sing, trunc)]
+    values += [energy_kinetic(theta, sing, 0.4), seminorm_sq(theta, sing),
+               bilinear_form(theta, random_field(g, 1.0, seed=1), sing),
+               dual_bound_value(theta, trunc, sing, 1.3, 0.4, 0.0)]
+    assert values == [0.0] * len(values)
 
 
 def test_rhs_regularized_pure_dissipation_preserves_mean(grid16, singular16):
@@ -85,14 +108,15 @@ def test_rhs_regularized_reduces_to_singular(grid16, singular16):
 def test_rhs_lattice_zero_coupling_returns_frequency():
     theta = np.array([0.1, 0.2, 0.3])
     nu = np.array([1.0, -2.0, 0.5])
-    rate = rhs_lattice(theta, np.zeros((3, 3)), kappa=0.0, nu=nu)
+    rate = rhs_lattice(theta, oracles.DenseOperator(np.zeros((3, 3))), kappa=0.0, nu=nu)
     assert np.array_equal(rate, nu)
 
 
 def test_rhs_lattice_two_nodes():
     # uniform weights, kappa / node_count = 1
     weights = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rate = rhs_lattice(np.array([0.0, np.pi / 2.0]), weights, kappa=2.0, nu=0.0)
+    rate = rhs_lattice(np.array([0.0, np.pi / 2.0]), oracles.DenseOperator(weights),
+                       kappa=2.0, nu=0.0)
     assert rate == pytest.approx([1.0, -1.0], rel=1e-15)
 
 
@@ -104,9 +128,20 @@ def test_rhs_lattice_matches_oracle():
     weights = 0.5 * (raw + raw.T)
     np.fill_diagonal(weights, 0.0)
     nu = rng.uniform(-1, 1, n)
-    rate = rhs_lattice(theta, weights, kappa=0.7, nu=nu)
+    rate = rhs_lattice(theta, oracles.DenseOperator(weights), kappa=0.7, nu=nu)
     expect = oracles.rhs_lattice_loop(theta, weights, 0.7, nu)
     assert rel_close(rate, expect, rtol=1e-13)
+
+
+def test_rhs_lattice_couples_through_the_raw_kernel():
+    # the singular operator without its cell weight, on an anisotropic box
+    g = build_grid(2, 5, [(0.0, 1.0), (0.0, 3.0)])
+    theta = random_field(g, 1.5, seed=12)
+    rate = rhs_lattice(theta, assemble_kernel_matrix(g, "singular", 0.4), kappa=0.9, nu=0.3)
+    raw = oracles.kernel_matrix_loop(g, 0.4, weight=1.0)
+    assert rel_close(rate, oracles.rhs_lattice_loop(theta, raw, 0.9, 0.3), rtol=1e-13)
+    with pytest.raises(GridMismatchError):
+        rhs_lattice(np.zeros(24), oracles.DenseOperator(raw), kappa=1.0, nu=0.0)
 
 
 def test_bilinear_form_constant_argument(grid16, singular16):

@@ -169,6 +169,19 @@ def test_simulate_lattice_with_per_node_frequencies(tmp_path):
     assert drift == pytest.approx(expect, rel=1e-6)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.3])
+def test_simulate_lattice_dt_from_raw_row_sums(kappa):
+    # the lattice step is bounded by 2 kappa max_row(raw kernel) / N; delta
+    # does not enter, since the lattice rate has no dissipation term
+    cfg = make_config(dim=2, n=6, extents=((0.0, 1.0), (0.0, 2.0)), model="lattice",
+                      kappa=kappa, delta=0.7, horizon=0.3, safety=0.4)
+    traj = simulate(cfg)
+    raw = oracles.kernel_matrix_loop(traj.grid, 0.5, weight=1.0)
+    lam = 2.0 * kappa * raw.sum(axis=1).max() / traj.grid.node_count
+    dt = 0.4 / lam if kappa else 0.4 * 0.3
+    assert traj.dt == pytest.approx(0.3 / np.ceil(0.3 / dt), rel=1e-13)
+
+
 def test_simulate_lattice_frequency_file_length_checked(tmp_path):
     nu_path = tmp_path / "nu.txt"
     np.savetxt(nu_path, np.zeros(5))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (GridMismatchError, KernelCache, ParameterError, SingularityError,
-                        assemble_kernel_matrix, build_grid, k_eps_analytic_bound,
-                        k_eps_star_analytic_bound, lipschitz_bounds, load_kernel_matrix,
-                        pairwise_kernel_values, psi, psi_eps, save_kernel_matrix)
+from nlkuramoto import (ParameterError, SingularityError, assemble_kernel_matrix, build_grid,
+                        k_eps_analytic_bound, k_eps_star_analytic_bound, lipschitz_bounds,
+                        poincare_sharp_discrete, psi, psi_eps)
 
 import oracles
+from conftest import rel_close
 
 
 def test_psi_values():
@@ -46,10 +46,10 @@ def test_psi_eps_validation():
 
 def test_two_node_entry():
     g = build_grid(1, 2, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, "singular", 0.5)
-    assert m.weights[0, 1] == 2.0  # psi(0.5) * w = 4 * 0.5
-    assert m.weights[1, 0] == 2.0
-    assert m.weights[0, 0] == 0.0
+    w = assemble_kernel_matrix(g, "singular", 0.5).to_dense()
+    assert w[0, 1] == 2.0  # psi(0.5) * w = 4 * 0.5
+    assert w[1, 0] == 2.0
+    assert w[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
@@ -58,25 +58,26 @@ def test_matrix_matches_loop_oracle(dim, n, variant, eps):
     g = build_grid(dim, n, [(0.0, 1.0)])
     m = assemble_kernel_matrix(g, variant, 0.5, eps)
     expect = oracles.kernel_matrix_loop(g, 0.5, eps)
-    assert np.allclose(m.weights, expect, rtol=1e-13, atol=0.0)
+    assert np.allclose(m.to_dense(), expect, rtol=1e-13, atol=0.0)
 
 
 def test_matrix_structure(singular64):
-    w = singular64.weights
+    w = singular64.to_dense()
     assert np.array_equal(w, w.T)
     assert np.all(w >= 0.0)
     assert np.all(np.diag(w) == 0.0)
-    assert np.allclose(singular64.row_sums, w.sum(axis=1), rtol=0, atol=0)
+    # row sums come from prefix sums of the generator, not from the dense rows
+    assert np.allclose(singular64.row_sums, w.sum(axis=1), rtol=1e-14, atol=0)
 
 
 def test_truncated_dominated_by_singular(grid64, singular64):
     for eps in (0.5, 0.1, 0.01):
         trunc = assemble_kernel_matrix(grid64, "truncated", 0.5, eps)
-        assert np.all(trunc.weights <= singular64.weights)
+        assert np.all(trunc.to_dense() <= singular64.to_dense())
 
 
 def test_truncated_monotone_in_eps(grid16):
-    mats = [assemble_kernel_matrix(grid16, "truncated", 0.5, eps).weights
+    mats = [assemble_kernel_matrix(grid16, "truncated", 0.5, eps).to_dense()
             for eps in (0.4, 0.2, 0.1, 0.05)]
     for coarse, fine in zip(mats, mats[1:]):
         off = ~np.eye(coarse.shape[0], dtype=bool)
@@ -87,19 +88,41 @@ def test_reflection_symmetry():
     # dyadic grid: coordinates and distances are exact, so the reflected
     # relabeling permutes the matrix identically
     g = build_grid(1, 64, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, "singular", 0.5)
+    w = assemble_kernel_matrix(g, "singular", 0.5).to_dense()
     rev = np.arange(g.node_count)[::-1]
-    assert np.array_equal(m.weights[np.ix_(rev, rev)], m.weights)
+    assert np.array_equal(w[np.ix_(rev, rev)], w)
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=st.floats(0.05, 0.95), eps=st.floats(0.01, 2.0))
 def test_truncation_invariants(s, eps):
     g = build_grid(1, 12, [(0.0, 1.0)])
-    sing = assemble_kernel_matrix(g, "singular", s)
-    trunc = assemble_kernel_matrix(g, "truncated", s, eps)
-    assert np.all(trunc.weights <= sing.weights)
-    assert np.array_equal(trunc.weights, trunc.weights.T)
+    sing = assemble_kernel_matrix(g, "singular", s).to_dense()
+    trunc = assemble_kernel_matrix(g, "truncated", s, eps).to_dense()
+    assert np.all(trunc <= sing)
+    assert np.array_equal(trunc, trunc.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(2, 48)),
+                      st.tuples(st.just(2), st.integers(2, 9))),
+       s=st.floats(0.05, 0.95), eps=st.one_of(st.none(), st.floats(0.01, 2.0)),
+       lengths=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+       seed=st.integers(0, 1000))
+def test_operator_matches_loop_oracle(shape, s, eps, lengths, seed):
+    dim, n = shape
+    # anisotropic boxes in 2d: distinct spacings on the two axes
+    g = build_grid(dim, n, [(-1.0, -1.0 + length) for length in lengths[:dim]])
+    op = assemble_kernel_matrix(g, "singular" if eps is None else "truncated", s, eps)
+    expect = oracles.kernel_matrix_loop(g, s, eps)
+    assert rel_close(op.to_dense(), expect, rtol=1e-12)
+    assert rel_close(op.row_sums, expect.sum(axis=1), rtol=1e-12)
+    x = np.random.default_rng(seed).standard_normal((3, g.node_count))
+    batched = op.apply(x)
+    assert batched.shape == x.shape
+    for row, got in zip(x, batched):
+        assert rel_close(got, expect @ row, rtol=1e-12)
+        assert rel_close(op.apply(row), got, rtol=1e-13)
 
 
 def test_assemble_validation(grid16):
@@ -109,24 +132,21 @@ def test_assemble_validation(grid16):
         assemble_kernel_matrix(grid16, "gaussian", 0.5)
 
 
-def test_assembly_allocation_failure_is_actionable(grid16, monkeypatch):
+def test_assembly_allocation_failure_is_actionable(singular16, monkeypatch):
+    # the dense Poincare solve is the one O(N^2) path left: it refuses before
+    # it builds any dense array when they would not fit in physical memory
     from nlkuramoto import ResourceError
-    from nlkuramoto import kernel as kernel_mod
+    from nlkuramoto import diagnostics, kernel
 
-    def exhausted(coords):
-        raise MemoryError
+    def never(self):
+        raise AssertionError("allocated before the memory check")
 
-    monkeypatch.setattr(kernel_mod, "pairwise_distances", exhausted)
+    monkeypatch.setattr(diagnostics, "physical_memory_bytes", lambda: 16 * 16 * 8)
+    monkeypatch.setattr(kernel.KernelOperator, "to_dense", never)
     with pytest.raises(ResourceError) as err:
-        assemble_kernel_matrix(grid16, "singular", 0.5)
+        poincare_sharp_discrete(singular16)
     assert "reduce grid.nodes" in str(err.value)
-
-
-def test_pairwise_kernel_values(grid16):
-    vals = pairwise_kernel_values(grid16, 0.5)
-    assert np.all(np.diag(vals) == 0.0)
-    w = assemble_kernel_matrix(grid16, "singular", 0.5).weights
-    assert np.allclose(vals * grid16.weight, w, rtol=1e-15, atol=0.0)
+    assert "N = 16" in str(err.value) and "GB" in str(err.value)
 
 
 def test_lipschitz_bounds_against_oracle():
@@ -155,31 +175,3 @@ def test_lipschitz_bounds_nonincreasing_in_eps(grid16):
     for tight, loose in zip(rows, rows[1:]):
         assert loose.k_eps <= tight.k_eps
         assert loose.k_eps_star <= tight.k_eps_star
-
-
-def test_cache_round_trip(tmp_path, grid16):
-    m = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.2)
-    path = tmp_path / "mat.kmat"
-    save_kernel_matrix(m, path)
-    back = load_kernel_matrix(path, grid16)
-    assert back.variant == "truncated"
-    assert back.s == 0.5
-    assert back.eps == 0.2
-    assert np.array_equal(back.weights, m.weights)
-
-
-def test_cache_rejects_other_grid(tmp_path, grid16):
-    m = assemble_kernel_matrix(grid16, "singular", 0.5)
-    path = tmp_path / "mat.kmat"
-    save_kernel_matrix(m, path)
-    other = build_grid(1, 32, [(0.0, 1.0)])
-    with pytest.raises(GridMismatchError):
-        load_kernel_matrix(path, other)
-
-
-def test_kernel_cache_hits(tmp_path, grid16):
-    cache = KernelCache(tmp_path)
-    first = cache.get(grid16, "singular", 0.5)
-    assert cache.path_for(grid16, "singular", 0.5).exists()
-    second = cache.get(grid16, "singular", 0.5)
-    assert np.array_equal(first.weights, second.weights)
