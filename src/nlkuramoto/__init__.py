@@ -9,12 +9,12 @@ from .config import (GridConfig, InitialConfig, OutputConfig, PhysicsConfig, Sim
                      apply_overrides, parse_config, parse_config_text)
 from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
                           energy_identity_residual, energy_kinetic, energy_potential,
-                          fit_decay_rate, mean_phase, min_sinc, nonlocal_operator,
-                          poincare_sharp_discrete, seminorm_sq, sin2_seminorm,
-                          truncation_functionals, uniform_bound_report)
+                          fit_decay_rate, mean_phase, min_sinc, poincare_sharp_discrete,
+                          seminorm_sq, sin2_seminorm, truncation_functionals,
+                          uniform_bound_report)
 from .dynamics import PhaseField, bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
-                     ParameterError, ResourceError, SingularityError)
+                     ParameterError, SingularityError)
 from .experiments import (refinement_study, relaxation_experiment, restrict_to_coarse,
                           run_invariant_suite, sweep_delta, sweep_epsilon)
 from .grid import build_grid, poincare_domain_constant

@@ -3,8 +3,7 @@
 Subcommands: simulate, sweep-eps, sweep-delta, relax, poincare, verify.
 Command-line flags override config-file values, which override the built-in
 defaults.  Exit codes: 0 success, 1 invariant or acceptance failure,
-2 configuration error (including a grid too large for memory), 3 numerical
-blow-up.
+2 configuration error (including a missing config file), 3 numerical blow-up.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from .config import apply_overrides, parse_config
 from .diagnostics import poincare_sharp_discrete
-from .errors import BlowUpError, ConfigurationError, ResourceError
+from .errors import BlowUpError, ConfigurationError
 from .experiments import relaxation_experiment, run_invariant_suite, sweep_delta, sweep_epsilon
 from .grid import poincare_domain_constant
 from .output import write_run_outputs, write_sweep_outputs
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, ResourceError) as exc:
+    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

@@ -9,13 +9,12 @@ operate on immutable inputs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import _check_field, _values_and_grid, bilinear_form
-from .errors import IterationError, ParameterError, ResourceError
+from .errors import IterationError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
 
@@ -102,13 +101,15 @@ def energy_potential(theta, matrix: KernelOperator, kappa: float) -> float:
     return float(max(0.0, 0.5 * kappa * matrix.grid.weight * total))
 
 
+def _kinetic_from_seminorm(seminorm: float, delta: float) -> float:
+    return 0.0 if delta == 0.0 else 0.25 * delta * seminorm
+
+
 def energy_kinetic(theta, dissipation: KernelOperator, delta: float) -> float:
     """(delta/4) times the squared seminorm taken with the singular matrix."""
     if not dissipation.is_singular:
         raise ParameterError("the dissipative energy uses the singular kernel matrix")
-    if delta == 0.0:
-        return 0.0
-    return 0.25 * delta * seminorm_sq(theta, dissipation)
+    return _kinetic_from_seminorm(seminorm_sq(theta, dissipation), delta)
 
 
 def min_sinc(m: float) -> float:
@@ -130,11 +131,17 @@ def dual_bound_value(theta, coupling: KernelOperator, dissipation: KernelOperato
     """
     if m >= math.pi:
         raise ParameterError(f"diameter bound must be below pi, got {m}")
+    return _dual_bound(theta, coupling, kappa, delta, seminorm_sq(theta, dissipation))
+
+
+def _dual_bound(theta, coupling: KernelOperator, kappa: float, delta: float,
+                seminorm: float) -> float:
+    """dual_bound_value given the squared seminorm with the singular matrix."""
     value = 0.0
     if kappa != 0.0:
         value += 0.5 * kappa * math.sqrt(sin2_seminorm(theta, coupling))
     if delta != 0.0:
-        value += 0.5 * delta * math.sqrt(max(0.0, seminorm_sq(theta, dissipation)))
+        value += 0.5 * delta * math.sqrt(max(0.0, seminorm))
     return value
 
 
@@ -216,67 +223,58 @@ def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: Kern
     return rows
 
 
-def nonlocal_operator(matrix: KernelOperator) -> np.ndarray:
-    """Dense symmetric PSD operator B with seminorm_sq(u) = w * u^T B u.
-
-    B = 2 (diag(row sums) - W); its kernel is the constants and its smallest
-    nonzero eigenvalue is the sharp discrete Poincare constant.  Built in
-    place on one dense copy of W, whose diagonal is zero.
-    """
-    op = matrix.to_dense()
-    op *= -2.0
-    op.flat[::op.shape[0] + 1] += 2.0 * matrix.row_sums
-    return op
-
-
-# N x N arrays alive at the solve's peak: B, its augmented copy, and the
-# inverse plus the two work arrays np.linalg.inv allocates
-_POINCARE_DENSE_ARRAYS = 5
-
-
-def physical_memory_bytes() -> int:
-    """Physical memory of the machine, from os.sysconf."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
                             max_iter: int = 5000) -> float:
     """Sharp discrete Poincare constant lambda_star.
 
-    The smallest ratio seminorm_sq(u) / ||u||_L2^2 over mean-zero fields,
-    computed by inverse iteration restricted to the mean-zero subspace.  The
-    reciprocal never exceeds the constructive domain constant.
+    The smallest ratio seminorm_sq(u) / ||u||_L2^2 over mean-zero fields: the
+    smallest nonzero eigenvalue of B = 2 (diag(row sums) - W), whose kernel
+    is the constants.  The reciprocal never exceeds the constructive domain
+    constant.
 
-    This is the one dense O(N^3) computation left: it refuses with a
-    ResourceError, before allocating, when its N x N arrays would exceed
-    physical memory.
+    Matrix-free inverse iteration on the mean-zero subspace: B is applied only
+    through ``matrix.apply``, and each step solves B x = v inexactly by
+    conjugate gradients, warm-started at v / lam and stopped once its residual
+    falls to a tenth of the starting one, ||B v - lam v|| / lam (or after N
+    iterations).  Convergence is judged on the true residual
+    ||B v - lam v|| <= tol * lam; IterationError reports it after ``max_iter``
+    steps.
     """
     nn = matrix.grid.node_count
-    need = _POINCARE_DENSE_ARRAYS * nn * nn * 8
-    if need > physical_memory_bytes():
-        raise ResourceError(
-            f"the sharp Poincare solve for N = {nn} nodes needs about {need / 1e9:.3g} GB "
-            f"of dense arrays, more than this machine's physical memory; reduce grid.nodes")
-    op = nonlocal_operator(matrix)
-    # Rank-one augmentation shifts the constant mode away from zero so the
-    # factorized system is positive definite; it acts as the identity times
-    # the mean on that mode and leaves the mean-zero subspace untouched.
-    shift = float(np.trace(op)) / nn
-    inv = np.linalg.inv(op + shift / nn)
+    two_rows = 2.0 * matrix.row_sums
+
+    def apply_b(x):
+        return two_rows * x - 2.0 * matrix.apply(x)
+
+    def rayleigh(v):
+        bv = apply_b(v)
+        lam = float(v @ bv)
+        return bv, lam, float(np.linalg.norm(bv - lam * v))
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(nn)
     v -= v.mean()
     v /= np.linalg.norm(v)
-    lam = float(v @ (op @ v))
-    residual = math.inf
+    bv, lam, residual = rayleigh(v)
     for _ in range(max_iter):
-        v = inv @ v
-        v -= v.mean()
-        v /= np.linalg.norm(v)
-        ov = op @ v
-        lam = float(v @ ov)
-        residual = float(np.linalg.norm(ov - lam * v))
+        # conjugate gradients on B x = v, warm-started at v / lam
+        x = v / lam
+        r = v - bv / lam
+        p = r.copy()
+        rr = float(r @ r)
+        stop = (0.1 * residual / lam) ** 2
+        for _ in range(nn):
+            if rr <= stop:
+                break
+            bp = apply_b(p)
+            alpha = rr / float(p @ bp)
+            x += alpha * p
+            r -= alpha * bp
+            rr, rr_old = float(r @ r), rr
+            p = r + (rr / rr_old) * p
+        x -= x.mean()
+        v = x / np.linalg.norm(x)
+        bv, lam, residual = rayleigh(v)
         if residual <= tol * max(lam, 1e-300):
             return lam
     raise IterationError(

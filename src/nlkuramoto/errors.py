@@ -33,10 +33,6 @@ class SingularityError(ValueError):
     """Singular kernel evaluated at zero distance (diagonal not excluded)."""
 
 
-class ResourceError(RuntimeError):
-    """A computation would not fit in memory; the message says how to shrink it."""
-
-
 class BlowUpError(RuntimeError):
     """Non-finite state produced by a time step.
 

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
-                          energy_kinetic, energy_potential, mean_phase, seminorm_sq)
+from .diagnostics import (DiagnosticsRecord, _dual_bound, _kinetic_from_seminorm, diameter,
+                          dist_sq_to_mean, energy_potential, mean_phase, seminorm_sq)
 from .dynamics import rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
@@ -137,15 +137,17 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
     bounded_diameter = m0 < math.pi
 
     def make_record(values, t, dissipated) -> DiagnosticsRecord:
-        dual = (dual_bound_value(values, coupling, dissipation, kappa, delta, m0)
+        # one singular seminorm per record feeds e_kin, seminorm_sq and the dual bound
+        seminorm = seminorm_sq(values, dissipation)
+        dual = (_dual_bound(values, coupling, kappa, delta, seminorm)
                 if bounded_diameter else float("nan"))
         return DiagnosticsRecord(
             t=t,
             mean=mean_phase(values, grid),
             diameter=diameter(values),
             e_pot=energy_potential(values, coupling, kappa),
-            e_kin=energy_kinetic(values, dissipation, delta),
-            seminorm_sq=seminorm_sq(values, dissipation),
+            e_kin=_kinetic_from_seminorm(seminorm, delta),
+            seminorm_sq=seminorm,
             dist_sq=dist_sq_to_mean(values, grid),
             dissipation_cum=dissipated,
             dual_bound=dual,

@@ -94,7 +94,15 @@ def test_verify_passes_and_is_bitwise_deterministic(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "[pass] mean-conservation" in text
     assert "[pass] diameter-monotone" in text
+    assert "[pass] energy-monotone: E(0) = " in text and "identity residual" in text
     assert (out_a / "diagnostics.csv").read_bytes() == (out_b / "diagnostics.csv").read_bytes()
+
+
+def test_verify_certifies_relaxation_above_1024_nodes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["verify", str(cfg), "--nodes", "2048", "--horizon", "0.002",
+                 "--stride", "16"]) == 0
+    assert "[pass] relaxation-pointwise: certified rate" in capsys.readouterr().out
 
 
 def test_poincare_prints_constants(tmp_path, capsys):
@@ -105,16 +113,6 @@ def test_poincare_prints_constants(tmp_path, capsys):
     lam = float(out.split("lambda_star = ")[1].splitlines()[0])
     assert lam > 1.0
     assert "ok" in out
-
-
-def test_poincare_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
-    from nlkuramoto import diagnostics
-
-    monkeypatch.setattr(diagnostics, "physical_memory_bytes", lambda: 10**6)
-    cfg = write_cfg(tmp_path, BASE)
-    assert main(["poincare", str(cfg), "--nodes", "256"]) == 2
-    err = capsys.readouterr().err
-    assert "N = 256" in err and "reduce grid.nodes" in err
 
 
 def test_relax_command(tmp_path, capsys):

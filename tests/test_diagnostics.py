@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlkuramoto import (IterationError, ParameterError, assemble_kernel_matrix,
                         build_grid, diameter, dist_sq_to_mean, dual_bound_value,
                         energy_identity_residual, energy_kinetic, energy_potential,
-                        fit_decay_rate, min_sinc, nonlocal_operator, poincare_domain_constant,
+                        fit_decay_rate, min_sinc, poincare_domain_constant,
                         poincare_sharp_discrete, seminorm_sq, simulate, sin2_seminorm,
                         truncation_functionals, uniform_bound_report)
 
@@ -193,9 +193,23 @@ def test_poincare_2d_grid():
     g = build_grid(2, 8, [(0.0, 1.0)])
     m = assemble_kernel_matrix(g, "singular", 0.5)
     lam = poincare_sharp_discrete(m)
-    op = nonlocal_operator(m)
-    evals = np.linalg.eigvalsh(op)
-    assert lam == pytest.approx(evals[1], rel=1e-8)
+    assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.5), rel=1e-8)
+
+
+# Aspect ratios start at 1.1: a near-square box (ratio 1.001) has two nearly
+# equal lowest eigenvalues, and inverse iteration cannot bring the residual to
+# tol within max_iter steps there (nor could the former dense solve).
+@settings(max_examples=25, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(2, 256)),
+                       st.tuples(st.just(2), st.integers(2, 16))),
+       s=st.floats(0.01, 0.99), width=st.floats(0.5, 2.0),
+       ratio=st.one_of(st.just(1.0), st.floats(1.1, 3.0)))
+def test_poincare_matches_dense_oracle_everywhere(shape, s, width, ratio):
+    dim, n = shape
+    extents = [(0.0, width), (0.0, width * ratio)][:dim]
+    g = build_grid(dim, n, extents)
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", s))
+    assert lam == pytest.approx(oracles.lambda_star_dense(g, s), rel=1e-10)
 
 
 def test_poincare_scaling_covariance(grid16, singular16):

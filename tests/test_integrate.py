@@ -218,6 +218,38 @@ def test_simulate_rejects_a_bundle_built_for_another_config():
             simulate(other, ops)
 
 
+def test_each_record_takes_three_kernel_applies(monkeypatch):
+    # the potential energy and the sin^2 seminorm apply the coupling; one
+    # singular seminorm feeds e_kin, seminorm_sq and the dual bound
+    from nlkuramoto import kernel, run
+
+    counts = {"records": 0, "applies": 0}
+    inside = [False]
+    real_apply, real_flow = kernel.KernelOperator.apply, run.integrate_flow
+
+    def apply(self, x):
+        counts["applies"] += inside[0]
+        return real_apply(self, x)
+
+    def flow(*args):
+        *rest, make_record = args
+
+        def counted(*record_args):
+            counts["records"] += 1
+            inside[0] = True
+            try:
+                return make_record(*record_args)
+            finally:
+                inside[0] = False
+        return real_flow(*rest, counted)
+
+    monkeypatch.setattr(kernel.KernelOperator, "apply", apply)
+    monkeypatch.setattr(run, "integrate_flow", flow)
+    simulate(make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.05))
+    assert counts["records"] > 1
+    assert counts["applies"] == 3 * counts["records"]
+
+
 def test_simulate_deterministic():
     cfg = make_config(n=32, kind="random", seed=13, diameter=2.0, horizon=0.3)
     a = simulate(cfg)

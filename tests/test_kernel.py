@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nlkuramoto import (ParameterError, SingularityError, assemble_kernel_matrix, build_grid,
                         k_eps_analytic_bound, k_eps_star_analytic_bound, lipschitz_bounds,
-                        poincare_sharp_discrete, psi, psi_eps)
+                        psi, psi_eps)
 
 import oracles
 from conftest import rel_close
@@ -130,23 +130,6 @@ def test_assemble_validation(grid16):
         assemble_kernel_matrix(grid16, "truncated", 0.5, None)
     with pytest.raises(ParameterError):
         assemble_kernel_matrix(grid16, "gaussian", 0.5)
-
-
-def test_assembly_allocation_failure_is_actionable(singular16, monkeypatch):
-    # the dense Poincare solve is the one O(N^2) path left: it refuses before
-    # it builds any dense array when they would not fit in physical memory
-    from nlkuramoto import ResourceError
-    from nlkuramoto import diagnostics, kernel
-
-    def never(self):
-        raise AssertionError("allocated before the memory check")
-
-    monkeypatch.setattr(diagnostics, "physical_memory_bytes", lambda: 16 * 16 * 8)
-    monkeypatch.setattr(kernel.KernelOperator, "to_dense", never)
-    with pytest.raises(ResourceError) as err:
-        poincare_sharp_discrete(singular16)
-    assert "reduce grid.nodes" in str(err.value)
-    assert "N = 16" in str(err.value) and "GB" in str(err.value)
 
 
 def test_lipschitz_bounds_against_oracle():
