@@ -5,8 +5,8 @@ verification harness for the contraction, dissipation and relaxation bounds.
 
 __version__ = "0.1.0"
 
-from .config import (GridConfig, InitialConfig, OutputConfig, PhysicsConfig, SimConfig,
-                     apply_overrides, parse_config, parse_config_text)
+from .config import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig, PhysicsConfig,
+                     SimConfig, apply_overrides, parse_config, parse_config_text)
 from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
                           energy_identity_residual, energy_kinetic, energy_potential,
                           fit_decay_rate, mean_phase, min_sinc, poincare_sharp_discrete,
@@ -19,7 +19,7 @@ from .experiments import (refinement_study, relaxation_experiment, restrict_to_c
                           run_invariant_suite, sweep_delta, sweep_epsilon)
 from .grid import build_grid, poincare_domain_constant
 from .initial import initial_field
-from .integrate import IntegratorPolicy, select_dt, step
+from .integrate import select_dt, step
 from .kernel import (assemble_kernel_matrix, k_eps_analytic_bound, k_eps_star_analytic_bound,
                      lipschitz_bounds, psi, psi_eps)
 from .output import (CSV_COLUMNS, build_manifest, read_diagnostics_csv, read_snapshot,

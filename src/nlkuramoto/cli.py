@@ -3,7 +3,9 @@
 Subcommands: simulate, sweep-eps, sweep-delta, relax, poincare, verify.
 Command-line flags override config-file values, which override the built-in
 defaults.  Exit codes: 0 success, 1 invariant or acceptance failure,
-2 configuration error (including a missing config file), 3 numerical blow-up.
+2 configuration error (including a missing config file), 3 numerical failure:
+a blow-up (partial outputs are written) or a lambda_star solve that did not
+converge.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from .config import apply_overrides, parse_config
 from .diagnostics import poincare_sharp_discrete
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, IterationError
 from .experiments import relaxation_experiment, run_invariant_suite, sweep_delta, sweep_epsilon
 from .grid import poincare_domain_constant
 from .output import write_run_outputs, write_sweep_outputs
@@ -25,7 +27,7 @@ from .run import build_operators, simulate
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_BLOWUP = 3
+EXIT_NUMERICAL = 3
 
 # flag name -> (section, key) for the common overrides
 _OVERRIDE_FLAGS = {
@@ -89,10 +91,9 @@ def _persist_blowup(exc: BlowUpError) -> None:
     traj = exc.trajectory
     if traj is None:
         return
-    paths = write_run_outputs(traj, notes=str(exc))
+    write_run_outputs(traj, notes=str(exc))
     print(f"partial outputs written to {Path(traj.config.output.directory).resolve()}",
           file=sys.stderr)
-    del paths
 
 
 def cmd_simulate(args) -> int:
@@ -111,10 +112,9 @@ def cmd_simulate(args) -> int:
 def _cmd_sweep(args, which) -> int:
     cfg = _load_config(args)
     ladder = _parse_ladder(args.ladder)
-    t0 = time.perf_counter()
     sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(
         cfg, ladder, workers=args.workers)
-    paths = write_sweep_outputs(sweep, cfg, wall_clock_s=time.perf_counter() - t0)
+    paths = write_sweep_outputs(sweep, cfg)
     print(f"{sweep.parameter} ladder: {list(sweep.ladder)}")
     print(f"successive differences: {['%.6e' % d for d in sweep.differences]}")
     print(f"decreasing: {sweep.decreasing}, uniform bounds: "
@@ -220,7 +220,10 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         _persist_blowup(exc)
-        return EXIT_BLOWUP
+        return EXIT_NUMERICAL
+    except IterationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

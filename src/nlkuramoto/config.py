@@ -3,30 +3,24 @@
 Every violation is collected and reported with its field path, not just the
 first.  The canonical re-serialization of a parsed config is deterministic,
 re-parseable, and the input of the manifest content hash, so command-line
-overrides participate in the hash exactly like file values.
+overrides participate in the hash exactly like file values.  ``_SCHEMA``
+declares every section and key once; the defaults live in the dataclasses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .integrate import RK4, IntegratorPolicy
+from .integrate import RK4, SCHEMES
 from .initial import KINDS
 
 MODELS = ("lattice", "regularized", "singular")
 OUTPUT_FORMATS = ("csv", "manifest", "snapshots", "report")
-
-_KEYS = {
-    "grid": ("dimension", "nodes", "extent", "extent2"),
-    "physics": ("model", "s", "kappa", "delta", "epsilon", "nu", "nu_file"),
-    "initial": ("kind", "diameter", "value", "seed", "allow_large_diameter"),
-    "integrator": ("scheme", "dt", "safety", "horizon", "stride"),
-    "output": ("directory", "formats"),
-}
 
 
 @dataclass(frozen=True)
@@ -61,6 +55,22 @@ class InitialConfig:
 
 
 @dataclass(frozen=True)
+class IntegratorPolicy:
+    """Time-integration policy: scheme, step-size mode, horizon, stride.
+
+    ``dt`` is None for automatic selection (scaled by ``safety``) or a fixed
+    positive value; ``stride`` is the number of steps between diagnostics
+    records.
+    """
+
+    scheme: str = RK4
+    dt: float | None = None
+    safety: float = 0.5
+    horizon: float = 1.0
+    stride: int = 1
+
+
+@dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "manifest")
@@ -87,20 +97,6 @@ class SimConfig:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
-
-    def to_dict(self) -> dict:
-        g, p, i, n, o = self.grid, self.physics, self.initial, self.integrator, self.output
-        return {
-            "grid": {"dimension": g.dimension, "nodes": g.nodes,
-                     "extents": [list(e) for e in g.extents]},
-            "physics": {"model": p.model, "s": p.s, "kappa": p.kappa, "delta": p.delta,
-                        "epsilon": p.epsilon, "nu": p.nu, "nu_file": p.nu_file},
-            "initial": {"kind": i.kind, "diameter": i.diameter, "value": i.value,
-                        "seed": i.seed, "allow_large_diameter": i.allow_large_diameter},
-            "integrator": {"scheme": n.scheme, "dt": n.dt, "safety": n.safety,
-                           "horizon": n.horizon, "stride": n.stride},
-            "output": {"directory": o.directory, "formats": list(o.formats)},
-        }
 
 
 def _validate(cfg: SimConfig) -> list[str]:
@@ -147,7 +143,17 @@ def _validate(cfg: SimConfig) -> list[str]:
             "diameter below pi (set initial.allow_large_diameter = true to override)"
         )
 
-    problems.extend(cfg.integrator.problems())
+    n = cfg.integrator
+    if n.scheme not in SCHEMES:
+        problems.append(f"integrator.scheme: must be one of {SCHEMES}, got {n.scheme!r}")
+    if n.dt is not None and not n.dt > 0.0:
+        problems.append(f"integrator.dt: must be positive, got {n.dt}")
+    if not 0.0 < n.safety <= 1.0:
+        problems.append(f"integrator.safety: must lie in (0, 1], got {n.safety}")
+    if not n.horizon > 0.0:
+        problems.append(f"integrator.horizon: must be positive, got {n.horizon}")
+    if n.stride < 1:
+        problems.append(f"integrator.stride: must be at least 1, got {n.stride}")
 
     if not cfg.output.directory:
         problems.append("output.directory: must not be empty")
@@ -162,6 +168,67 @@ def _validate(cfg: SimConfig) -> list[str]:
 # text format
 # ----------------------------------------------------------------------------
 
+class _Kind(NamedTuple):
+    """How one key's value is read from text and written back.
+
+    ``parse`` raises ValueError on malformed text, reported as "expected
+    ``expected``".  A None value is written as ``none``, or left out when
+    ``none`` is None.
+    """
+
+    parse: Callable[[str], object]
+    write: Callable[[object], str]
+    expected: str = ""
+    none: str | None = None
+
+
+def _number(x) -> str:
+    return repr(float(x))
+
+
+def _boolean(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 2:
+        raise ValueError(raw)
+    return float(parts[0]), float(parts[1])
+
+
+_TEXT = _Kind(lambda raw: raw, str)
+_NUMBER = _Kind(float, _number, "a number")
+_INTEGER = _Kind(int, str, "an integer")
+_PAIR = _Kind(_pair, lambda ab: f"{_number(ab[0])} {_number(ab[1])}", "two numbers 'a b'")
+
+# Every key of every section, in the order the canonical text lists them:
+# reordering this table changes every content hash.
+_SCHEMA = {
+    "grid": {"dimension": _INTEGER, "nodes": _INTEGER, "extent": _PAIR, "extent2": _PAIR},
+    "initial": {
+        "allow_large_diameter": _Kind(_boolean, lambda b: "true" if b else "false",
+                                      "true or false"),
+        "diameter": _NUMBER, "kind": _TEXT, "seed": _INTEGER, "value": _NUMBER,
+    },
+    "integrator": {
+        "dt": _Kind(lambda raw: None if raw.lower() == "auto" else float(raw), _number,
+                    "a number", none="auto"),
+        "horizon": _NUMBER, "safety": _NUMBER, "scheme": _Kind(str.lower, str),
+        "stride": _INTEGER,
+    },
+    "output": {"directory": _TEXT,
+               "formats": _Kind(lambda raw: tuple(raw.replace(",", " ").split()), " ".join)},
+    "physics": {"delta": _NUMBER, "epsilon": _NUMBER, "kappa": _NUMBER, "model": _TEXT,
+                "nu": _NUMBER, "nu_file": _TEXT, "s": _NUMBER},
+}
+
+
 def collect_raw(text: str, source: str = "<config>"):
     """Split config text into a {(section, key): value-string} mapping."""
     raw = {}
@@ -173,7 +240,7 @@ def collect_raw(text: str, source: str = "<config>"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _KEYS:
+            if section not in _SCHEMA:
                 problems.append(f"{source}:{lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -184,116 +251,44 @@ def collect_raw(text: str, source: str = "<config>"):
         if section is None:
             problems.append(f"{source}:{lineno}: key {key!r} appears before any section")
             continue
-        if key not in _KEYS[section]:
+        if key not in _SCHEMA[section]:
             problems.append(f"{source}:{lineno}: unknown key {section}.{key}")
             continue
         raw[(section, key)] = value
     return raw, problems
 
 
-def _parse_float(raw, key, problems, allow_auto=False):
-    if allow_auto and raw.lower() == "auto":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        problems.append(f"{key}: expected a number, got {raw!r}")
-        return None
-
-
-def _parse_int(raw, key, problems):
-    try:
-        return int(raw)
-    except ValueError:
-        problems.append(f"{key}: expected an integer, got {raw!r}")
-        return None
-
-
-def _parse_bool(raw, key, problems):
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    problems.append(f"{key}: expected true or false, got {raw!r}")
-    return None
-
-
-def _parse_pair(raw, key, problems):
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 2:
-        problems.append(f"{key}: expected two numbers 'a b', got {raw!r}")
-        return None
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        problems.append(f"{key}: expected two numbers 'a b', got {raw!r}")
-        return None
-
-
 def build_config(raw: dict) -> SimConfig:
-    """Build and validate a SimConfig from a raw key mapping."""
+    """Build and validate a SimConfig from a raw key mapping.
+
+    Only the keys present in ``raw`` (and parsed cleanly) are set; every other
+    field keeps its dataclass default.
+    """
     problems = []
+    given = {section: {} for section in _SCHEMA}
+    for section, keys in _SCHEMA.items():
+        for key, kind in keys.items():
+            if (section, key) not in raw:
+                continue
+            text = raw[(section, key)]
+            try:
+                given[section][key] = kind.parse(text)
+            except ValueError:
+                problems.append(f"{section}.{key}: expected {kind.expected}, got {text!r}")
 
-    def take(section, key, parser, default, **kw):
-        if (section, key) not in raw:
-            return default
-        value = parser(raw[(section, key)], f"{section}.{key}", problems, **kw)
-        return default if value is None else value
-
-    dimension = take("grid", "dimension", _parse_int, 1)
-    nodes = take("grid", "nodes", _parse_int, 64)
-    extent = take("grid", "extent", _parse_pair, (0.0, 1.0))
-    extent2 = take("grid", "extent2", _parse_pair, None)
-    if dimension == 2:
-        extents = (extent, extent2 if extent2 is not None else extent)
+    grid = given["grid"]
+    extent = grid.pop("extent", GridConfig.extents[0])
+    extent2 = grid.pop("extent2", None)
+    if grid.get("dimension", GridConfig.dimension) == 2:
+        grid["extents"] = (extent, extent if extent2 is None else extent2)
     else:
-        extents = (extent,)
+        grid["extents"] = (extent,)
         if extent2 is not None:
             problems.append("grid.extent2: a second axis needs grid.dimension = 2")
 
-    model = take("physics", "model", lambda r, k, p: r, "singular")
-    epsilon = take("physics", "epsilon", _parse_float, None)
-    physics = PhysicsConfig(
-        model=model,
-        s=take("physics", "s", _parse_float, 0.5),
-        kappa=take("physics", "kappa", _parse_float, 1.0),
-        delta=take("physics", "delta", _parse_float, 0.0),
-        epsilon=epsilon,
-        nu=take("physics", "nu", _parse_float, 0.0),
-        nu_file=take("physics", "nu_file", lambda r, k, p: r, None),
-    )
-
-    seed_raw = raw.get(("initial", "seed"))
-    initial = InitialConfig(
-        kind=take("initial", "kind", lambda r, k, p: r, "smooth"),
-        diameter=take("initial", "diameter", _parse_float, 1.0),
-        value=take("initial", "value", _parse_float, 0.0),
-        seed=None if seed_raw is None else _parse_int(seed_raw, "initial.seed", problems),
-        allow_large_diameter=take("initial", "allow_large_diameter", _parse_bool, False),
-    )
-
-    integrator = IntegratorPolicy(
-        scheme=take("integrator", "scheme", lambda r, k, p: r.lower(), RK4),
-        dt=take("integrator", "dt", _parse_float, None, allow_auto=True),
-        safety=take("integrator", "safety", _parse_float, 0.5),
-        horizon=take("integrator", "horizon", _parse_float, 1.0),
-        stride=take("integrator", "stride", _parse_int, 1),
-    )
-
-    formats_raw = raw.get(("output", "formats"))
-    formats = ("csv", "manifest") if formats_raw is None else tuple(
-        formats_raw.replace(",", " ").split()
-    )
-    output = OutputConfig(
-        directory=take("output", "directory", lambda r, k, p: r, "out"),
-        formats=formats,
-    )
-
-    cfg = SimConfig(
-        grid=GridConfig(dimension=dimension, nodes=nodes, extents=extents),
-        physics=physics, initial=initial, integrator=integrator, output=output,
-    )
+    defaults = SimConfig()
+    cfg = SimConfig(**{section: replace(getattr(defaults, section), **values)
+                       for section, values in given.items()})
     problems.extend(cfg.problems())
     if problems:
         raise ConfigurationError(problems)
@@ -327,52 +322,25 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     raw, problems = collect_raw(cfg.canonical_text())
     assert not problems, "canonical config text must reparse cleanly"
     for key, value in overrides.items():
-        if key[0] not in _KEYS or key[1] not in _KEYS[key[0]]:
+        if key[0] not in _SCHEMA or key[1] not in _SCHEMA[key[0]]:
             raise ConfigurationError([f"unknown override {key[0]}.{key[1]}"])
         raw[key] = value
     return build_config(raw)
 
 
 def _render(cfg: SimConfig) -> str:
-    g, p, i, n, o = cfg.grid, cfg.physics, cfg.initial, cfg.integrator, cfg.output
-
-    def num(x):
-        return repr(float(x))
-
-    lines = ["[grid]",
-             f"dimension = {g.dimension}",
-             f"nodes = {g.nodes}",
-             f"extent = {num(g.extents[0][0])} {num(g.extents[0][1])}"]
-    if g.dimension == 2:
-        lines.append(f"extent2 = {num(g.extents[1][0])} {num(g.extents[1][1])}")
-
-    lines += ["", "[initial]",
-              f"allow_large_diameter = {'true' if i.allow_large_diameter else 'false'}",
-              f"diameter = {num(i.diameter)}",
-              f"kind = {i.kind}"]
-    if i.seed is not None:
-        lines.append(f"seed = {i.seed}")
-    lines.append(f"value = {num(i.value)}")
-
-    lines += ["", "[integrator]",
-              f"dt = {'auto' if n.dt is None else num(n.dt)}",
-              f"horizon = {num(n.horizon)}",
-              f"safety = {num(n.safety)}",
-              f"scheme = {n.scheme}",
-              f"stride = {n.stride}"]
-
-    lines += ["", "[output]",
-              f"directory = {o.directory}",
-              f"formats = {' '.join(o.formats)}"]
-
-    lines += ["", "[physics]",
-              f"delta = {num(p.delta)}"]
-    if p.epsilon is not None:
-        lines.append(f"epsilon = {num(p.epsilon)}")
-    lines += [f"kappa = {num(p.kappa)}",
-              f"model = {p.model}",
-              f"nu = {num(p.nu)}"]
-    if p.nu_file is not None:
-        lines.append(f"nu_file = {p.nu_file}")
-    lines += [f"s = {num(p.s)}", ""]
+    lines = []
+    for section, keys in _SCHEMA.items():
+        values = asdict(getattr(cfg, section))
+        if section == "grid":
+            extents = values.pop("extents")
+            values["extent"] = extents[0]
+            values["extent2"] = extents[1] if cfg.grid.dimension == 2 else None
+        lines.append(f"[{section}]")
+        for key, kind in keys.items():
+            value = values[key]
+            text = kind.none if value is None else kind.write(value)
+            if text is not None:
+                lines.append(f"{key} = {text}")
+        lines.append("")
     return "\n".join(lines)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these to exit codes: configuration problems exit 2, numerical
-blow-up exits 3, failed invariant or acceptance checks exit 1.
+failures (a blow-up, or a lambda_star solve that did not converge) exit 3,
+failed invariant or acceptance checks exit 1.
 """
 
 from __future__ import annotations

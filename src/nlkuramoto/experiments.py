@@ -42,7 +42,6 @@ class RungResult:
     config: SimConfig
     config_hash: str
     records: list
-    final_values: np.ndarray
     bound_checks: list[BoundCheck]
     n_steps: int
 
@@ -132,8 +131,7 @@ def _sweep(parameter, ladder, configs: list[SimConfig], workers: int,
                                       cfg.physics.kappa, cfg.physics.delta)
         return traj, RungResult(
             value=ladder[j], config=cfg, config_hash=cfg.content_hash(),
-            records=traj.records, final_values=traj.snapshots[-1].values.copy(),
-            bound_checks=checks, n_steps=traj.n_steps)
+            records=traj.records, bound_checks=checks, n_steps=traj.n_steps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -17,48 +17,13 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .dynamics import PhaseField
-from .errors import BlowUpError, ConfigurationError, ParameterError
+from .errors import BlowUpError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
 
 RK4 = "rk4"
 EULER = "euler"
 SCHEMES = (RK4, EULER)
-
-
-@dataclass(frozen=True)
-class IntegratorPolicy:
-    """Time-integration policy: scheme, step-size mode, horizon, stride.
-
-    ``dt`` is None for automatic selection (scaled by ``safety``) or a fixed
-    positive value; ``stride`` is the number of steps between diagnostics
-    records.
-    """
-
-    scheme: str = RK4
-    dt: float | None = None
-    safety: float = 0.5
-    horizon: float = 1.0
-    stride: int = 1
-
-    def problems(self) -> list[str]:
-        out = []
-        if self.scheme not in SCHEMES:
-            out.append(f"integrator.scheme: must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.dt is not None and not self.dt > 0.0:
-            out.append(f"integrator.dt: must be positive, got {self.dt}")
-        if not 0.0 < self.safety <= 1.0:
-            out.append(f"integrator.safety: must lie in (0, 1], got {self.safety}")
-        if not self.horizon > 0.0:
-            out.append(f"integrator.horizon: must be positive, got {self.horizon}")
-        if self.stride < 1:
-            out.append(f"integrator.stride: must be at least 1, got {self.stride}")
-        return out
-
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigurationError(problems)
 
 
 def select_dt(coupling: KernelOperator | None, dissipation: KernelOperator | None,

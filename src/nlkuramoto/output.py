@@ -12,6 +12,7 @@ import json
 import platform
 import struct
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ def platform_fingerprint() -> dict:
 def build_manifest(cfg: SimConfig, *, status: str, n_steps: int = 0, dt: float = 0.0,
                    wall_clock_s: float = 0.0, notes: str = "") -> dict:
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_hash": cfg.content_hash(),
         "artifact_version": __version__,
         "platform": platform_fingerprint(),
@@ -108,14 +109,14 @@ def write_manifest(manifest: dict, path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def write_run_outputs(traj, outdir=None, wall_clock_s: float = 0.0, notes: str = "") -> dict:
+def write_run_outputs(traj, wall_clock_s: float = 0.0, notes: str = "") -> dict:
     """Write a trajectory's outputs per its config's output block.
 
     Returns the mapping of artifact names to paths.  Snapshots store the
     physical field (gauge shift reapplied).
     """
     cfg: SimConfig = traj.config
-    outdir = Path(cfg.output.directory if outdir is None else outdir)
+    outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     formats = cfg.output.formats
     paths = {}
@@ -139,9 +140,9 @@ def write_run_outputs(traj, outdir=None, wall_clock_s: float = 0.0, notes: str =
     return paths
 
 
-def write_sweep_outputs(sweep, cfg: SimConfig, outdir=None, wall_clock_s: float = 0.0) -> dict:
+def write_sweep_outputs(sweep, cfg: SimConfig) -> dict:
     """Write per-rung directories plus the top-level sweep report."""
-    outdir = Path(cfg.output.directory if outdir is None else outdir)
+    outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for j, rung in enumerate(sweep.rungs):

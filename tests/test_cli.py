@@ -1,7 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 from nlkuramoto.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 BASE = """
@@ -113,6 +116,17 @@ def test_poincare_prints_constants(tmp_path, capsys):
     lam = float(out.split("lambda_star = ")[1].splitlines()[0])
     assert lam > 1.0
     assert "ok" in out
+
+
+def test_unconverged_lambda_star_exits_3(capsys):
+    # a nearly square box has two nearly equal lowest eigenvalues that inverse
+    # iteration cannot separate to its tolerance
+    code = main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"),
+                 "--dimension", "2", "--nodes", "12", "--set", "grid.extent2=0 1.001"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: inverse iteration did not converge")
 
 
 def test_relax_command(tmp_path, capsys):

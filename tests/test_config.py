@@ -1,6 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from nlkuramoto import ConfigurationError, SimConfig, apply_overrides, parse_config_text
+from nlkuramoto import (ConfigurationError, SimConfig, apply_overrides, parse_config,
+                        parse_config_text)
+from nlkuramoto.cli import _OVERRIDE_FLAGS
+from nlkuramoto.config import collect_raw
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 MINIMAL = """
@@ -185,9 +193,7 @@ def test_apply_overrides_precedence():
 
 
 def test_shipped_configs_parse():
-    from pathlib import Path
-    from nlkuramoto import parse_config
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    configs = sorted(CONFIGS.glob("*.cfg"))
     assert configs, "example configs missing"
     for path in configs:
         parse_config(path)
@@ -197,3 +203,75 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(ConfigurationError) as err:
         parse_config_text("[grid]\nnodes 32\n", source="demo.cfg")
     assert any("demo.cfg:2" in p for p in err.value.problems)
+
+
+ALL_KEYS = """
+[grid]
+dimension = 2
+nodes = 12
+extent = 0 1
+extent2 = 0.5 2.5
+
+[physics]
+model = regularized
+s = 0.6180339887498949
+kappa = 0.75
+delta = 0.3
+epsilon = 0.05
+nu = -0.25
+
+[initial]
+kind = random
+diameter = 2.2
+value = 0.125
+seed = 99
+allow_large_diameter = yes
+
+[integrator]
+scheme = EULER
+dt = 0.001
+safety = 0.75
+horizon = 0.25
+stride = 5
+
+[output]
+directory = results/run1
+formats = csv, snapshots manifest
+"""
+
+
+def test_content_hashes_are_stable():
+    # Every manifest and sweep report carries these hashes: a change to the
+    # canonical text (key order, number format, omitted keys) breaks them.
+    assert SimConfig().content_hash() == (
+        "f54523261cf6ea1e395550a4c1e180e8c601530f8945be41f940544fe2b1b288")
+    assert parse_config(CONFIGS / "regularized_sweep_base.cfg").content_hash() == (
+        "34763e6fe7c4572d4534de1ef90cb9f92e543a4f48f3f4a467bc988f160da26b")
+    assert parse_config(CONFIGS / "relaxation_quarter_circle.cfg").content_hash() == (
+        "a2e6160c5f742d4802c8a6ce0f1e376fa7a5bdf4b1f4d23d5b26c23a413b2d64")
+    # nu_file is valid only for the lattice model and epsilon only for the
+    # regularized one, so the 23rd key is set after parsing; hashing does not
+    # validate.
+    cfg = parse_config_text(ALL_KEYS)
+    cfg = replace(cfg, physics=replace(cfg.physics, nu_file="nu.txt"))
+    assert cfg.content_hash() == (
+        "a2039b720fc510216b8caf0d06019b3fffdda44c46439e205bef7442ee7bc2c0")
+
+
+@pytest.mark.parametrize("section, key, raw, expected", [
+    ("grid", "nodes", "x", "an integer"),
+    ("physics", "s", "q", "a number"),
+    ("initial", "allow_large_diameter", "maybe", "true or false"),
+    ("grid", "extent", "a b", "two numbers 'a b'"),
+    ("integrator", "dt", "fast", "a number"),
+])
+def test_malformed_value_names_the_expected_type(section, key, raw, expected):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    assert err.value.problems == [f"{section}.{key}: expected {expected}, got {raw!r}"]
+
+
+def test_override_flags_target_table_keys():
+    for flag, (section, key) in _OVERRIDE_FLAGS.items():
+        _, problems = collect_raw(f"[{section}]\n{key} = 1\n")
+        assert not problems, flag
