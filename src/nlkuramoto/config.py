@@ -295,16 +295,19 @@ def build_config(raw: dict) -> SimConfig:
     return cfg
 
 
+def _build_reporting(raw: dict, problems: list[str]) -> SimConfig:
+    """build_config, with ``problems`` found earlier reported alongside its own."""
+    if not problems:
+        return build_config(raw)
+    try:
+        build_config(raw)
+    except ConfigurationError as exc:
+        problems.extend(exc.problems)
+    raise ConfigurationError(problems)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
-    raw, problems = collect_raw(text, source)
-    if problems:
-        # Still try to surface value/invariant problems alongside syntax ones.
-        try:
-            build_config(raw)
-        except ConfigurationError as exc:
-            problems.extend(exc.problems)
-        raise ConfigurationError(problems)
-    return build_config(raw)
+    return _build_reporting(*collect_raw(text, source))
 
 
 def parse_config(path) -> SimConfig:
@@ -317,15 +320,19 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     """Apply {(section, key): value-string} overrides on top of a config.
 
     Overrides run through the same coercion and validation as file values, so
-    precedence is simply: command line beats file beats defaults.
+    precedence is simply: command line beats file beats defaults.  Values are
+    stripped; ``#`` or a line break, which the canonical text cannot carry, is refused.
     """
     raw, problems = collect_raw(cfg.canonical_text())
     assert not problems, "canonical config text must reparse cleanly"
-    for key, value in overrides.items():
-        if key[0] not in _SCHEMA or key[1] not in _SCHEMA[key[0]]:
-            raise ConfigurationError([f"unknown override {key[0]}.{key[1]}"])
-        raw[key] = value
-    return build_config(raw)
+    for (section, key), value in overrides.items():
+        if section not in _SCHEMA or key not in _SCHEMA[section]:
+            problems.append(f"unknown override {section}.{key}")
+        elif "#" in value or "".join(value.splitlines()) != value:
+            problems.append(f"{section}.{key}: '#' and line breaks are refused, got {value!r}")
+        else:
+            raw[(section, key)] = value.strip()
+    return _build_reporting(raw, problems)
 
 
 def _render(cfg: SimConfig) -> str:

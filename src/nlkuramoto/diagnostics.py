@@ -9,7 +9,7 @@ operate on immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,8 @@ class DiagnosticsRecord:
     and ``seminorm_sq`` always use the singular matrix.  ``dual_bound`` is the
     computable upper bound for the dual norm of the rate field (NaN when the
     initial diameter is not below pi, where the bound has no meaning).
+    ``sin2_seminorm`` (coupling matrix) feeds the dual bound and the bound
+    report; it is neither written to the CSV nor compared (NaN when read back).
     """
 
     t: float
@@ -38,6 +40,7 @@ class DiagnosticsRecord:
     dist_sq: float
     dissipation_cum: float
     dual_bound: float
+    sin2_seminorm: float = field(default=math.nan, compare=False)
 
 
 def diameter(theta) -> float:
@@ -68,22 +71,25 @@ def seminorm_sq(theta, matrix: KernelOperator) -> float:
     return 2.0 * bilinear_form(theta, theta, matrix)
 
 
-def _cosine_double_sum(theta, matrix: KernelOperator, scale: float) -> float:
-    """sum_{ij} W_ij (1 - cos(scale * (u_i - u_j))) via one batched apply.
+def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
+    """Rows a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), angle = scale (u - u_0)."""
+    values, fgrid = _values_and_grid(theta, matrix.grid)
+    _check_field(values, matrix.grid, fgrid)
+    angle = scale * (values - values.flat[0])
+    return np.stack([2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)])
 
-    Angles are shifted by a base value first (an exact identity).  With
-    a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), the summand is
+
+def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -> float:
+    """factor * w * sum_{ij} W_ij (1 - cos(angle_i - angle_j)), clipped at 0.
+
+    ``applied`` is W times :func:`_cosine_fields` (a, s).  The summand is
     a_i + a_j - a_i a_j - s_i s_j, so the sum is 2 a.r - a.Wa - s.Ws: exactly
     zero for a constant field, and without the cancellation of
     1.W1 - c.Wc - s.Ws at small amplitude.
     """
-    values, fgrid = _values_and_grid(theta, matrix.grid)
-    _check_field(values, matrix.grid, fgrid)
-    angle = scale * (values - values.flat[0])
-    a_s = np.stack([2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)])
-    wa, ws = matrix.apply(a_s)
-    a, s = a_s
-    return 2.0 * (a @ matrix.row_sums) - a @ wa - s @ ws
+    (a, s), (wa, ws) = fields, applied
+    total = 2.0 * (a @ matrix.row_sums) - a @ wa - s @ ws
+    return float(max(0.0, factor * matrix.grid.weight * total))
 
 
 def sin2_seminorm(theta, matrix: KernelOperator) -> float:
@@ -91,14 +97,14 @@ def sin2_seminorm(theta, matrix: KernelOperator) -> float:
 
     Uses sin^2 z = (1 - cos 2z) / 2, the cosine double sum at doubled angles.
     """
-    total = _cosine_double_sum(theta, matrix, 2.0)
-    return float(max(0.0, 0.5 * matrix.grid.weight * total))
+    fields = _cosine_fields(theta, matrix, 2.0)
+    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5)
 
 
 def energy_potential(theta, matrix: KernelOperator, kappa: float) -> float:
     """(kappa/2) sum_{ij} W_ij w (1 - cos(u_i - u_j)); zero iff constant."""
-    total = _cosine_double_sum(theta, matrix, 1.0)
-    return float(max(0.0, 0.5 * kappa * matrix.grid.weight * total))
+    fields = _cosine_fields(theta, matrix, 1.0)
+    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5 * kappa)
 
 
 def _kinetic_from_seminorm(seminorm: float, delta: float) -> float:
@@ -131,15 +137,15 @@ def dual_bound_value(theta, coupling: KernelOperator, dissipation: KernelOperato
     """
     if m >= math.pi:
         raise ParameterError(f"diameter bound must be below pi, got {m}")
-    return _dual_bound(theta, coupling, kappa, delta, seminorm_sq(theta, dissipation))
+    sin2 = sin2_seminorm(theta, coupling) if kappa != 0.0 else 0.0
+    return _dual_bound(sin2, seminorm_sq(theta, dissipation), kappa, delta)
 
 
-def _dual_bound(theta, coupling: KernelOperator, kappa: float, delta: float,
-                seminorm: float) -> float:
-    """dual_bound_value given the squared seminorm with the singular matrix."""
+def _dual_bound(sin2: float, seminorm: float, kappa: float, delta: float) -> float:
+    """dual_bound_value from the sin^2 seminorm (coupling) and seminorm_sq (singular)."""
     value = 0.0
     if kappa != 0.0:
-        value += 0.5 * kappa * math.sqrt(sin2_seminorm(theta, coupling))
+        value += 0.5 * kappa * math.sqrt(sin2)
     if delta != 0.0:
         value += 0.5 * delta * math.sqrt(max(0.0, seminorm))
     return value
@@ -180,7 +186,8 @@ def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: Kern
     """Evaluate the uniform a priori bounds at every recorded instant.
 
     Right-hand sides are built from the initial data's squared seminorm (with
-    the singular matrix).  Inapplicable rows are returned as skipped with the
+    the singular matrix); left-hand sides, the sin^2 seminorm included, are
+    read from the records.  Inapplicable rows are returned as skipped with the
     reason; applicable rows must come back satisfied.
     """
     records = trajectory.records
@@ -213,7 +220,7 @@ def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: Kern
                            _holds(records[0].e_pot, rhs)))
 
     if kappa > 0.0:
-        worst_sin2 = max(sin2_seminorm(snap.values, coupling) for snap in trajectory.snapshots)
+        worst_sin2 = float(np.max([r.sin2_seminorm for r in records]))  # NaN fails the row
         rhs = (kappa + delta) / kappa * seminorm0
         rows.append(BoundCheck("sin2-seminorm-bound", worst_sin2, rhs,
                                _holds(worst_sin2, rhs)))

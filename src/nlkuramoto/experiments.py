@@ -13,6 +13,7 @@ a decreasing Cauchy trend, never a convergence order.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -44,6 +45,7 @@ class RungResult:
     records: list
     bound_checks: list[BoundCheck]
     n_steps: int
+    wall_clock_s: float  # the rung's simulation
 
 
 @dataclass(frozen=True)
@@ -121,17 +123,20 @@ def _sweep(parameter, ladder, configs: list[SimConfig], workers: int,
     """
     def one(j):
         cfg, ops = configs[j], operators(j)
+        t0 = time.perf_counter()
         try:
             traj = simulate(cfg, ops)
         except BlowUpError as exc:
             raise BlowUpError(
                 f"rung {j} (value {ladder[j]}) blew up: {exc}",
                 trajectory=exc.trajectory, t=exc.t) from exc
+        wall_clock_s = time.perf_counter() - t0
         checks = uniform_bound_report(traj, ops.coupling, ops.dissipation,
                                       cfg.physics.kappa, cfg.physics.delta)
         return traj, RungResult(
             value=ladder[j], config=cfg, config_hash=cfg.content_hash(),
-            records=traj.records, bound_checks=checks, n_steps=traj.n_steps)
+            records=traj.records, bound_checks=checks, n_steps=traj.n_steps,
+            wall_clock_s=wall_clock_s)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

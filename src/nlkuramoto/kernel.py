@@ -12,18 +12,21 @@ with Toeplitz blocks (BTTB) in 2d.  An operator keeps the generator (the
 entry at each nonnegative offset) and the real spectrum of its even circulant
 embedding, twice as long on each axis; an apply zero-pads, multiplies in
 Fourier space with real transforms and truncates, in O(N log N) time and
-O(N) memory.  The dense matrix is built only on request (:meth:`to_dense`).
+O(N) memory, and :func:`stacked_apply` applies one operator per row of a
+stack in one transform pair.  The dense matrix is built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, SingularityError
-from .grid import Grid
+from .errors import GridMismatchError, ParameterError, SingularityError
+from .grid import Grid, grids_match
 
 SINGULAR = "singular"
 TRUNCATED = "truncated"
@@ -73,6 +76,29 @@ def _toeplitz_row_sums(generator: np.ndarray) -> np.ndarray:
     return generator.ravel()
 
 
+def _spectral_apply(grid: Grid, spectrum: np.ndarray, x) -> np.ndarray:
+    """x (..., N) times ``spectrum`` (one, or one per row) by one transform pair."""
+    x = np.asarray(x, dtype=float)
+    n, d = grid.n, grid.dim
+    lead = x.shape[:-1]
+    f = np.fft.rfft(x.reshape(*lead, *(n,) * d), 2 * n)
+    if d == 2:  # padding rows join after the last-axis rfft and leave before its irfft
+        f = np.fft.fft(f, 2 * n, axis=-2)
+    f *= spectrum
+    if d == 2:
+        f = np.fft.ifft(f, axis=-2)[..., :n, :]
+    return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
+
+
+def stacked_apply(operators) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (operators[k] x[k])_k on a (k, N) stack by one transform pair, bitwise
+    equal to each operator's :meth:`apply`; the spectra are stacked here, once."""
+    grid = operators[0].grid
+    if not all(grids_match(op.grid, grid) for op in operators):
+        raise GridMismatchError("stacked operators live on different grids")
+    return partial(_spectral_apply, grid, np.array([op.spectrum for op in operators]))
+
+
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
     """Symmetric kernel matrix W with quadrature weights folded in, matrix-free.
@@ -99,22 +125,8 @@ class KernelOperator:
         return self.variant == SINGULAR
 
     def apply(self, x) -> np.ndarray:
-        """W x for real x of shape (..., N), batched over the leading axes.
-
-        In 2d, the padding rows are never transformed along the last axis:
-        they are added after the first forward transform and cut before the
-        last inverse one.
-        """
-        x = np.asarray(x, dtype=float)
-        n, d = self.grid.n, self.grid.dim
-        lead = x.shape[:-1]
-        f = np.fft.rfft(x.reshape(*lead, *(n,) * d), 2 * n)
-        if d == 2:
-            f = np.fft.fft(f, 2 * n, axis=-2)
-        f *= self.spectrum
-        if d == 2:
-            f = np.fft.ifft(f, axis=-2)[..., :n, :]
-        return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
+        """W x for real x of shape (..., N), batched over the leading axes."""
+        return _spectral_apply(self.grid, self.spectrum, x)
 
     def to_dense(self) -> np.ndarray:
         """The explicit (N, N) matrix, built without N^2-sized index arrays."""

@@ -54,11 +54,8 @@ def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
     for line in lines[1:]:
         if not line:
             continue
-        vals = [float(v) for v in line.split(",")]
-        records.append(DiagnosticsRecord(
-            t=vals[0], mean=vals[1], diameter=vals[2], e_pot=vals[3], e_kin=vals[4],
-            seminorm_sq=vals[5], dist_sq=vals[6], dissipation_cum=vals[7],
-            dual_bound=vals[8]))
+        # the columns are the record's fields in order; sin2_seminorm stays NaN
+        records.append(DiagnosticsRecord(*(float(v) for v in line.split(","))))
     return records
 
 
@@ -150,7 +147,8 @@ def write_sweep_outputs(sweep, cfg: SimConfig) -> dict:
         rung_dir.mkdir(exist_ok=True)
         write_diagnostics_csv(rung.records, rung_dir / "diagnostics.csv")
         write_manifest(build_manifest(rung.config, status="completed",
-                                      n_steps=rung.n_steps, dt=sweep.dt),
+                                      n_steps=rung.n_steps, dt=sweep.dt,
+                                      wall_clock_s=rung.wall_clock_s),
                        rung_dir / "manifest.json")
         paths[f"rung_{j}"] = rung_dir
     report_path = outdir / "sweep_report.json"

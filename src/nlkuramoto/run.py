@@ -17,14 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import (DiagnosticsRecord, _dual_bound, _kinetic_from_seminorm, diameter,
-                          dist_sq_to_mean, energy_potential, mean_phase, seminorm_sq)
-from .dynamics import rhs_lattice, rhs_regularized, rhs_singular
+from .diagnostics import (DiagnosticsRecord, _cosine_double_sum, _cosine_fields, _dual_bound,
+                          _kinetic_from_seminorm, diameter, dist_sq_to_mean, mean_phase)
+from .dynamics import _form_value, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import Trajectory, integrate_flow, select_dt
-from .kernel import SINGULAR, TRUNCATED, KernelOperator, assemble_kernel_matrix
+from .kernel import SINGULAR, TRUNCATED, KernelOperator, assemble_kernel_matrix, stacked_apply
 
 
 class Operators(NamedTuple):
@@ -135,22 +135,29 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
 
     m0 = diameter(theta0)
     bounded_diameter = m0 < math.pi
+    record_apply = stacked_apply((coupling,) * 4 + (dissipation,))
 
     def make_record(values, t, dissipated) -> DiagnosticsRecord:
-        # one singular seminorm per record feeds e_kin, seminorm_sq and the dual bound
-        seminorm = seminorm_sq(values, dissipation)
-        dual = (_dual_bound(values, coupling, kappa, delta, seminorm)
-                if bounded_diameter else float("nan"))
+        # one transform pair for e_pot, sin^2 and the singular seminorm, by the public formulas
+        shifted = values - values.flat[0]
+        fields = np.concatenate([_cosine_fields(values, coupling, 1.0),
+                                 _cosine_fields(values, coupling, 2.0), shifted[None]])
+        applied = record_apply(fields)
+        e_pot = _cosine_double_sum(fields[:2], applied[:2], coupling, 0.5 * kappa)
+        sin2 = _cosine_double_sum(fields[2:4], applied[2:4], coupling, 0.5)
+        seminorm = 2.0 * _form_value(shifted, shifted, applied[4], dissipation)
+        dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else float("nan")
         return DiagnosticsRecord(
             t=t,
             mean=mean_phase(values, grid),
             diameter=diameter(values),
-            e_pot=energy_potential(values, coupling, kappa),
+            e_pot=e_pot,
             e_kin=_kinetic_from_seminorm(seminorm, delta),
             seminorm_sq=seminorm,
             dist_sq=dist_sq_to_mean(values, grid),
             dissipation_cum=dissipated,
             dual_bound=dual,
+            sin2_seminorm=sin2,
         )
 
     try:

@@ -160,6 +160,14 @@ def test_sweep_eps_command(tmp_path, capsys):
     assert report["parameter"] == "epsilon"
 
 
+def test_sweep_rung_manifests_record_wall_clock(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["sweep-delta", str(cfg), "--ladder", "0.4 0.2"]) == 0
+    for j in range(2):
+        manifest = json.loads((tmp_path / "run_out" / f"rung_{j}" / "manifest.json").read_text())
+        assert manifest["wall_clock_s"] > 0.0
+
+
 def test_sweep_delta_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     code = main(["sweep-delta", str(cfg), "--ladder", "0.4 0.2 0.1", "--workers", "2"])

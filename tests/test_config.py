@@ -2,6 +2,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlkuramoto import (ConfigurationError, SimConfig, apply_overrides, parse_config,
                         parse_config_text)
@@ -275,3 +277,54 @@ def test_override_flags_target_table_keys():
     for flag, (section, key) in _OVERRIDE_FLAGS.items():
         _, problems = collect_raw(f"[{section}]\n{key} = 1\n")
         assert not problems, flag
+
+
+def test_override_values_that_break_the_canonical_text_are_refused():
+    with pytest.raises(ConfigurationError) as err:
+        apply_overrides(SimConfig(), {("output", "directory"): "runs/a#1",
+                                      ("physics", "kappa"): "2\n[physics]\ns = 0.9",
+                                      ("physics", "warp"): "1"})
+    problems = err.value.problems
+    assert len(problems) == 3
+    assert problems[0].startswith("output.directory: '#' and line breaks are refused")
+    assert problems[1].startswith("physics.kappa: '#' and line breaks are refused")
+    assert problems[2] == "unknown override physics.warp"
+
+
+def _numbers(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw).map(repr)
+
+
+_OVERRIDE_VALUES = {
+    ("output", "directory"): st.text(),
+    ("physics", "kappa"): _numbers(0.0, 1e6),
+    ("physics", "delta"): _numbers(0.0, 1e6),
+    ("physics", "s"): _numbers(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ("physics", "nu"): _numbers(-1e6, 1e6),
+    ("initial", "diameter"): _numbers(0.0, 3.0),
+    ("initial", "seed"): st.integers(0, 2 ** 63).map(str),
+    ("integrator", "dt"): st.one_of(st.just("auto"), _numbers(1e-9, 1.0)),
+    ("integrator", "horizon"): _numbers(1e-9, 1e3),
+    ("integrator", "stride"): st.integers(1, 10_000).map(str),
+    ("grid", "nodes"): st.integers(2, 4096).map(str),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_overridden_config_reparses_from_its_canonical_text(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(_OVERRIDE_VALUES)), unique=True))
+    padding = st.sampled_from(["", " ", "\t"])
+    overrides = {key: data.draw(padding) + data.draw(_OVERRIDE_VALUES[key]) + data.draw(padding)
+                 for key in keys}
+    directory = overrides.get(("output", "directory"), "out")
+    breaks_text = any("#" in v or len((v + "x").splitlines()) > 1 for v in overrides.values())
+    try:
+        cfg = apply_overrides(SimConfig(), overrides)
+    except ConfigurationError:
+        assert breaks_text or not directory.strip()
+        return
+    assert not breaks_text
+    assert cfg.output.directory == directory.strip()
+    assert parse_config_text(cfg.canonical_text()) == cfg
+    assert apply_overrides(cfg, {}) == cfg

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,49 @@ def test_uniform_bound_report_constant_field_trivial():
     for row in rows:
         if row.satisfied is not None:
             assert row.lhs <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(2, 32)),
+                       st.tuples(st.just(2), st.integers(2, 7))),
+       s=st.floats(0.05, 0.95), eps=st.one_of(st.none(), st.floats(0.02, 1.0)),
+       lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       kappa=st.floats(0.0, 2.0), delta=st.floats(0.0, 0.5), diameter=st.floats(0.0, 3.0),
+       seed=st.integers(0, 1000))
+def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa, delta,
+                                                  diameter, seed):
+    # eps None is the singular model, where the coupling is the dissipation
+    dim, n = shape
+    cfg = make_config(dim=dim, n=n, extents=[(0.0, length) for length in lengths[:dim]],
+                      model="singular" if eps is None else "regularized", s=s, epsilon=eps,
+                      kappa=kappa, delta=delta, kind="random", seed=seed, diameter=diameter,
+                      horizon=0.02, stride=3)
+    traj = simulate(cfg)
+    from nlkuramoto import build_operators
+    _, coupling, dissipation = build_operators(cfg)
+    m0 = traj.records[0].diameter
+    for snap, rec in zip(traj.snapshots, traj.records):
+        assert rec.e_pot == energy_potential(snap.values, coupling, kappa)
+        assert rec.sin2_seminorm == sin2_seminorm(snap.values, coupling)
+        assert rec.seminorm_sq == seminorm_sq(snap.values, dissipation)
+        assert rec.dual_bound == dual_bound_value(snap.values, coupling, dissipation,
+                                                  kappa, delta, m0)
+    rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, delta)}
+    expect = max(sin2_seminorm(snap.values, coupling) for snap in traj.snapshots)
+    assert rows["sin2-seminorm-bound"].lhs == expect
+
+
+def test_missing_sin2_value_fails_its_bound_row():
+    cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.05)
+    traj = simulate(cfg)
+    from nlkuramoto import build_operators
+    _, coupling, dissipation = build_operators(cfg)
+    for k in (0, len(traj.records) - 1):
+        records = list(traj.records)
+        records[k] = replace(records[k], sin2_seminorm=math.nan)
+        rows = {c.name: c for c in uniform_bound_report(replace(traj, records=records),
+                                                        coupling, dissipation, 1.0, 0.2)}
+        assert rows["sin2-seminorm-bound"].satisfied is False
 
 
 def test_poincare_two_nodes_closed_form():

@@ -218,18 +218,24 @@ def test_simulate_rejects_a_bundle_built_for_another_config():
             simulate(other, ops)
 
 
-def test_each_record_takes_three_kernel_applies(monkeypatch):
-    # the potential energy and the sin^2 seminorm apply the coupling; one
-    # singular seminorm feeds e_kin, seminorm_sq and the dual bound
-    from nlkuramoto import kernel, run
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
+def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n):
+    # a record stacks its five fields into one transform pair; a dissipative
+    # rate stacks (cos, sin, shifted) into one
+    from nlkuramoto import run
 
-    counts = {"records": 0, "applies": 0}
+    counts = {"records": 0, "rhs": 0, "record_ffts": 0, "ffts": 0}
     inside = [False]
-    real_apply, real_flow = kernel.KernelOperator.apply, run.integrate_flow
+    real_rfft, real_flow, real_rhs = np.fft.rfft, run.integrate_flow, run.rhs_regularized
 
-    def apply(self, x):
-        counts["applies"] += inside[0]
-        return real_apply(self, x)
+    def rfft(*args, **kwargs):
+        counts["ffts"] += 1
+        counts["record_ffts"] += inside[0]
+        return real_rfft(*args, **kwargs)
+
+    def rhs(*args):
+        counts["rhs"] += 1
+        return real_rhs(*args)
 
     def flow(*args):
         *rest, make_record = args
@@ -243,11 +249,14 @@ def test_each_record_takes_three_kernel_applies(monkeypatch):
                 inside[0] = False
         return real_flow(*rest, counted)
 
-    monkeypatch.setattr(kernel.KernelOperator, "apply", apply)
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(run, "rhs_regularized", rhs)
     monkeypatch.setattr(run, "integrate_flow", flow)
-    simulate(make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.05))
-    assert counts["records"] > 1
-    assert counts["applies"] == 3 * counts["records"]
+    simulate(make_config(dim=dim, n=n, model="regularized", epsilon=0.1, delta=0.2,
+                         horizon=0.05))
+    assert counts["records"] > 1 and counts["rhs"] > counts["records"]
+    assert counts["record_ffts"] == counts["records"]
+    assert counts["ffts"] == counts["records"] + counts["rhs"]
 
 
 def test_simulate_deterministic():

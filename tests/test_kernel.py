@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (ParameterError, SingularityError, assemble_kernel_matrix, build_grid,
-                        k_eps_analytic_bound, k_eps_star_analytic_bound, lipschitz_bounds,
-                        psi, psi_eps)
+from nlkuramoto import (GridMismatchError, ParameterError, SingularityError,
+                        assemble_kernel_matrix, build_grid, k_eps_analytic_bound,
+                        k_eps_star_analytic_bound, lipschitz_bounds, psi, psi_eps)
+from nlkuramoto.kernel import stacked_apply
 
 import oracles
 from conftest import rel_close
@@ -123,6 +124,32 @@ def test_operator_matches_loop_oracle(shape, s, eps, lengths, seed):
     for row, got in zip(x, batched):
         assert rel_close(got, expect @ row, rtol=1e-12)
         assert rel_close(op.apply(row), got, rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(2, 64)),
+                      st.tuples(st.just(2), st.integers(2, 12))),
+       s=st.floats(0.05, 0.95), eps=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
+       lengths=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+       picks=st.lists(st.integers(0, 2), min_size=1, max_size=6), seed=st.integers(0, 1000))
+def test_stacked_apply_is_each_operator_apply_bitwise(shape, s, eps, lengths, picks, seed):
+    dim, n = shape
+    g = build_grid(dim, n, [(0.0, length) for length in lengths[:dim]])
+    ops = [assemble_kernel_matrix(g, "singular", s),
+           assemble_kernel_matrix(g, "truncated", s, eps[0]),
+           assemble_kernel_matrix(g, "truncated", s, eps[1])]
+    stack = tuple(ops[k] for k in picks)
+    x = np.random.default_rng(seed).standard_normal((len(stack), g.node_count))
+    got = stacked_apply(stack)(x)
+    assert got.shape == x.shape
+    for op, row, out in zip(stack, x, got):
+        assert np.array_equal(out, op.apply(row))
+
+
+def test_stacked_apply_needs_one_grid(grid16, singular16):
+    other = assemble_kernel_matrix(build_grid(1, 16, [(0.0, 2.0)]), "singular", 0.5)
+    with pytest.raises(GridMismatchError):
+        stacked_apply((singular16, other))
 
 
 def test_assemble_validation(grid16):
