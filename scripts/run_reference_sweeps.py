@@ -39,12 +39,11 @@ def show(sweep):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="sweep_outputs")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     outdir = Path(args.outdir)
 
     eps_base = base_config(outdir / "epsilon", "regularized", delta=0.1, epsilon=0.2)
-    eps_sweep = sweep_epsilon(eps_base, [0.2, 0.1, 0.05, 0.025], workers=args.workers)
+    eps_sweep = sweep_epsilon(eps_base, [0.2, 0.1, 0.05, 0.025])
     write_sweep_outputs(eps_sweep, eps_base)
     show(eps_sweep)
 
@@ -56,7 +55,7 @@ def main() -> int:
                          integrator=del_base.integrator,
                          output=OutputConfig(directory=str(outdir / "delta"),
                                              formats=("csv", "manifest", "report")))
-    del_sweep = sweep_delta(del_base, [0.4, 0.2, 0.1, 0.05], workers=args.workers)
+    del_sweep = sweep_delta(del_base, [0.4, 0.2, 0.1, 0.05])
     write_sweep_outputs(del_sweep, del_base)
     show(del_sweep)
 

@@ -112,8 +112,7 @@ def cmd_simulate(args) -> int:
 def _cmd_sweep(args, which) -> int:
     cfg = _load_config(args)
     ladder = _parse_ladder(args.ladder)
-    sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(
-        cfg, ladder, workers=args.workers)
+    sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(cfg, ladder)
     paths = write_sweep_outputs(sweep, cfg)
     print(f"{sweep.parameter} ladder: {list(sweep.ladder)}")
     print(f"successive differences: {['%.6e' % d for d in sweep.differences]}")
@@ -181,13 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-eps", help="kernel-truncation ladder at fixed dissipation")
     _add_common(p)
     p.add_argument("--ladder", required=True, help="decreasing truncation values")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=lambda a: _cmd_sweep(a, "epsilon"))
 
     p = sub.add_parser("sweep-delta", help="dissipation ladder with the singular coupling")
     _add_common(p)
     p.add_argument("--ladder", required=True, help="decreasing dissipation values")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=lambda a: _cmd_sweep(a, "delta"))
 
     p = sub.add_parser("relax", help="verify the exponential relaxation rate")

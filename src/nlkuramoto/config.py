@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -100,7 +100,10 @@ class SimConfig:
 
 
 def _validate(cfg: SimConfig) -> list[str]:
-    problems = []
+    # NaN passes every comparison below, so non-finite numbers are refused first
+    problems = [f"{part.name}.{key}: must be finite, got {value}"
+                for part in fields(cfg) for key, value in vars(getattr(cfg, part.name)).items()
+                if isinstance(value, float) and not math.isfinite(value)]
     g, p, i = cfg.grid, cfg.physics, cfg.initial
 
     if g.dimension not in (1, 2):

@@ -181,15 +181,17 @@ def _holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + _REL_SLACK) + _ABS_SLACK
 
 
-def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: KernelOperator,
-                         kappa: float, delta: float) -> list[BoundCheck]:
-    """Evaluate the uniform a priori bounds at every recorded instant.
+def uniform_bound_report(trajectory) -> list[BoundCheck]:
+    """Evaluate the uniform a priori bounds at every recorded instant, with
+    the kappa, delta and model of the trajectory's own config.
 
     Right-hand sides are built from the initial data's squared seminorm (with
     the singular matrix); left-hand sides, the sin^2 seminorm included, are
     read from the records.  Inapplicable rows are returned as skipped with the
     reason; applicable rows must come back satisfied.
     """
+    physics = trajectory.config.physics
+    kappa, delta = physics.kappa, physics.delta
     records = trajectory.records
     seminorm0 = records[0].seminorm_sq
     m0 = records[0].diameter
@@ -204,7 +206,7 @@ def uniform_bound_report(trajectory, coupling: KernelOperator, dissipation: Kern
         rows.append(BoundCheck("seminorm-dissipation-bound", None, None, None,
                                "needs positive dissipation strength"))
 
-    if kappa > 0.0 and m0 < math.pi and coupling.is_singular:
+    if kappa > 0.0 and m0 < math.pi and physics.model != "regularized":
         factor = 1.0 if m0 == 0.0 else (m0 / math.sin(m0)) ** 2
         rhs = factor * (kappa + delta) / kappa * seminorm0
         rows.append(BoundCheck("seminorm-sinc-bound", worst_seminorm, rhs,

@@ -12,6 +12,8 @@ the Toeplitz/BTTB kernel operator, instead of an N^2 table of sine
 evaluations; a dissipative rate stacks the shifted field under them, so every
 rate costs one transform pair.  Every apply is real, and every form is taken
 about a base angle, so a constant field gives exactly zero rates and energies.
+The rate functions take one field or an (R, N) family of fields, one member
+per row, each with its own coupling and delta when given one per row.
 """
 
 from __future__ import annotations
@@ -61,18 +63,36 @@ def _check_field(values: np.ndarray, grid: Grid, field_grid: Grid | None) -> Non
         )
 
 
-def sine_coupling(values: np.ndarray, kernel: KernelOperator) -> np.ndarray:
-    """sum_j W[i, j] * sin(values[j] - values[i]) via one batched apply.
+def _rate_values(theta, grid: Grid) -> np.ndarray:
+    """One field, or an (R, N) family of fields, checked against ``grid``."""
+    values, fgrid = _values_and_grid(theta, grid)
+    _check_field(values[0] if values.ndim == 2 else values, grid, fgrid)
+    return values
 
-    Angles are shifted by a base value first (an exact identity), so a
-    constant field yields an exactly zero rate and equilibria stay fixed.
+
+def _sine_rows(values: np.ndarray, coupling, *extra):
+    """The sine coupling sum_j W[i, j] sin(u_j - u_i) of every row u of
+    ``values``, taken about the row's first value (so a constant row gives
+    exactly zero), plus ``extra`` operators applied to the shifted rows, all
+    in one transform pair.
+
+    ``coupling`` is one operator shared by every row, or one per row.
+    Returns the shifted (R, N) rows, their sine coupling and the extra applies.
     """
-    shifted = values - values.flat[0]
-    c, s = cs = np.empty((2, shifted.size))
-    np.cos(shifted, out=c)
-    np.sin(shifted, out=s)
-    wc, ws = kernel.apply(cs)
-    return c * ws - s * wc
+    rows = values.reshape(-1, values.shape[-1])
+    shifted = rows - rows[:, :1]
+    stack = np.empty((2 + len(extra),) + shifted.shape)
+    np.cos(shifted, out=stack[0])
+    np.sin(shifted, out=stack[1])
+    if extra:
+        stack[2] = shifted
+    if extra and not isinstance(coupling, (tuple, list)):
+        coupling = (coupling,) * len(rows)  # the extra applies need a per-row layout
+    if isinstance(coupling, (tuple, list)):
+        applied = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))(stack)
+    else:
+        applied = coupling.apply(stack)
+    return shifted, stack[0] * applied[1] - stack[1] * applied[0], applied[2:]
 
 
 def rhs_singular(theta, coupling: KernelOperator, kappa: float) -> np.ndarray:
@@ -83,13 +103,12 @@ def rhs_singular(theta, coupling: KernelOperator, kappa: float) -> np.ndarray:
     """
     if not coupling.is_singular:
         raise ParameterError("rhs_singular needs the singular kernel matrix")
-    values, fgrid = _values_and_grid(theta, coupling.grid)
-    _check_field(values, coupling.grid, fgrid)
-    return kappa * sine_coupling(values, coupling)
+    values = _rate_values(theta, coupling.grid)
+    return (kappa * _sine_rows(values, coupling)[1]).reshape(values.shape)
 
 
-def rhs_regularized(theta, coupling: KernelOperator, dissipation: KernelOperator,
-                    kappa: float, delta: float) -> np.ndarray:
+def rhs_regularized(theta, coupling, dissipation: KernelOperator,
+                    kappa: float, delta) -> np.ndarray:
     """Rate field of the dissipative evolution.
 
     ``coupling`` drives the sine term (truncated kernel, or the singular one
@@ -99,17 +118,12 @@ def rhs_regularized(theta, coupling: KernelOperator, dissipation: KernelOperator
     """
     if not dissipation.is_singular:
         raise ParameterError("the dissipation term uses the singular kernel matrix")
-    values, fgrid = _values_and_grid(theta, coupling.grid)
-    _check_field(values, coupling.grid, fgrid)
-    if delta == 0.0:
-        return kappa * sine_coupling(values, coupling)
-    shifted = values - values.flat[0]  # about a base angle: constants stay equilibria
-    c, s, _ = stack = np.empty((3, shifted.size))
-    np.cos(shifted, out=c)
-    np.sin(shifted, out=s)
-    stack[2] = shifted
-    wc, ws, wd = stacked_apply((coupling, coupling, dissipation))(stack)
-    return kappa * (c * ws - s * wc) - delta * (dissipation.row_sums * shifted - wd)
+    values = _rate_values(theta, dissipation.grid)
+    delta = np.asarray(delta, dtype=float)[..., None]
+    if not delta.any():
+        return (kappa * _sine_rows(values, coupling)[1]).reshape(values.shape)
+    shifted, sine, (wd,) = _sine_rows(values, coupling, dissipation)
+    return (kappa * sine - delta * (dissipation.row_sums * shifted - wd)).reshape(values.shape)
 
 
 def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu) -> np.ndarray:
@@ -120,7 +134,7 @@ def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu) -> np.ndarray:
     weights.  nu may be a scalar or a per-node array.
     """
     values, _ = _values_and_grid(theta, None)
-    nn = values.shape[0]
+    nn = values.shape[-1]
     if kernel.grid.node_count != nn:
         raise GridMismatchError(
             f"kernel has {kernel.grid.node_count} nodes for a field with {nn} nodes"
@@ -128,7 +142,8 @@ def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     if nu.ndim not in (0, 1) or (nu.ndim == 1 and nu.shape[0] != nn):
         raise GridMismatchError("per-node frequencies must match the node count")
-    return nu + (kappa / (nn * kernel.grid.weight)) * sine_coupling(values, kernel)
+    sine = _sine_rows(values, kernel)[1].reshape(values.shape)
+    return nu + (kappa / (nn * kernel.grid.weight)) * sine
 
 
 def bilinear_form(u, v, matrix: KernelOperator) -> float:

@@ -39,12 +39,14 @@ class BlowUpError(RuntimeError):
 
     When raised from a full simulation, ``trajectory`` holds the partial
     trajectory up to the last good state and ``t`` the time it was reached.
+    ``row`` is the first member of a family of states that went non-finite.
     """
 
-    def __init__(self, message, trajectory=None, t=None):
+    def __init__(self, message, trajectory=None, t=None, row=None):
         super().__init__(message)
         self.trajectory = trajectory
         self.t = t
+        self.row = row
 
 
 class IterationError(RuntimeError):

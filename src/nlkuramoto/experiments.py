@@ -4,19 +4,17 @@ verification, grid refinement, and the run-level invariant suite.
 Sweeps share one grid, one dissipation operator, one fixed step size (chosen
 for the stiffest rung so every rung is stable) and one output stride, so
 trajectories can be compared at identical times.  Each rung's coupling is
-built once, when the rung runs, and serves both its simulation and its
-uniform-bound report.  The successive differences Delta_j are the computable
-stand-in for the compactness limits the analysis provides: the sweeps certify
-a decreasing Cauchy trend, never a convergence order.
+built once, and all rungs step together as one batched system.  The
+successive differences Delta_j are the computable stand-in for the
+compactness limits the analysis provides: the sweeps certify a decreasing
+Cauchy trend, never a convergence order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
 from .integrate import Trajectory, select_dt
 from .kernel import TRUNCATED, assemble_kernel_matrix
-from .run import Operators, build_operators, simulate
+from .run import Operators, build_operators, simulate, simulate_family
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
@@ -41,11 +39,9 @@ CONTRACTION_STEP_TOL = 1e-10  # per-step slack for the kappa = 0 semigroup check
 class RungResult:
     value: float
     config: SimConfig
-    config_hash: str
     records: list
     bound_checks: list[BoundCheck]
     n_steps: int
-    wall_clock_s: float  # the rung's simulation
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,7 @@ class SweepResult:
     bounds_ok: bool
     dt: float
     stride: int
+    wall_clock_s: float  # the rungs' batched simulation
 
     def report(self) -> dict:
         return {
@@ -71,15 +68,11 @@ class SweepResult:
             "rungs": [
                 {
                     "value": rung.value,
-                    "config_hash": rung.config_hash,
+                    "config_hash": rung.config.content_hash(),
                     "n_steps": rung.n_steps,
                     "final_diameter": rung.records[-1].diameter,
                     "final_dist_sq": rung.records[-1].dist_sq,
-                    "bounds": [
-                        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                         "satisfied": c.satisfied, "reason": c.reason}
-                        for c in rung.bound_checks
-                    ],
+                    "bounds": [asdict(c) for c in rung.bound_checks],
                 }
                 for rung in self.rungs
             ],
@@ -101,60 +94,37 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
 
 
 def _successive_differences(trajs: list[Trajectory]) -> list[float]:
+    """Worst L2 distance between consecutive rungs over their shared record times."""
     w = trajs[0].grid.weight
-    diffs = []
-    for a, b in zip(trajs, trajs[1:]):
-        if a.times != b.times:
-            raise ConfigurationError(["sweep rungs recorded at different times"])
-        worst = 0.0
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            d = sa.values - sb.values
-            worst = max(worst, math.sqrt(w * float(d @ d)))
-        diffs.append(worst)
-    return diffs
+    return [max(math.sqrt(w * float(d @ d))
+                for d in (sa.values - sb.values for sa, sb in zip(a.snapshots, b.snapshots)))
+            for a, b in zip(trajs, trajs[1:])]
 
 
-def _sweep(parameter, ladder, configs: list[SimConfig], workers: int,
-           operators: Callable[[int], Operators]) -> SweepResult:
-    """Run every rung and check its uniform bounds with the operators it ran with.
-
-    ``operators(j)`` supplies rung j's bundle when the rung starts, so a rung's
-    own operators live only while it runs.
-    """
-    def one(j):
-        cfg, ops = configs[j], operators(j)
-        t0 = time.perf_counter()
-        try:
-            traj = simulate(cfg, ops)
-        except BlowUpError as exc:
-            raise BlowUpError(
-                f"rung {j} (value {ladder[j]}) blew up: {exc}",
-                trajectory=exc.trajectory, t=exc.t) from exc
-        wall_clock_s = time.perf_counter() - t0
-        checks = uniform_bound_report(traj, ops.coupling, ops.dissipation,
-                                      cfg.physics.kappa, cfg.physics.delta)
-        return traj, RungResult(
-            value=ladder[j], config=cfg, config_hash=cfg.content_hash(),
-            records=traj.records, bound_checks=checks, n_steps=traj.n_steps,
-            wall_clock_s=wall_clock_s)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(one, range(len(configs))))
-    else:
-        done = [one(j) for j in range(len(configs))]
-    trajs = [traj for traj, _ in done]
-    rungs = [rung for _, rung in done]
+def _sweep(parameter, ladder, configs: list[SimConfig],
+           operators: list[Operators]) -> SweepResult:
+    """Step every rung together and check each one's uniform bounds."""
+    t0 = time.perf_counter()
+    try:
+        trajs = simulate_family(configs, operators)
+    except BlowUpError as exc:
+        raise BlowUpError(f"rung {exc.row} (value {ladder[exc.row]}) blew up: {exc}",
+                          trajectory=exc.trajectory, t=exc.t, row=exc.row) from exc
+    wall_clock_s = time.perf_counter() - t0
+    rungs = [RungResult(value=value, config=traj.config, records=traj.records,
+                        bound_checks=uniform_bound_report(traj), n_steps=traj.n_steps)
+             for value, traj in zip(ladder, trajs)]
     diffs = _successive_differences(trajs)
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     bounds_ok = all(c.satisfied is not False
                     for rung in rungs for c in rung.bound_checks)
     return SweepResult(parameter=parameter, ladder=ladder, rungs=rungs,
                        differences=diffs, decreasing=decreasing, bounds_ok=bounds_ok,
-                       dt=trajs[0].dt, stride=configs[0].integrator.stride)
+                       dt=trajs[0].dt, stride=configs[0].integrator.stride,
+                       wall_clock_s=wall_clock_s)
 
 
-def sweep_epsilon(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
+def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
     """Shrink the kernel truncation along a decreasing ladder at fixed delta.
 
     The step size is chosen for the smallest truncation (the stiffest rung)
@@ -183,17 +153,12 @@ def sweep_epsilon(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
                 integrator=replace(base.integrator, dt=dt))
         for eps in ladder
     ]
-
-    def operators(j):
-        if j == len(ladder) - 1:
-            return stiffest
-        return stiffest._replace(coupling=assemble_kernel_matrix(
-            stiffest.grid, TRUNCATED, base.physics.s, ladder[j]))
-
-    return _sweep("epsilon", ladder, configs, workers, operators)
+    operators = [stiffest._replace(coupling=assemble_kernel_matrix(
+        stiffest.grid, TRUNCATED, base.physics.s, eps)) for eps in ladder[:-1]]
+    return _sweep("epsilon", ladder, configs, operators + [stiffest])
 
 
-def sweep_delta(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
+def sweep_delta(base: SimConfig, ladder) -> SweepResult:
     """Shrink the dissipation strength with the singular coupling in force.
 
     The initial diameter must be below pi: that hypothesis backs the
@@ -222,7 +187,7 @@ def sweep_delta(base: SimConfig, ladder, workers: int = 1) -> SweepResult:
                 integrator=replace(base.integrator, dt=dt))
         for d in ladder
     ]
-    return _sweep("delta", ladder, configs, workers, lambda j: ops)
+    return _sweep("delta", ladder, configs, [ops] * len(ladder))
 
 
 @dataclass(frozen=True)
@@ -243,20 +208,9 @@ class RelaxationReport:
     table: list[dict]
 
     def report(self) -> dict:
-        return {
-            "initial_diameter": self.m,
-            "c_m": self.c_m,
-            "lambda_star": self.lambda_star,
-            "c_p_domain": self.c_p_domain,
-            "certified_rate": self.certified_rate,
-            "gamma_hat": self.gamma_hat,
-            "fit_residual": self.fit_residual,
-            "pointwise_ok": self.pointwise_ok,
-            "pointwise_margin": self.pointwise_margin,
-            "rate_ok": self.rate_ok,
-            "satisfied": self.satisfied,
-            "table": self.table,
-        }
+        report = asdict(self)
+        report["initial_diameter"] = report.pop("m")
+        return report
 
 
 def pointwise_relaxation(records, kappa: float, lam_star: float):
@@ -346,8 +300,7 @@ class RefinementReport:
     dt_halving: dict
 
     def report(self) -> dict:
-        return {"rows": self.rows, "coarse_diffs": self.coarse_diffs,
-                "dt_halving": self.dt_halving}
+        return asdict(self)
 
 
 def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
@@ -417,7 +370,6 @@ def run_invariant_suite(cfg: SimConfig):
     """
     cfg.validate()
     ops = build_operators(cfg)
-    _, coupling, dissipation = ops
     traj = simulate(cfg, ops)
     kappa, delta = cfg.physics.kappa, cfg.physics.delta
     model = cfg.physics.model
@@ -461,7 +413,7 @@ def run_invariant_suite(cfg: SimConfig):
                                    f"E(0) = {e0:.6g}, energy-identity residual "
                                    f"{energy_identity_residual(traj):.3e}"))
 
-        rows = uniform_bound_report(traj, coupling, dissipation, kappa, delta)
+        rows = uniform_bound_report(traj)
         bad = [c.name for c in rows if c.satisfied is False]
         checks.append(CheckOutcome("uniform-bounds", not bad,
                                    "all applicable rows hold" if not bad
@@ -492,7 +444,7 @@ def run_invariant_suite(cfg: SimConfig):
                      and 0.0 < m0 < math.pi)
     if relax_applies:
         rate, _, ok, _ = pointwise_relaxation(
-            traj.records, kappa, poincare_sharp_discrete(dissipation))
+            traj.records, kappa, poincare_sharp_discrete(ops.dissipation))
         checks.append(CheckOutcome("relaxation-pointwise", ok,
                                    f"certified rate {rate:.6g}"))
     else:

@@ -54,9 +54,9 @@ def step(values: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float,
          scheme: str = RK4, k1: np.ndarray | None = None) -> np.ndarray:
     """One explicit step of the autonomous system values' = rhs(values).
 
-    ``k1`` may supply a precomputed rhs(values) so drivers can reuse the rate
-    they already evaluated at the current state.  Raises BlowUpError if the
-    result is not finite.
+    ``values`` is one state or an (R, N) family; ``k1`` may supply a
+    precomputed rhs(values) to reuse.  Raises BlowUpError if the result is
+    not finite, with ``row`` the first non-finite member.
     """
     if dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {dt}")
@@ -73,7 +73,8 @@ def step(values: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float,
         else:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite state after step")
+        finite = np.isfinite(out).all(axis=-1)
+        raise BlowUpError("non-finite state after step", row=int(np.argmin(finite)))
     return out
 
 
@@ -106,23 +107,27 @@ class Trajectory:
         return snap.values + self.theta_bar + float(self.nu) * snap.t
 
 
-RecordFn = Callable[[np.ndarray, float, float], DiagnosticsRecord]
+RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
 
 
 def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], np.ndarray],
                    dt: float, n_steps: int, stride: int, scheme: str,
                    make_record: RecordFn):
-    """Drive the stepper over n_steps, recording every ``stride`` steps.
+    """Step an (R, N) family of states together, recording every ``stride`` steps.
 
-    Returns (times, snapshots, records).  On blow-up, raises BlowUpError
-    carrying the partial (times, snapshots, records, t_last_good) payload so
-    callers can persist what was computed.
+    ``make_record(values, t, dissipated)`` returns one record per member, and
+    each member's dissipation sums its own rate rows.  Returns (times,
+    snapshots, records), ``snapshots[j]`` and ``records[j]`` being member j's.
+    On blow-up, raises BlowUpError naming the member (``row``) and carrying
+    the partial (times, snapshots, records, t_last_good) payload.
     """
-    values = np.array(theta0, dtype=float)
+    # C order keeps each member's row contiguous, as a lone state is, so the
+    # reductions over a row are bitwise the same
+    values = np.array(theta0, dtype=float, order="C")
     times = [0.0]
-    snapshots = [PhaseField(values, 0.0, grid)]
-    diss = 0.0
-    records = [make_record(values, 0.0, diss)]
+    snapshots = [[PhaseField(v, 0.0, grid)] for v in values]
+    diss = [0.0] * len(values)
+    records = [[record] for record in make_record(values, 0.0, diss)]
     norm_w = grid.weight
 
     rate = rhs(values)
@@ -136,14 +141,15 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
             except BlowUpError as exc:
                 raise BlowUpError(
                     f"non-finite state at t = {t_next:.6g} (step {k + 1} of {n_steps})",
-                    trajectory=(times, snapshots, records, k * dt),
+                    trajectory=(times, snapshots, records, k * dt), row=exc.row,
                 ) from exc
             rate_next = rhs(values)
-            diss += 0.5 * dt * (norm_w * float(rate @ rate)
-                                + norm_w * float(rate_next @ rate_next))
+            for j, (r, r_next) in enumerate(zip(rate, rate_next)):
+                diss[j] += 0.5 * dt * (norm_w * float(r @ r) + norm_w * float(r_next @ r_next))
             rate = rate_next
             if (k + 1) % stride == 0 or k + 1 == n_steps:
                 times.append(t_next)
-                snapshots.append(PhaseField(values, t_next, grid))
-                records.append(make_record(values, t_next, diss))
+                for j, record in enumerate(make_record(values, t_next, diss)):
+                    snapshots[j].append(PhaseField(values[j], t_next, grid))
+                    records[j].append(record)
     return times, snapshots, records

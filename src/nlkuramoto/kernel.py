@@ -13,13 +13,14 @@ entry at each nonnegative offset) and the real spectrum of its even circulant
 embedding, twice as long on each axis; an apply zero-pads, multiplies in
 Fourier space with real transforms and truncates, in O(N log N) time and
 O(N) memory, and :func:`stacked_apply` applies one operator per row of a
-stack in one transform pair.  The dense matrix is built only on request.
+stack (or of a family of stacks) in one transform pair.  The dense matrix is
+built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -90,13 +91,18 @@ def _spectral_apply(grid: Grid, spectrum: np.ndarray, x) -> np.ndarray:
     return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
 
 
-def stacked_apply(operators) -> Callable[[np.ndarray], np.ndarray]:
+@lru_cache(maxsize=8)
+def stacked_apply(operators: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (operators[k] x[k])_k on a (k, N) stack by one transform pair, bitwise
-    equal to each operator's :meth:`apply`; the spectra are stacked here, once."""
-    grid = operators[0].grid
-    if not all(grids_match(op.grid, grid) for op in operators):
+    equal to each operator's :meth:`apply`; nested tuples match more leading axes.
+    Memoized on the (immutable) operators, so the read-only spectra stack once."""
+    layout = np.array(operators, dtype=object)
+    grid = layout.flat[0].grid
+    if not all(grids_match(op.grid, grid) for op in layout.flat):
         raise GridMismatchError("stacked operators live on different grids")
-    return partial(_spectral_apply, grid, np.array([op.spectrum for op in operators]))
+    spectra = np.array([op.spectrum for op in layout.flat])
+    spectra.setflags(write=False)
+    return partial(_spectral_apply, grid, spectra.reshape(layout.shape + spectra.shape[1:]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -148,7 +148,7 @@ def write_sweep_outputs(sweep, cfg: SimConfig) -> dict:
         write_diagnostics_csv(rung.records, rung_dir / "diagnostics.csv")
         write_manifest(build_manifest(rung.config, status="completed",
                                       n_steps=rung.n_steps, dt=sweep.dt,
-                                      wall_clock_s=rung.wall_clock_s),
+                                      wall_clock_s=sweep.wall_clock_s),
                        rung_dir / "manifest.json")
         paths[f"rung_{j}"] = rung_dir
     report_path = outdir / "sweep_report.json"

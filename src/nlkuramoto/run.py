@@ -2,16 +2,19 @@
 
 :func:`build_operators` builds a run's grid and kernel operators once;
 callers that need them again after the run pass that bundle to
-:func:`simulate`.  Continuum models always evolve in the zero-mean,
-zero-frequency gauge: the mean is subtracted from the initial field here, and
-the affine shift mean + nu * t is reapplied when physical fields are
-requested.  The lattice model is gauge-reduced too when its frequency is
-constant, and integrated as-is when per-node frequencies are supplied.
+:func:`simulate`.  :func:`simulate_family` steps several runs that differ
+only in epsilon or delta as one (R, N) system; a plain run is a family of
+one.  Continuum models always evolve in the zero-mean, zero-frequency gauge:
+the mean is subtracted from the initial field here, and the affine shift
+mean + nu * t is reapplied when physical fields are requested.  The lattice
+model is gauge-reduced too when its frequency is constant, and integrated
+as-is when per-node frequencies are supplied.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +82,7 @@ def _step_count(horizon: float, dt: float) -> int:
 
 
 def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
-    """Integrate the configured evolution over [0, horizon].
+    """Integrate the configured evolution over [0, horizon]: a family of one.
 
     ``ops`` is the config's operator bundle when the caller has already built
     it; a bundle built for another grid, ``s`` or ``eps`` raises
@@ -87,26 +90,42 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
     trajectory bitwise on one platform.  On numerical blow-up a BlowUpError is
     raised carrying the partial trajectory (status "blow-up") for persistence.
     """
-    cfg.validate()
-    if ops is None:
-        ops = build_operators(cfg)
-    else:
-        _check_operators(ops, cfg)
-    grid, coupling, dissipation = ops
+    return simulate_family([cfg], None if ops is None else [ops])[0]
+
+
+def simulate_family(configs: list[SimConfig],
+                    operators: list[Operators] | None = None) -> list[Trajectory]:
+    """Step configs that differ only in epsilon and delta as one (R, N) system.
+
+    ``operators`` holds their bundles if already built.  The members share the
+    grid, ``s``, the initial data, the record times and one step (the family's
+    smallest automatic one, if not configured); with a fixed step each
+    trajectory is bitwise the member's alone.  A BlowUpError carries the
+    partial trajectory of the member that went non-finite first (``row``).
+    """
+    cfg = configs[0]
+    for other in configs:
+        other.validate()
+        if replace(other, physics=replace(other.physics, epsilon=cfg.physics.epsilon,
+                                          delta=cfg.physics.delta)) != cfg:
+            raise ParameterError("a family's configs may differ only in epsilon and delta")
+    if operators is None:
+        operators = [build_operators(other) for other in configs]
+    for ops, other in zip(operators, configs, strict=True):
+        _check_operators(ops, other)
+    grid, coupling, dissipation = operators[0]
+    couplings = tuple(ops.coupling for ops in operators)
+    deltas = [other.physics.delta for other in configs]
 
     theta0 = initial_field(cfg.initial.kind, grid, diameter=cfg.initial.diameter,
                            seed=cfg.initial.seed, value=cfg.initial.value)
     nu = load_frequency(cfg, grid)
     kappa = cfg.physics.kappa
-    delta = cfg.physics.delta
     model = cfg.physics.model
 
     gauge = np.ndim(nu) == 0  # continuum configs always hit this branch
-    theta_bar = 0.0
-    work = theta0
-    if gauge:
-        theta_bar = mean_phase(theta0, grid)
-        work = theta0 - theta_bar
+    theta_bar = mean_phase(theta0, grid) if gauge else 0.0
+    work = theta0 - theta_bar
 
     policy = cfg.integrator
     dt = policy.dt
@@ -114,8 +133,9 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
         # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
         lattice = model == "lattice"
         kappa_dt = kappa / (grid.node_count * grid.weight) if lattice else kappa
-        dt = select_dt(coupling, dissipation, kappa_dt, 0.0 if lattice else delta,
-                       policy.safety, free_drift_horizon=policy.horizon)
+        dt = min(select_dt(c, dissipation, kappa_dt, 0.0 if lattice else delta,
+                           policy.safety, free_drift_horizon=policy.horizon)
+                 for c, delta in zip(couplings, deltas))
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
 
@@ -124,56 +144,53 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
 
         def rhs(values):
             return rhs_lattice(values, coupling, kappa, nu_term)
-    elif model == "regularized" or delta > 0.0:
+    elif model == "regularized" or max(deltas) > 0.0:
 
         def rhs(values):
-            return rhs_regularized(values, coupling, dissipation, kappa, delta)
+            return rhs_regularized(values, couplings, dissipation, kappa, deltas)
     else:
 
         def rhs(values):
             return rhs_singular(values, coupling, kappa)
 
-    m0 = diameter(theta0)
-    bounded_diameter = m0 < math.pi
-    record_apply = stacked_apply((coupling,) * 4 + (dissipation,))
+    bounded_diameter = diameter(theta0) < math.pi
+    record_apply = stacked_apply(tuple((c,) * 4 + (dissipation,) for c in couplings))
 
-    def make_record(values, t, dissipated) -> DiagnosticsRecord:
-        # one transform pair for e_pot, sin^2 and the singular seminorm, by the public formulas
-        shifted = values - values.flat[0]
-        fields = np.concatenate([_cosine_fields(values, coupling, 1.0),
-                                 _cosine_fields(values, coupling, 2.0), shifted[None]])
+    def make_record(values, t, dissipated) -> list[DiagnosticsRecord]:
+        # one transform pair for every member's e_pot, sin^2 and singular
+        # seminorm, by the public formulas
+        shifted = values - values[:, :1]
+        fields = np.stack([
+            np.concatenate([_cosine_fields(v, c, 1.0), _cosine_fields(v, c, 2.0), u[None]])
+            for v, c, u in zip(values, couplings, shifted)])
         applied = record_apply(fields)
-        e_pot = _cosine_double_sum(fields[:2], applied[:2], coupling, 0.5 * kappa)
-        sin2 = _cosine_double_sum(fields[2:4], applied[2:4], coupling, 0.5)
-        seminorm = 2.0 * _form_value(shifted, shifted, applied[4], dissipation)
-        dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else float("nan")
-        return DiagnosticsRecord(
-            t=t,
-            mean=mean_phase(values, grid),
-            diameter=diameter(values),
-            e_pot=e_pot,
-            e_kin=_kinetic_from_seminorm(seminorm, delta),
-            seminorm_sq=seminorm,
-            dist_sq=dist_sq_to_mean(values, grid),
-            dissipation_cum=dissipated,
-            dual_bound=dual,
-            sin2_seminorm=sin2,
-        )
+        records = []
+        for v, u, c, delta, f, a, diss in zip(values, shifted, couplings, deltas, fields,
+                                              applied, dissipated):
+            e_pot = _cosine_double_sum(f[:2], a[:2], c, 0.5 * kappa)
+            sin2 = _cosine_double_sum(f[2:4], a[2:4], c, 0.5)
+            seminorm = 2.0 * _form_value(u, u, a[4], dissipation)
+            dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else math.nan
+            records.append(DiagnosticsRecord(
+                t=t, mean=mean_phase(v, grid), diameter=diameter(v), e_pot=e_pot,
+                e_kin=_kinetic_from_seminorm(seminorm, delta), seminorm_sq=seminorm,
+                dist_sq=dist_sq_to_mean(v, grid), dissipation_cum=diss, dual_bound=dual,
+                sin2_seminorm=sin2))
+        return records
+
+    def trajectory(j, times, snapshots, records, status) -> Trajectory:
+        return Trajectory(
+            config=configs[j], grid=grid, times=list(times), snapshots=snapshots,
+            records=records, theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
+            n_steps=n_steps, status=status)
 
     try:
         times, snapshots, records = integrate_flow(
-            work, grid, rhs, dt, n_steps, policy.stride, policy.scheme, make_record)
+            np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
+            policy.stride, policy.scheme, make_record)
     except BlowUpError as exc:
-        part_times, part_snaps, part_records, t_last = exc.trajectory
-        partial = Trajectory(
-            config=cfg, grid=grid, times=part_times, snapshots=part_snaps,
-            records=part_records, theta_bar=theta_bar, nu=nu, gauge_reduced=gauge,
-            dt=dt, n_steps=n_steps, status="blow-up",
-        )
-        raise BlowUpError(str(exc), trajectory=partial, t=t_last) from exc
-
-    return Trajectory(
-        config=cfg, grid=grid, times=times, snapshots=snapshots, records=records,
-        theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt, n_steps=n_steps,
-        status="completed",
-    )
+        times, snapshots, records, t_last = exc.trajectory
+        partial = trajectory(exc.row, times, snapshots[exc.row], records[exc.row], "blow-up")
+        raise BlowUpError(str(exc), trajectory=partial, t=t_last, row=exc.row) from exc
+    return [trajectory(j, times, snaps, recs, "completed")
+            for j, (snaps, recs) in enumerate(zip(snapshots, records))]

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlkuramoto import (build_grid, build_operators, energy_identity_residual,
+from nlkuramoto import (build_grid, energy_identity_residual,
                         k_eps_analytic_bound, k_eps_star_analytic_bound,
                         lipschitz_bounds, poincare_domain_constant,
                         poincare_sharp_discrete, relaxation_experiment, rhs_lattice,
@@ -151,9 +151,7 @@ def test_criterion_5_uniform_bounds(battery, energy_runs):
     applicable = 0
     violated = []
     for cfg, traj in pool:
-        _, coupling, dissipation = build_operators(cfg)
-        for row in uniform_bound_report(traj, coupling, dissipation,
-                                        cfg.physics.kappa, cfg.physics.delta):
+        for row in uniform_bound_report(traj):
             if row.satisfied is None:
                 continue
             applicable += 1

@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import nlkuramoto.experiments as experiments
+from nlkuramoto import select_dt
 from nlkuramoto.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -88,6 +90,20 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert manifest["termination"] == "blow-up"
 
 
+def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys, monkeypatch):
+    # a step 12x past the stable size destabilizes the damping of delta = 0.4 only
+    monkeypatch.setattr(experiments, "select_dt", lambda *a, **k: 12.0 * select_dt(*a, **k))
+    cfg = write_cfg(tmp_path, BASE)
+    code = main(["sweep-delta", str(cfg), "--ladder", "0.4,0.1", "--kappa", "0.05",
+                 "--kind", "random", "--seed", "3", "--horizon", "60", "--stride", "10"])
+    assert code == 3
+    assert "rung 0 (value 0.4) blew up" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run_out" / "manifest.json").read_text())
+    assert manifest["termination"] == "blow-up"
+    assert manifest["config"]["physics"]["delta"] == 0.4
+    assert len((tmp_path / "run_out" / "diagnostics.csv").read_text().splitlines()) > 2
+
+
 def test_verify_passes_and_is_bitwise_deterministic(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out_a = tmp_path / "va"
@@ -170,7 +186,7 @@ def test_sweep_rung_manifests_record_wall_clock(tmp_path, capsys):
 
 def test_sweep_delta_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
-    code = main(["sweep-delta", str(cfg), "--ladder", "0.4 0.2 0.1", "--workers", "2"])
+    code = main(["sweep-delta", str(cfg), "--ladder", "0.4 0.2 0.1"])
     assert code == 0
     report = json.loads((tmp_path / "run_out" / "sweep_report.json").read_text())
     assert report["parameter"] == "delta"

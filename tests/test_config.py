@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nlkuramoto import (ConfigurationError, SimConfig, apply_overrides, parse_config,
                         parse_config_text)
 from nlkuramoto.cli import _OVERRIDE_FLAGS
+from nlkuramoto.cli import main as cli_main
 from nlkuramoto.config import collect_raw
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -271,6 +272,38 @@ def test_malformed_value_names_the_expected_type(section, key, raw, expected):
     with pytest.raises(ConfigurationError) as err:
         parse_config_text(f"[{section}]\n{key} = {raw}\n")
     assert err.value.problems == [f"{section}.{key}: expected {expected}, got {raw!r}"]
+
+
+_FLOAT_KEYS = [("physics", "s"), ("physics", "kappa"), ("physics", "delta"),
+               ("physics", "epsilon"), ("physics", "nu"), ("initial", "diameter"),
+               ("initial", "value"), ("integrator", "dt"), ("integrator", "safety"),
+               ("integrator", "horizon")]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS)
+def test_non_finite_numbers_are_refused(section, key, raw):
+    # NaN passes every range comparison, and inf passes the one-sided ones
+    message = f"{section}.{key}: must be finite, got {float(raw)}"
+    with pytest.raises(ConfigurationError) as err:
+        apply_overrides(SimConfig(), {(section, key): raw})
+    assert message in err.value.problems
+    part = getattr(SimConfig(), section)
+    cfg = replace(SimConfig(), **{section: replace(part, **{key: float(raw)})})
+    assert message in cfg.problems()
+
+
+def test_every_non_finite_number_is_listed_at_once(tmp_path, capsys):
+    with pytest.raises(ConfigurationError) as err:
+        apply_overrides(SimConfig(), {key: "nan" for key in _FLOAT_KEYS})
+    for section, key in _FLOAT_KEYS:
+        assert f"{section}.{key}: must be finite, got nan" in err.value.problems
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL)
+    assert cli_main(["simulate", str(cfg), "--kappa", "nan", "--horizon", "inf"]) == 2
+    stderr = capsys.readouterr().err
+    assert "physics.kappa: must be finite" in stderr
+    assert "integrator.horizon: must be finite" in stderr
 
 
 def test_override_flags_target_table_keys():

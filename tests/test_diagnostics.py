@@ -144,9 +144,7 @@ def test_uniform_bound_report_rows():
     cfg = make_config(n=32, model="regularized", epsilon=0.1, delta=0.2, kind="random",
                       seed=5, diameter=2.0, horizon=0.5, stride=4)
     traj = simulate(cfg)
-    from nlkuramoto import build_operators
-    _, coupling, dissipation = build_operators(cfg)
-    rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, 0.2)}
+    rows = {c.name: c for c in uniform_bound_report(traj)}
     assert rows["seminorm-dissipation-bound"].satisfied is True
     assert rows["seminorm-sinc-bound"].satisfied is None  # truncated coupling
     assert "singular" in rows["seminorm-sinc-bound"].reason
@@ -158,18 +156,14 @@ def test_uniform_bound_report_singular_model():
     cfg = make_config(n=32, model="singular", delta=0.05, kind="smooth",
                       diameter=math.pi / 2, horizon=0.5, stride=4)
     traj = simulate(cfg)
-    from nlkuramoto import build_operators
-    _, coupling, dissipation = build_operators(cfg)
-    rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, 0.05)}
+    rows = {c.name: c for c in uniform_bound_report(traj)}
     assert all(c.satisfied for c in rows.values())
 
 
 def test_uniform_bound_report_constant_field_trivial():
     cfg = make_config(n=16, kind="constant", value=0.2, horizon=0.2)
     traj = simulate(cfg)
-    from nlkuramoto import build_operators
-    _, coupling, dissipation = build_operators(cfg)
-    rows = uniform_bound_report(traj, coupling, dissipation, 1.0, 0.0)
+    rows = uniform_bound_report(traj)
     for row in rows:
         if row.satisfied is not None:
             assert row.lhs <= 1e-12
@@ -200,21 +194,18 @@ def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa,
         assert rec.seminorm_sq == seminorm_sq(snap.values, dissipation)
         assert rec.dual_bound == dual_bound_value(snap.values, coupling, dissipation,
                                                   kappa, delta, m0)
-    rows = {c.name: c for c in uniform_bound_report(traj, coupling, dissipation, 1.0, delta)}
+    rows = {c.name: c for c in uniform_bound_report(traj)}
     expect = max(sin2_seminorm(snap.values, coupling) for snap in traj.snapshots)
-    assert rows["sin2-seminorm-bound"].lhs == expect
+    assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
 
 
 def test_missing_sin2_value_fails_its_bound_row():
     cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.05)
     traj = simulate(cfg)
-    from nlkuramoto import build_operators
-    _, coupling, dissipation = build_operators(cfg)
     for k in (0, len(traj.records) - 1):
         records = list(traj.records)
         records[k] = replace(records[k], sin2_seminorm=math.nan)
-        rows = {c.name: c for c in uniform_bound_report(replace(traj, records=records),
-                                                        coupling, dissipation, 1.0, 0.2)}
+        rows = {c.name: c for c in uniform_bound_report(replace(traj, records=records))}
         assert rows["sin2-seminorm-bound"].satisfied is False
 
 

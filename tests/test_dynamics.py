@@ -144,6 +144,20 @@ def test_rhs_lattice_couples_through_the_raw_kernel():
         rhs_lattice(np.zeros(24), oracles.DenseOperator(raw), kappa=1.0, nu=0.0)
 
 
+def test_rates_of_a_family_are_its_members_rates(grid16, singular16):
+    # one row per member, each with its own coupling and delta, bitwise
+    truncs = [assemble_kernel_matrix(grid16, "truncated", 0.5, eps) for eps in (0.2, 0.1, 0.05)]
+    family = np.stack([random_field(grid16, 1.0, seed=k) for k in range(3)])
+    deltas = [0.3, 0.2, 0.1]
+    rates = rhs_regularized(family, truncs, singular16, 0.7, deltas)
+    for row, coupling, delta, rate in zip(family, truncs, deltas, rates, strict=True):
+        assert rate.tobytes() == rhs_regularized(row, coupling, singular16, 0.7, delta).tobytes()
+    for rate, row in zip(rhs_singular(family, singular16, 0.7), family, strict=True):
+        assert rate.tobytes() == rhs_singular(row, singular16, 0.7).tobytes()
+    for rate, row in zip(rhs_lattice(family, singular16, 0.7, 0.2), family, strict=True):
+        assert rate.tobytes() == rhs_lattice(row, singular16, 0.7, 0.2).tobytes()
+
+
 def test_bilinear_form_constant_argument(grid16, singular16):
     u = random_field(grid16, 1.0, seed=2)
     value = bilinear_form(u, np.full(16, 3.0), singular16)

@@ -1,14 +1,15 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
-from nlkuramoto import (ConfigurationError, ParameterError, assemble_kernel_matrix,
-                        build_operators, initial_field, refinement_study,
-                        relaxation_experiment, restrict_to_coarse, run_invariant_suite,
-                        select_dt, sweep_delta, sweep_epsilon)
+from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
+                        assemble_kernel_matrix, build_operators, initial_field,
+                        refinement_study, relaxation_experiment, restrict_to_coarse,
+                        run_invariant_suite, select_dt, simulate, sweep_delta, sweep_epsilon)
 
 import oracles
 from conftest import make_config
@@ -113,18 +114,56 @@ def test_sweep_epsilon_decreasing_on_smooth_data():
     assert sweep.bounds_ok
 
 
-def test_sweep_epsilon_workers_deterministic():
-    base = eps_base(n=32, kind="two_cluster", diameter=2.0)
-    serial = sweep_epsilon(base, [0.2, 0.1, 0.05])
-    threaded = sweep_epsilon(base, [0.2, 0.1, 0.05], workers=3)
-    assert serial.differences == threaded.differences
-
-
 def delta_base(**kw):
     defaults = dict(n=24, model="singular", kind="smooth", diameter=1.0,
                     horizon=0.3, stride=6)
     defaults.update(kw)
     return make_config(**defaults)
+
+
+def _bits(records):
+    # every field, sin2_seminorm included, as raw bytes
+    return np.array([astuple(r) for r in records]).tobytes()
+
+
+@pytest.mark.parametrize("parameter,dim,n", [("epsilon", 1, 24), ("epsilon", 2, 8),
+                                             ("delta", 1, 24), ("delta", 2, 8)])
+def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
+    # the rungs step together, yet each one's records and snapshots are
+    # bitwise those of the rung simulated alone with its own operators
+    families = []
+
+    def recording(configs, operators):
+        families.append(run.simulate_family(configs, operators))
+        return families[-1]
+
+    monkeypatch.setattr(experiments, "simulate_family", recording)
+    data = dict(dim=dim, n=n, extents=[(0.0, 1.0)] * dim, kind="random", seed=4, diameter=2.0)
+    if parameter == "epsilon":
+        sweep = sweep_epsilon(eps_base(**data), [0.2, 0.1, 0.05])
+    else:
+        sweep = sweep_delta(delta_base(**data), [0.4, 0.2, 0.1])
+    (trajs,) = families
+    for rung, traj in zip(sweep.rungs, trajs, strict=True):
+        alone = simulate(rung.config, build_operators(rung.config))
+        assert traj.times == alone.times and len(alone.records) > 2
+        assert _bits(rung.records) == _bits(traj.records) == _bits(alone.records)
+        for a, b in zip(traj.snapshots, alone.snapshots, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_sweep_blow_up_names_the_unstable_rung(monkeypatch):
+    # a step 12x past the stable size destabilizes, at kappa = 0.05, the
+    # damping of delta = 0.4 (the stiffest rung) but not of 0.1
+    monkeypatch.setattr(experiments, "select_dt", lambda *a, **k: 12.0 * select_dt(*a, **k))
+    base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10)
+    with pytest.raises(BlowUpError) as err:
+        sweep_delta(base, [0.4, 0.1])
+    assert str(err.value).startswith("rung 0 (value 0.4) blew up: non-finite state at t = ")
+    partial = err.value.trajectory
+    assert partial.status == "blow-up" and partial.config.physics.delta == 0.4
+    assert 1 < len(partial.records) == len(partial.snapshots) < partial.n_steps // 10
+    assert partial.times[-1] <= err.value.t < 60.0
 
 
 def test_sweep_delta_constant_data():

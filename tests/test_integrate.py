@@ -5,6 +5,7 @@ import pytest
 
 from nlkuramoto import (BlowUpError, ParameterError, assemble_kernel_matrix, build_grid,
                         build_operators, mean_phase, select_dt, simulate, step)
+from nlkuramoto.integrate import integrate_flow
 
 import oracles
 from conftest import make_config
@@ -295,3 +296,17 @@ def test_simulate_blow_up_keeps_partial_trajectory():
     assert 1 <= len(partial.records) < 61
     assert all(b > a for a, b in zip(partial.times, partial.times[1:]))
     assert err.value.t is not None and 0.0 <= err.value.t < 30.0
+
+
+@pytest.mark.parametrize("growth,row", [((0.0, 1e300, 1e300), 1), ((0.0, 10.0, 1e300), 2)])
+def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, row):
+    # the earliest step decides, then the lowest index: row 1 overflows at the
+    # first step only in the tie
+    rates = np.array(growth)[:, None]
+    with pytest.raises(BlowUpError) as err:
+        integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
+                       lambda values, t, dissipated: [t] * len(values))
+    assert err.value.row == row
+    times, snapshots, records, t_last = err.value.trajectory
+    assert times == [0.0] and t_last == 0.0
+    assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]

@@ -146,6 +146,17 @@ def test_stacked_apply_is_each_operator_apply_bitwise(shape, s, eps, lengths, pi
         assert np.array_equal(out, op.apply(row))
 
 
+def test_stacked_apply_takes_one_row_of_operators_per_member(grid16, singular16):
+    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
+    layout = ((singular16, trunc), (trunc, trunc), (trunc, singular16))
+    x = np.random.default_rng(3).standard_normal((3, 2, 16))
+    got = stacked_apply(layout)(x)
+    assert got.shape == x.shape
+    for ops, rows, outs in zip(layout, x, got):
+        for op, row, out in zip(ops, rows, outs):
+            assert np.array_equal(out, op.apply(row))
+
+
 def test_stacked_apply_needs_one_grid(grid16, singular16):
     other = assemble_kernel_matrix(build_grid(1, 16, [(0.0, 2.0)]), "singular", 0.5)
     with pytest.raises(GridMismatchError):
