@@ -102,7 +102,11 @@ def cmd_simulate(args) -> int:
     traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
     last = traj.records[-1]
-    print(f"completed {traj.n_steps} steps (dt = {traj.dt:.6g}) to t = {last.t:.6g}")
+    if cfg.integrator.adaptive:
+        steps = f"{traj.n_steps} adaptive steps ({traj.counters.rejected_steps} rejected)"
+    else:
+        steps = f"{traj.n_steps} steps (dt = {traj.dt:.6g})"
+    print(f"completed {steps} to t = {last.t:.6g}")
     print(f"final diameter = {last.diameter:.6g}, dist_sq = {last.dist_sq:.6g}")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .integrate import RK4, SCHEMES
+from .integrate import RK4, RKC, SCHEMES
 from .initial import KINDS
 
 MODELS = ("lattice", "regularized", "singular")
@@ -59,8 +59,9 @@ class IntegratorPolicy:
     """Time-integration policy: scheme, step-size mode, horizon, stride.
 
     ``dt`` is None for automatic selection (scaled by ``safety``) or a fixed
-    positive value; ``stride`` is the number of steps between diagnostics
-    records.
+    positive value; ``stride`` is the number of steps of that size between
+    diagnostics records.  rkc with an automatic ``dt`` steps adaptively and
+    lands on the same record times.
     """
 
     scheme: str = RK4
@@ -68,6 +69,10 @@ class IntegratorPolicy:
     safety: float = 0.5
     horizon: float = 1.0
     stride: int = 1
+
+    @property
+    def adaptive(self) -> bool:
+        return self.scheme == RKC and self.dt is None
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,9 @@ def _validate(cfg: SimConfig) -> list[str]:
         problems.append(f"grid.dimension: must be 1 or 2, got {g.dimension}")
     if g.nodes < 2:
         problems.append(f"grid.nodes: must be at least 2, got {g.nodes}")
+    if g.dimension in (1, 2) and len(g.extents) != g.dimension:
+        problems.append(f"grid.extents: dimension {g.dimension} needs {g.dimension} "
+                        f"interval{'s' if g.dimension > 1 else ''}, got {len(g.extents)}")
     for k, (a, b) in enumerate(g.extents):
         if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
             problems.append(f"grid.extent{'' if k == 0 else k + 1}: degenerate interval ({a}, {b})")

@@ -24,7 +24,7 @@ from .diagnostics import (BoundCheck, energy_identity_residual, fit_decay_rate, 
                           uniform_bound_report)
 from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
-from .integrate import Trajectory, select_dt
+from .integrate import StepCounters, Trajectory, select_dt
 from .kernel import TRUNCATED, assemble_kernel_matrix
 from .run import Operators, build_operators, simulate, simulate_family
 
@@ -55,6 +55,7 @@ class SweepResult:
     dt: float
     stride: int
     wall_clock_s: float  # the rungs' batched simulation
+    counters: StepCounters  # of the batched simulation, which every rung shares
 
     def report(self) -> dict:
         return {
@@ -121,7 +122,7 @@ def _sweep(parameter, ladder, configs: list[SimConfig],
     return SweepResult(parameter=parameter, ladder=ladder, rungs=rungs,
                        differences=diffs, decreasing=decreasing, bounds_ok=bounds_ok,
                        dt=trajs[0].dt, stride=configs[0].integrator.stride,
-                       wall_clock_s=wall_clock_s)
+                       wall_clock_s=wall_clock_s, counters=trajs[0].counters)
 
 
 def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
@@ -308,8 +309,9 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
 
     Reports the energy-identity residual per rung, final-state differences
     between consecutive rungs restricted to the coarsest grid, and one
-    step-halving row on the coarsest rung (fourth-order stepping with a
+    step-halving row on the coarsest rung (rk4 or rkc stepping with a
     second-order dissipation quadrature: the residual must drop at least 4x).
+    An adaptive rkc run takes that row in fixed steps of its base dt.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
@@ -333,7 +335,11 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
         finals.append(traj.snapshots[-1].values.copy())
         if n == n0:
-            # step-halving row on the coarsest rung, with that rung's operators
+            # step-halving row on the coarsest rung, with that rung's operators;
+            # an adaptive run halves the fixed step of its base dt instead
+            if cfg.integrator.adaptive:
+                fixed = replace(cfg, integrator=replace(cfg.integrator, dt=traj.dt))
+                residual = energy_identity_residual(simulate(fixed, ops))
             cfg_half = replace(cfg, integrator=replace(cfg.integrator, dt=traj.dt / 2.0))
             res_half = energy_identity_residual(simulate(cfg_half, ops))
             dt_halving = {"n": n0, "dt": traj.dt, "residual": residual,
@@ -425,8 +431,7 @@ def run_invariant_suite(cfg: SimConfig):
                                    "lattice coupling uses its own normalization"))
 
     if kappa == 0.0 and continuum:
-        steps_between = [max(1, round((b.t - a.t) / traj.dt))
-                         for a, b in _pairwise(traj.records)]
+        steps_between = traj.step_counts
         l2 = [math.sqrt(r.dist_sq) for r in traj.records]
         linf = [float(np.abs(s.values).max()) for s in traj.snapshots]
         ok = all(b <= a + CONTRACTION_STEP_TOL * m

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .config import SimConfig
 from .diagnostics import DiagnosticsRecord
+from .integrate import StepCounters
 
 CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
                "dist_sq", "dissipation_cum", "dual_bound")
@@ -86,7 +87,8 @@ def platform_fingerprint() -> dict:
 
 
 def build_manifest(cfg: SimConfig, *, status: str, n_steps: int = 0, dt: float = 0.0,
-                   wall_clock_s: float = 0.0, notes: str = "") -> dict:
+                   wall_clock_s: float = 0.0, notes: str = "",
+                   counters: StepCounters | None = None) -> dict:
     manifest = {
         "config": asdict(cfg),
         "config_hash": cfg.content_hash(),
@@ -96,6 +98,7 @@ def build_manifest(cfg: SimConfig, *, status: str, n_steps: int = 0, dt: float =
         "n_steps": n_steps,
         "dt": dt,
         "wall_clock_s": wall_clock_s,
+        "counters": asdict(counters or StepCounters()),
     }
     if notes:
         manifest["notes"] = notes
@@ -130,7 +133,8 @@ def write_run_outputs(traj, wall_clock_s: float = 0.0, notes: str = "") -> dict:
         paths["snapshots"] = outdir
     if "manifest" in formats:
         manifest = build_manifest(cfg, status=traj.status, n_steps=traj.n_steps,
-                                  dt=traj.dt, wall_clock_s=wall_clock_s, notes=notes)
+                                  dt=traj.dt, wall_clock_s=wall_clock_s, notes=notes,
+                                  counters=traj.counters)
         man_path = outdir / "manifest.json"
         write_manifest(manifest, man_path)
         paths["manifest"] = man_path
@@ -148,7 +152,8 @@ def write_sweep_outputs(sweep, cfg: SimConfig) -> dict:
         write_diagnostics_csv(rung.records, rung_dir / "diagnostics.csv")
         write_manifest(build_manifest(rung.config, status="completed",
                                       n_steps=rung.n_steps, dt=sweep.dt,
-                                      wall_clock_s=sweep.wall_clock_s),
+                                      wall_clock_s=sweep.wall_clock_s,
+                                      counters=sweep.counters),
                        rung_dir / "manifest.json")
         paths[f"rung_{j}"] = rung_dir
     report_path = outdir / "sweep_report.json"

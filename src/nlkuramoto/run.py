@@ -26,7 +26,7 @@ from .dynamics import _form_value, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
-from .integrate import Trajectory, integrate_flow, select_dt
+from .integrate import Trajectory, auto_step, integrate_flow, stiffness_bound
 from .kernel import SINGULAR, TRUNCATED, KernelOperator, assemble_kernel_matrix, stacked_apply
 
 
@@ -99,9 +99,12 @@ def simulate_family(configs: list[SimConfig],
 
     ``operators`` holds their bundles if already built.  The members share the
     grid, ``s``, the initial data, the record times and one step (the family's
-    smallest automatic one, if not configured); with a fixed step each
-    trajectory is bitwise the member's alone.  A BlowUpError carries the
-    partial trajectory of the member that went non-finite first (``row``).
+    smallest automatic one, if not configured; adaptive rkc steps follow the
+    worst member's error, and rkc's stages the largest stiffness bound); with
+    a fixed step each trajectory is bitwise the member's alone (for rkc, when
+    the members' step needs as many stages alone, as a sweep's does).  A
+    BlowUpError carries the partial trajectory of the member that went
+    non-finite first (``row``).
     """
     cfg = configs[0]
     for other in configs:
@@ -128,14 +131,15 @@ def simulate_family(configs: list[SimConfig],
     work = theta0 - theta_bar
 
     policy = cfg.integrator
+    # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
+    lattice = model == "lattice"
+    kappa_rate = kappa / (grid.node_count * grid.weight) if lattice else kappa
+    bounds = [stiffness_bound(c, dissipation, kappa_rate, 0.0 if lattice else delta)
+              for c, delta in zip(couplings, deltas)]
     dt = policy.dt
     if dt is None:
-        # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
-        lattice = model == "lattice"
-        kappa_dt = kappa / (grid.node_count * grid.weight) if lattice else kappa
-        dt = min(select_dt(c, dissipation, kappa_dt, 0.0 if lattice else delta,
-                           policy.safety, free_drift_horizon=policy.horizon)
-                 for c, delta in zip(couplings, deltas))
+        dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
+                 for bound in bounds)
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
 
@@ -178,19 +182,19 @@ def simulate_family(configs: list[SimConfig],
                 sin2_seminorm=sin2))
         return records
 
-    def trajectory(j, times, snapshots, records, status) -> Trajectory:
+    def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
-            config=configs[j], grid=grid, times=list(times), snapshots=snapshots,
-            records=records, theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
-            n_steps=n_steps, status=status)
+            config=configs[j], grid=grid, times=list(flow.times), snapshots=flow.snapshots[j],
+            records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
+            n_steps=flow.counters.steps if policy.adaptive else n_steps,
+            step_counts=list(flow.step_counts), counters=flow.counters, status=status)
 
     try:
-        times, snapshots, records = integrate_flow(
+        flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
-            policy.stride, policy.scheme, make_record)
+            policy.stride, policy.scheme, make_record, stiffness=max(bounds),
+            adaptive=policy.adaptive)
     except BlowUpError as exc:
-        times, snapshots, records, t_last = exc.trajectory
-        partial = trajectory(exc.row, times, snapshots[exc.row], records[exc.row], "blow-up")
-        raise BlowUpError(str(exc), trajectory=partial, t=t_last, row=exc.row) from exc
-    return [trajectory(j, times, snaps, recs, "completed")
-            for j, (snaps, recs) in enumerate(zip(snapshots, records))]
+        partial = trajectory(exc.row, exc.trajectory, "blow-up")
+        raise BlowUpError(str(exc), trajectory=partial, t=exc.t, row=exc.row) from exc
+    return [trajectory(j, flow, "completed") for j in range(len(configs))]

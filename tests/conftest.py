@@ -21,12 +21,13 @@ from nlkuramoto import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfi
                         PhysicsConfig, SimConfig, assemble_kernel_matrix, build_grid)
 
 
-def make_config(*, dim=1, n=64, extents=((0.0, 1.0),), model="singular", s=0.5,
+def make_config(*, dim=1, n=64, extents=None, model="singular", s=0.5,
                 kappa=1.0, delta=0.0, epsilon=None, nu=0.0, nu_file=None,
                 kind="smooth", diameter=1.0, seed=None, value=0.0,
                 allow_large_diameter=False, scheme="rk4", dt=None, safety=0.5,
                 horizon=1.0, stride=1, directory="out",
                 formats=("csv", "manifest")) -> SimConfig:
+    extents = ((0.0, 1.0),) * dim if extents is None else extents  # one per axis
     return SimConfig(
         grid=GridConfig(dimension=dim, nodes=n, extents=tuple(tuple(e) for e in extents)),
         physics=PhysicsConfig(model=model, s=s, kappa=kappa, delta=delta,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (ConfigurationError, SimConfig, apply_overrides, parse_config,
-                        parse_config_text)
+from nlkuramoto import (ConfigurationError, GridConfig, PhysicsConfig, SimConfig,
+                        apply_overrides, parse_config, parse_config_text, simulate)
 from nlkuramoto.cli import _OVERRIDE_FLAGS
 from nlkuramoto.cli import main as cli_main
 from nlkuramoto.config import collect_raw
@@ -251,7 +251,7 @@ def test_content_hashes_are_stable():
     assert parse_config(CONFIGS / "regularized_sweep_base.cfg").content_hash() == (
         "34763e6fe7c4572d4534de1ef90cb9f92e543a4f48f3f4a467bc988f160da26b")
     assert parse_config(CONFIGS / "relaxation_quarter_circle.cfg").content_hash() == (
-        "a2e6160c5f742d4802c8a6ce0f1e376fa7a5bdf4b1f4d23d5b26c23a413b2d64")
+        "23a5d613ed0181488826eca3079b39e1ef7f1e24b436488c60a6fbb75d5fe8b0")
     # nu_file is valid only for the lattice model and epsilon only for the
     # regularized one, so the 23rd key is set after parsing; hashing does not
     # validate.
@@ -361,3 +361,25 @@ def test_overridden_config_reparses_from_its_canonical_text(data):
     assert cfg.output.directory == directory.strip()
     assert parse_config_text(cfg.canonical_text()) == cfg
     assert apply_overrides(cfg, {}) == cfg
+
+
+def test_the_text_path_gives_one_extent_per_dimension():
+    # a second axis defaults to the first, and a 1d grid refuses extent2
+    square = parse_config_text("[grid]\ndimension = 2\nextent = 0 2\n")
+    assert square.grid.extents == ((0.0, 2.0), (0.0, 2.0))
+    assert apply_overrides(SimConfig(), {("grid", "dimension"): "2"}).grid.extents == (
+        (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("[grid]\nextent2 = 0 1\n")
+    assert err.value.problems == ["grid.extent2: a second axis needs grid.dimension = 2"]
+
+
+def test_a_dataclass_grid_needs_one_extent_per_dimension():
+    # listed with the other problems, before content_hash() could fail on it
+    cfg = SimConfig(grid=GridConfig(dimension=2, nodes=4), physics=PhysicsConfig(kappa=-1.0))
+    assert cfg.problems() == ["grid.extents: dimension 2 needs 2 intervals, got 1",
+                              "physics.kappa: must be nonnegative, got -1.0"]
+    flat = SimConfig(grid=GridConfig(extents=((0.0, 1.0), (0.0, 1.0))))
+    assert flat.problems() == ["grid.extents: dimension 1 needs 1 interval, got 2"]
+    with pytest.raises(ConfigurationError):
+        simulate(cfg)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ import pytest
 import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
-                        assemble_kernel_matrix, build_operators, initial_field,
-                        refinement_study, relaxation_experiment, restrict_to_coarse,
-                        run_invariant_suite, select_dt, simulate, sweep_delta, sweep_epsilon)
+                        assemble_kernel_matrix, build_operators, energy_identity_residual,
+                        initial_field, refinement_study, relaxation_experiment,
+                        restrict_to_coarse, run_invariant_suite, select_dt, simulate,
+                        sweep_delta, sweep_epsilon)
 
 import oracles
 from conftest import make_config
@@ -321,6 +322,18 @@ def test_refinement_smooth_profile():
     assert report.dt_halving["ratio"] >= 4.0
 
 
+def test_refinement_halves_the_fixed_base_step_of_an_adaptive_rkc_run():
+    base = make_config(n=8, model="regularized", epsilon=0.2, delta=0.1, kind="smooth",
+                       diameter=1.0, horizon=0.3, stride=4, scheme="rkc")
+    report = refinement_study(base, [8, 16])
+    fixed = replace(base, integrator=replace(base.integrator, dt=report.rows[0]["dt"]))
+    half = replace(fixed, integrator=replace(fixed.integrator, dt=report.rows[0]["dt"] / 2))
+    row = report.dt_halving
+    assert row["residual"] == energy_identity_residual(simulate(fixed))
+    assert row["residual_half"] == energy_identity_residual(simulate(half))
+    assert row["ratio"] >= 4.0
+
+
 def test_refinement_ladder_validation():
     base = make_config(n=8)
     with pytest.raises(ConfigurationError):
@@ -355,6 +368,16 @@ def test_invariant_suite_semigroup_run():
     by_name = {c.name: c for c in checks}
     assert by_name["semigroup-contraction"].passed is True
     assert by_name["relaxation-pointwise"].passed is None
+
+
+def test_invariant_suite_semigroup_run_under_adaptive_rkc():
+    # the per-step slack of the contraction check counts each record
+    # interval's adaptive steps
+    cfg = make_config(n=32, model="singular", kappa=0.0, delta=0.3, kind="random",
+                      seed=12, diameter=2.0, horizon=0.4, stride=10, scheme="rkc")
+    traj, checks, ok = run_invariant_suite(cfg)
+    assert ok and {c.name: c for c in checks}["semigroup-contraction"].passed is True
+    assert sum(traj.step_counts) == traj.n_steps and len(set(traj.step_counts)) > 1
 
 
 def test_invariant_suite_lattice_run():

@@ -1,11 +1,14 @@
-from dataclasses import replace
+import math
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlkuramoto import (BlowUpError, ParameterError, assemble_kernel_matrix, build_grid,
-                        build_operators, mean_phase, select_dt, simulate, step)
-from nlkuramoto.integrate import integrate_flow
+from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
+                        build_grid, build_operators, mean_phase, parse_config, rhs_singular,
+                        select_dt, simulate, step, sweep_epsilon)
+from nlkuramoto.integrate import integrate_flow, stiffness_bound
 
 import oracles
 from conftest import make_config
@@ -238,7 +241,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
         counts["rhs"] += 1
         return real_rhs(*args)
 
-    def flow(*args):
+    def flow(*args, **kwargs):
         *rest, make_record = args
 
         def counted(*record_args):
@@ -248,7 +251,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
                 return make_record(*record_args)
             finally:
                 inside[0] = False
-        return real_flow(*rest, counted)
+        return real_flow(*rest, counted, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", rfft)
     monkeypatch.setattr(run, "rhs_regularized", rhs)
@@ -307,6 +310,133 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
         integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
                        lambda values, t, dissipated: [t] * len(values))
     assert err.value.row == row
-    times, snapshots, records, t_last = err.value.trajectory
-    assert times == [0.0] and t_last == 0.0
+    times, snapshots, records, step_counts, counters = err.value.trajectory
+    assert times == [0.0] and err.value.t == 0.0 and step_counts == []
     assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]
+    assert counters.steps == 0
+
+
+# ---------------------------------------------------------------------------
+# rkc: second-order Runge-Kutta-Chebyshev
+# ---------------------------------------------------------------------------
+
+def _bits(records, snapshots=()):
+    # every record field and every snapshot, as raw bytes
+    return (np.array([astuple(r) for r in records]).tobytes()
+            + b"".join(s.values.tobytes() for s in snapshots))
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_rkc_blow_up_names_the_member(grid16, adaptive):
+    rates = np.array([0.0, 10.0, 1e300])[:, None]
+    with pytest.raises(BlowUpError) as err:
+        integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50, 1, "rkc",
+                       lambda values, t, dissipated: [t] * len(values), adaptive=adaptive)
+    assert err.value.row == 2
+    assert str(err.value).startswith("non-finite state at t = ")
+
+
+def test_rkc_is_stable_far_past_the_explicit_limit(singular64):
+    # near a constant the singular rate's Jacobian is kappa (W - diag(row sums)),
+    # with spectrum in [-rho, 0]: at h rho = 50 (9 stages) rkc damps every
+    # mode, where one rk4 step amplifies the stiff ones
+    rho = stiffness_bound(singular64, None, 1.0, 0.0)
+    h = 50.0 / rho
+
+    def rhs(v):
+        return rhs_singular(v, singular64, 1.0)
+
+    values = 1e-3 * np.random.default_rng(5).standard_normal(64)
+    values -= values.mean()
+    norms = [np.linalg.norm(values)]
+    for _ in range(10):
+        values = step(values, rhs, h, "rkc", stiffness=rho)
+        norms.append(np.linalg.norm(values - values.mean()))
+    assert all(b <= a for a, b in zip(norms, norms[1:]))
+    assert norms[-1] < 0.5 * norms[0]
+    assert np.linalg.norm(step(values, rhs, h, "rk4")) > 10.0 * norms[-1]
+
+
+def test_rkc_is_second_order_on_the_two_oscillator_closed_form():
+    errors = []
+    for dt in (0.025, 0.0125):
+        cfg = make_config(n=2, model="singular", kind="two_cluster", diameter=math.pi / 2,
+                          horizon=2.0, dt=dt, scheme="rkc")
+        traj = simulate(cfg)
+        w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
+        exact = oracles.two_oscillator_gap(-math.pi / 2, 2.0 * w12, 2.0)
+        final = traj.snapshots[-1].values
+        errors.append(abs(final[0] - final[1] - exact))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def test_rkc_runs_are_deterministic():
+    cfg = make_config(n=64, kind="random", seed=13, diameter=2.0, horizon=0.3, stride=5,
+                      scheme="rkc")
+    a, b = simulate(cfg), simulate(cfg)
+    assert _bits(a.records, a.snapshots) == _bits(b.records, b.snapshots)
+    assert a.counters == b.counters and a.step_counts == b.step_counts
+
+
+def test_adaptive_rkc_lands_on_the_rk4_record_times():
+    cfg = make_config(n=128, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=7,
+                      safety=0.25)
+    rk4 = simulate(cfg)
+    rkc = simulate(replace(cfg, integrator=replace(cfg.integrator, scheme="rkc")))
+    assert rkc.times == rk4.times
+    assert [r.t for r in rkc.records] == [r.t for r in rk4.records]
+    assert rkc.dt == rk4.dt
+    # fewer, larger steps than rk4's, each interval counted exactly
+    assert sum(rkc.step_counts) == rkc.n_steps == rkc.counters.steps < rk4.n_steps
+    assert rk4.step_counts == [7] * (len(rk4.times) - 2) + [rk4.n_steps % 7 or 7]
+
+
+def test_fixed_step_rkc_family_members_equal_lone_runs():
+    # a sweep's shared step is at most every rung's auto step, so every member
+    # takes two stages, as it does alone
+    base = make_config(n=24, model="regularized", epsilon=0.2, delta=0.1, kind="random",
+                       seed=4, diameter=2.0, horizon=0.3, stride=6, scheme="rkc")
+    sweep = sweep_epsilon(base, [0.2, 0.1, 0.05])
+    for rung in sweep.rungs:
+        alone = simulate(rung.config)
+        assert _bits(rung.records) == _bits(alone.records)
+        assert alone.counters == sweep.counters
+
+
+def test_rk4_takes_four_rate_evaluations_a_step():
+    traj = simulate(make_config(n=32, kind="random", seed=2, diameter=2.0, horizon=0.2,
+                                stride=3))
+    assert traj.counters.rhs_evals == 4 * traj.n_steps + 1
+    assert traj.counters.steps == traj.n_steps and traj.counters.rejected_steps == 0
+    assert sum(traj.step_counts) == traj.n_steps
+
+
+def test_reference_relaxation_takes_at_most_2500_rate_evaluations():
+    # the relaxation reference config at n = 512, horizon 0.5, random data,
+    # seed 1: rk4 takes 26,889 rate evaluations; a count, so no timing noise
+    cfg = apply_overrides(
+        parse_config(Path(__file__).resolve().parents[1] / "configs"
+                     / "relaxation_quarter_circle.cfg"),
+        {("grid", "nodes"): "512", ("integrator", "horizon"): "0.5",
+         ("initial", "kind"): "random", ("initial", "seed"): "1"})
+    assert cfg.integrator.scheme == "rkc"
+    traj = simulate(cfg)
+    assert traj.counters.rhs_evals <= 2500
+    assert traj.n_steps <= 1000
+
+
+def test_adaptive_rkc_refuses_a_step_shrunk_to_nothing(grid16):
+    # an error estimate that is never finite would shrink the step forever:
+    # every end-of-step rate (each odd call after the first) is NaN
+    calls = []
+
+    def rhs(v):
+        calls.append(None)
+        return np.full_like(v, np.nan if len(calls) > 1 and len(calls) % 2 else 0.0)
+
+    with pytest.raises(BlowUpError) as err:
+        integrate_flow(np.ones((2, 16)), grid16, rhs, 0.1, 10, 1, "rkc",
+                       lambda values, t, dissipated: [t] * len(values), adaptive=True)
+    assert str(err.value) == "step size underflow at t = 0" and err.value.row == 0
+    flow = err.value.trajectory
+    assert flow.counters.steps == 0 and flow.counters.rejected_steps > 300

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -96,6 +97,8 @@ def test_write_run_outputs(tmp_path):
     assert manifest["config_hash"] == cfg.content_hash()
     assert manifest["termination"] == "completed"
     assert manifest["n_steps"] == traj.n_steps
+    assert manifest["counters"] == {"steps": traj.n_steps, "rejected_steps": 0,
+                                    "rhs_evals": 4 * traj.n_steps + 1}
     assert set(manifest["platform"]) == {"python", "numpy", "system", "machine"}
 
     back = read_diagnostics_csv(paths["csv"])
@@ -131,7 +134,10 @@ def test_sweep_outputs(tmp_path):
     for j in range(4):
         rung_dir = paths[f"rung_{j}"]
         assert (rung_dir / "diagnostics.csv").exists()
-        assert (rung_dir / "manifest.json").exists()
+        manifest = json.loads((rung_dir / "manifest.json").read_text())
+        # the rungs step as one batched system and share its counters
+        assert manifest["counters"] == asdict(sweep.counters)
+        assert manifest["counters"]["steps"] == sweep.rungs[j].n_steps
     report = json.loads(paths["report"].read_text())
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
