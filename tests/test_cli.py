@@ -1,7 +1,9 @@
 import json
 import math
+from functools import partial
 from pathlib import Path
 
+import nlkuramoto.cli as cli
 import nlkuramoto.experiments as experiments
 from nlkuramoto import select_dt
 from nlkuramoto.cli import main
@@ -134,15 +136,22 @@ def test_poincare_prints_constants(tmp_path, capsys):
     assert "ok" in out
 
 
-def test_unconverged_lambda_star_exits_3(capsys):
-    # a nearly square box has two nearly equal lowest eigenvalues that inverse
-    # iteration cannot separate to its tolerance
-    code = main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"),
-                 "--dimension", "2", "--nodes", "12", "--set", "grid.extent2=0 1.001"])
+def test_unconverged_lambda_star_exits_3(monkeypatch, capsys):
+    # one iteration cannot converge from the cosine start
+    monkeypatch.setattr(cli, "poincare_sharp_discrete",
+                        partial(cli.poincare_sharp_discrete, max_iter=1))
+    code = main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--nodes", "64"])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("numerical failure: inverse iteration did not converge")
+    assert err[0].startswith("numerical failure: LOBPCG did not converge")
+
+
+def test_poincare_exits_0_where_the_rounding_floor_decides(capsys):
+    code = main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"),
+                 "--nodes", "4096", "--set", "physics.s=0.95"])
+    assert code == 0
+    assert "1/lambda_star <= C_P_domain: ok" in capsys.readouterr().out
 
 
 def test_relax_command(tmp_path, capsys):

@@ -231,14 +231,11 @@ def test_poincare_2d_grid():
     assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.5), rel=1e-8)
 
 
-# Aspect ratios start at 1.1: a near-square box (ratio 1.001) has two nearly
-# equal lowest eigenvalues, and inverse iteration cannot bring the residual to
-# tol within max_iter steps there (nor could the former dense solve).
 @settings(max_examples=25, deadline=None)
 @given(shape=st.one_of(st.tuples(st.just(1), st.integers(2, 256)),
                        st.tuples(st.just(2), st.integers(2, 16))),
        s=st.floats(0.01, 0.99), width=st.floats(0.5, 2.0),
-       ratio=st.one_of(st.just(1.0), st.floats(1.1, 3.0)))
+       ratio=st.one_of(st.just(1.0), st.floats(1.0, 1.1), st.floats(1.1, 3.0)))
 def test_poincare_matches_dense_oracle_everywhere(shape, s, width, ratio):
     dim, n = shape
     extents = [(0.0, width), (0.0, width * ratio)][:dim]
@@ -253,10 +250,47 @@ def test_poincare_scaling_covariance(grid16, singular16):
     assert poincare_sharp_discrete(scaled) == pytest.approx(3.0 * lam, rel=1e-10)
 
 
+def test_poincare_near_square_box_matches_dense_oracle():
+    # two nearly equal lowest eigenvalues (the 1 x 1.001 box)
+    g = build_grid(2, 12, [(0.0, 1.0), (0.0, 1.001)])
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.5))
+    assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.5), rel=1e-10)
+
+
+def test_poincare_converges_where_rounding_floors_the_residual():
+    # the rounding floor of the stop (5.7e-8) lies above tol * lambda (9.3e-10)
+    g = build_grid(1, 1024, [(0.0, 1.0)])
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.95))
+    assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.95), rel=1e-8)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 56), (1, 512)])
+def test_poincare_apply_budget(monkeypatch, dim, n):
+    # one solve takes 60 kernel-apply rows at 56 x 56 and 34 at 1d n = 512
+    from nlkuramoto import kernel
+
+    rows = [0]
+    real_apply = kernel._spectral_apply
+
+    def counted(grid, spectrum, x):
+        rows[0] += np.asarray(x).size // grid.node_count
+        return real_apply(grid, spectrum, x)
+
+    monkeypatch.setattr(kernel, "_spectral_apply", counted)
+    g = build_grid(dim, n, [(0.0, 1.0)] * dim)
+    poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.5))
+    assert 0 < rows[0] <= 150
+
+
 def test_poincare_iteration_error():
-    m = synthetic_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(IterationError):
-        poincare_sharp_discrete(m, tol=1e-30, max_iter=2)
+    m = assemble_kernel_matrix(build_grid(1, 64, [(0.0, 1.0)]), "singular", 0.5)
+    with pytest.raises(IterationError) as info:
+        poincare_sharp_discrete(m, max_iter=1)
+    message = str(info.value)
+    assert message.startswith("LOBPCG did not converge in 1 iterations")
+    assert f"residual {info.value.residual:.3e}" in message
+    assert "rounding floor" in message
+    assert info.value.residual > 0.0
 
 
 def test_fit_decay_rate_exact_exponential():
