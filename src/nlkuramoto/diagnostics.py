@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_field, _values_and_grid, bilinear_form
+from .dynamics import _check_field, _values_and_grid, _versine, bilinear_form
 from .errors import IterationError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
@@ -77,7 +77,7 @@ def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
     values, fgrid = _values_and_grid(theta, matrix.grid)
     _check_field(values, matrix.grid, fgrid)
     angle = scale * (values - values.flat[0])
-    return np.stack([2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)])
+    return np.stack([_versine(angle), np.sin(angle)])
 
 
 def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -> float:
@@ -247,8 +247,8 @@ def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
     iteration takes the Rayleigh-Ritz minimum over span{x, M^-1 r, p} (r the
     residual, p the previous direction) and applies B to the two new
     directions in one stacked apply.  The start is the lowest cosine mode
-    along the longest axis plus seeded noise of relative size 1e-3, smoothed
-    by M^-1, which keeps every symmetry class present.  The solve stops once
+    along the longest axis plus seeded uniform noise of relative size 1e-6,
+    which keeps every symmetry class present.  The solve stops once
     ||B x - lam x|| <= max(tol * lam, 50 eps ||B||), the second term the
     rounding floor of the apply with ||B|| <= 4 max(row sums); IterationError
     reports it after ``max_iter`` iterations.
@@ -263,10 +263,10 @@ def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
     axis = int(np.argmax([hi - lo for lo, hi in grid.extents]))
     lo, hi = grid.extents[axis]
     x = np.cos(math.pi * (grid.coords[:, axis] - lo) / (hi - lo))
-    # seeded noise (stdlib random: numpy.random costs 1.7 MB to import), smoothed by M^-1
+    # seeded noise (stdlib random: numpy.random costs 1.7 MB to import)
     bits = np.frombuffer(random.Random(0).randbytes(8 * grid.node_count), np.uint64)
-    noise = precondition(bits / 2.0**64 - 0.5)
-    x += 1e-3 * np.linalg.norm(x) / np.linalg.norm(noise) * noise
+    noise = bits / 2.0**64 - 0.5
+    x += 1e-6 * np.linalg.norm(x) / np.linalg.norm(noise) * noise
     x -= x.mean()
     x /= np.linalg.norm(x)
     bx = apply_b(x)

@@ -39,14 +39,17 @@ class BlowUpError(RuntimeError):
 
     When raised from a full simulation, ``trajectory`` holds the partial
     trajectory up to the last good state and ``t`` the time it was reached.
-    ``row`` is the first member of a family of states that went non-finite.
+    ``row`` is the first member of a family of states that went non-finite,
+    and ``node`` the node of that member's largest |rate| at the last finite
+    state.
     """
 
-    def __init__(self, message, trajectory=None, t=None, row=None):
+    def __init__(self, message, trajectory=None, t=None, row=None, node=None):
         super().__init__(message)
         self.trajectory = trajectory
         self.t = t
         self.row = row
+        self.node = node
 
 
 class IterationError(RuntimeError):

@@ -110,7 +110,8 @@ def _sweep(parameter, ladder, configs: list[SimConfig],
         trajs = simulate_family(configs, operators)
     except BlowUpError as exc:
         raise BlowUpError(f"rung {exc.row} (value {ladder[exc.row]}) blew up: {exc}",
-                          trajectory=exc.trajectory, t=exc.t, row=exc.row) from exc
+                          trajectory=exc.trajectory, t=exc.t, row=exc.row,
+                          node=exc.node) from exc
     wall_clock_s = time.perf_counter() - t0
     rungs = [RungResult(value=value, config=traj.config, records=traj.records,
                         bound_checks=uniform_bound_report(traj), n_steps=traj.n_steps)

@@ -168,11 +168,13 @@ def _step_factor(err: float) -> float:
 
 @dataclass
 class StepCounters:
-    """The work of one run: accepted and rejected steps, rate evaluations."""
+    """The work of one run: accepted and rejected steps, rate evaluations and
+    record times (t = 0 included)."""
 
     steps: int = 0
     rejected_steps: int = 0
     rhs_evals: int = 0
+    records: int = 0
 
 
 @dataclass
@@ -237,17 +239,18 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     ``stiffness`` bounds the spectral radius of the rate's Jacobian; rkc
     sizes its stages by it.  ``make_record(values, t, dissipated)`` returns
     one record per member, and each member's dissipation sums its own rate
-    rows.  ``snapshots[j]`` and ``records[j]`` of the returned Flow are
-    member j's.  On blow-up, raises BlowUpError naming the member (``row``),
-    with ``t`` the last good time and the partial Flow as ``trajectory``.
+    rows.  Every record follows a rate evaluation at the state it records,
+    the last one made (under every scheme, after rejected tries too), so
+    ``make_record`` may reuse what that evaluation computed.
+    ``snapshots[j]`` and ``records[j]`` of the returned Flow are member j's.
+    On blow-up, raises BlowUpError naming the member (``row``) and the node of
+    its largest |rate| at the last finite state (``node``), with ``t`` the
+    last good time and the partial Flow as ``trajectory``.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
     counters = StepCounters()
-    flow = Flow([0.0], [[PhaseField(v, 0.0, grid)] for v in values],
-                [[record] for record in make_record(values, 0.0, [0.0] * len(values))],
-                [], counters)
     diss = [0.0] * len(values)
     norm_w = grid.weight
 
@@ -258,6 +261,14 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     def squares(rates):
         return [norm_w * float(r @ r) for r in rates]
 
+    def record(t):
+        counters.records += 1
+        return make_record(values, t, diss)
+
+    def peak(row):
+        """The node of a member's largest |rate| at the current state."""
+        return int(np.argmax(np.abs(rate[row])))
+
     def advance(t, h, where):
         """One step of size h from the current state at t: the new state, its
         rate and the stage (abscissa, squared rate norms) of the quadrature."""
@@ -266,9 +277,10 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
             new = step(values, rate_of, h, scheme, k1=rate, stiffness=stiffness,
                        stage_rates=stages)
         except BlowUpError as exc:
+            node = peak(exc.row)
             raise BlowUpError(f"non-finite state at t = {t + h:.6g} "
-                              f"(step {counters.steps + 1}{where})",
-                              trajectory=flow, t=t, row=exc.row) from exc
+                              f"(step {counters.steps + 1}{where}, node {node})",
+                              trajectory=flow, t=t, row=exc.row, node=node) from exc
         rate_new = rate_of(new)
         return new, rate_new, [(c, squares(r)) for c, r in stages or ()]
 
@@ -287,6 +299,8 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # check in step() is the guard, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
+        flow = Flow([0.0], [[PhaseField(v, 0.0, grid)] for v in values],
+                    [[rec] for rec in record(0.0)], [], counters)
         sq = squares(rate)
         for k_rec in (*range(stride, n_steps, stride), n_steps):
             t, t_rec = flow.times[-1], k_rec * dt
@@ -307,15 +321,16 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
                 if not err <= 1.0:
                     counters.rejected_steps += 1
                     if t + h == t:
+                        row = int(np.argmin(errs <= 1.0))
                         raise BlowUpError(f"step size underflow at t = {t:.6g}", trajectory=flow,
-                                          t=t, row=int(np.argmin(errs <= 1.0)))
+                                          t=t, row=row, node=peak(row))
                     continue
                 sq = accept(h_try, sq, stages, rate_new)
                 values, rate = new, rate_new
                 t = t_rec if last else t + h_try
             flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
-            for j, record in enumerate(make_record(values, t_rec, diss)):
+            for j, rec in enumerate(record(t_rec)):
                 flow.snapshots[j].append(PhaseField(values[j], t_rec, grid))
-                flow.records[j].append(record)
+                flow.records[j].append(rec)
     return flow

@@ -78,16 +78,25 @@ def _toeplitz_row_sums(generator: np.ndarray) -> np.ndarray:
 
 
 def _spectral_apply(grid: Grid, spectrum: np.ndarray, x) -> np.ndarray:
-    """x (..., N) times ``spectrum`` (one, or one per row) by one transform pair."""
+    """x (..., N) times ``spectrum`` (one, or one per row) by one transform pair.
+
+    In 2d the transforms between the two real ones run in place in one
+    zero-padded buffer: a fresh array per intermediate let the C allocator
+    return the heap top and fault it in again on every apply.
+    """
     x = np.asarray(x, dtype=float)
     n, d = grid.n, grid.dim
     lead = x.shape[:-1]
-    f = np.fft.rfft(x.reshape(*lead, *(n,) * d), 2 * n)
-    if d == 2:  # padding rows join after the last-axis rfft and leave before its irfft
-        f = np.fft.fft(f, 2 * n, axis=-2)
+    x = x.reshape(*lead, *(n,) * d)
+    if d == 1:
+        f = np.fft.rfft(x, 2 * n)
+    else:  # padding rows join after the last-axis rfft and leave before its irfft
+        f = np.zeros((*lead, 2 * n, n + 1), dtype=complex)
+        np.fft.rfft(x, 2 * n, out=f[..., :n, :])
+        np.fft.fft(f, axis=-2, out=f)
     f *= spectrum
     if d == 2:
-        f = np.fft.ifft(f, axis=-2)[..., :n, :]
+        f = np.fft.ifft(f, axis=-2, out=f)[..., :n, :]
     return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
 
 
@@ -103,6 +112,15 @@ def stacked_apply(operators: tuple) -> Callable[[np.ndarray], np.ndarray]:
     spectra = np.array([op.spectrum for op in layout.flat])
     spectra.setflags(write=False)
     return partial(_spectral_apply, grid, spectra.reshape(layout.shape + spectra.shape[1:]))
+
+
+@lru_cache(maxsize=8)
+def stacked_row_sums(operators: tuple) -> np.ndarray:
+    """(operators[k].row_sums)_k as one read-only (k, N) array, memoized like
+    :func:`stacked_apply`, so a family's row sums stack once per run."""
+    rows = np.array([op.row_sums for op in operators])
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

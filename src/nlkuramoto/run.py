@@ -22,7 +22,7 @@ import numpy as np
 from .config import SimConfig
 from .diagnostics import (DiagnosticsRecord, _cosine_double_sum, _cosine_fields, _dual_bound,
                           _kinetic_from_seminorm, diameter, dist_sq_to_mean, mean_phase)
-from .dynamics import _form_value, rhs_lattice, rhs_regularized, rhs_singular
+from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
@@ -143,37 +143,43 @@ def simulate_family(configs: list[SimConfig],
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
 
+    # the stack of the rate evaluation last made: integrate_flow records a
+    # state only right after evaluating the rate there
+    kept = RateStack()
     if model == "lattice":
         nu_term = 0.0 if gauge else nu
 
         def rhs(values):
-            return rhs_lattice(values, coupling, kappa, nu_term)
+            return rhs_lattice(values, coupling, kappa, nu_term, keep=kept)
     elif model == "regularized" or max(deltas) > 0.0:
 
         def rhs(values):
-            return rhs_regularized(values, couplings, dissipation, kappa, deltas)
+            return rhs_regularized(values, couplings, dissipation, kappa, deltas, keep=kept)
     else:
 
         def rhs(values):
-            return rhs_singular(values, coupling, kappa)
+            return rhs_singular(values, coupling, kappa, keep=kept)
 
     bounded_diameter = diameter(theta0) < math.pi
-    record_apply = stacked_apply(tuple((c,) * 4 + (dissipation,) for c in couplings))
 
     def make_record(values, t, dissipated) -> list[DiagnosticsRecord]:
-        # one transform pair for every member's e_pot, sin^2 and singular
-        # seminorm, by the public formulas
+        # the rate evaluation at this state already applied the coupling to
+        # (1 - cos u, sin u), and the dissipation to u when it dissipates, so
+        # the record transforms only its doubled-angle rows (and u when the
+        # rate did not); every value follows the public formulas bitwise
+        own = (dissipation,) if len(kept.rows) == 2 else ()
         shifted = values - values[:, :1]
-        fields = np.stack([
-            np.concatenate([_cosine_fields(v, c, 1.0), _cosine_fields(v, c, 2.0), u[None]])
-            for v, c, u in zip(values, couplings, shifted)])
-        applied = record_apply(fields)
+        fields = np.stack([_cosine_fields(v, c, 2.0) for v, c in zip(values, couplings)])
+        if own:
+            fields = np.concatenate([fields, shifted[:, None]], axis=1)
+        applied = stacked_apply(tuple((c, c, *own) for c in couplings))(fields)
+        wu = applied[:, 2] if own else kept.applied[2]
         records = []
-        for v, u, c, delta, f, a, diss in zip(values, shifted, couplings, deltas, fields,
-                                              applied, dissipated):
-            e_pot = _cosine_double_sum(f[:2], a[:2], c, 0.5 * kappa)
-            sin2 = _cosine_double_sum(f[2:4], a[2:4], c, 0.5)
-            seminorm = 2.0 * _form_value(u, u, a[4], dissipation)
+        for j, (v, u, c, delta, diss) in enumerate(zip(values, shifted, couplings, deltas,
+                                                       dissipated)):
+            e_pot = _cosine_double_sum(kept.rows[:2, j], kept.applied[:2, j], c, 0.5 * kappa)
+            sin2 = _cosine_double_sum(fields[j, :2], applied[j, :2], c, 0.5)
+            seminorm = 2.0 * _form_value(u, u, wu[j], dissipation)
             dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else math.nan
             records.append(DiagnosticsRecord(
                 t=t, mean=mean_phase(v, grid), diameter=diameter(v), e_pot=e_pot,
@@ -196,5 +202,6 @@ def simulate_family(configs: list[SimConfig],
             adaptive=policy.adaptive)
     except BlowUpError as exc:
         partial = trajectory(exc.row, exc.trajectory, "blow-up")
-        raise BlowUpError(str(exc), trajectory=partial, t=exc.t, row=exc.row) from exc
+        raise BlowUpError(str(exc), trajectory=partial, t=exc.t, row=exc.row,
+                          node=exc.node) from exc
     return [trajectory(j, flow, "completed") for j in range(len(configs))]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
-                        build_grid, build_operators, mean_phase, parse_config, rhs_singular,
-                        select_dt, simulate, step, sweep_epsilon)
+                        build_grid, build_operators, energy_potential, mean_phase, parse_config,
+                        rhs_singular, select_dt, seminorm_sq, simulate, sin2_seminorm, step,
+                        sweep_epsilon)
 from nlkuramoto.integrate import integrate_flow, stiffness_bound
 
 import oracles
@@ -222,24 +223,35 @@ def test_simulate_rejects_a_bundle_built_for_another_config():
             simulate(other, ops)
 
 
+@pytest.mark.parametrize("scheme,dt", [("rk4", None), ("euler", None), ("rkc", 0.01),
+                                       ("rkc", None)])
+@pytest.mark.parametrize("delta", [0.2, 0.0])
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
-def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n):
-    # a record stacks its five fields into one transform pair; a dissipative
-    # rate stacks (cos, sin, shifted) into one
+def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n, delta,
+                                                             scheme, dt):
+    # a rate stacks (1 - cos, sin[, shifted]) rows into one transform pair; a
+    # record reads the coupling applies (and the shifted rows' dissipation
+    # apply, when the rate dissipates) from the rate evaluation at its own
+    # state and transforms only its doubled-angle rows: 2 per member, 3 when
+    # the rate has no shifted rows.  The records equal the public formulas at
+    # their snapshots, so that evaluation was at the recorded state under
+    # fixed, euler, fixed-step rkc and adaptive rkc stepping alike.
     from nlkuramoto import run
 
-    counts = {"records": 0, "rhs": 0, "record_ffts": 0, "ffts": 0}
+    counts = {"records": 0, "rhs": 0, "record_ffts": 0, "record_rows": 0, "ffts": 0}
     inside = [False]
     real_rfft, real_flow, real_rhs = np.fft.rfft, run.integrate_flow, run.rhs_regularized
 
-    def rfft(*args, **kwargs):
+    def rfft(x, *args, **kwargs):
         counts["ffts"] += 1
-        counts["record_ffts"] += inside[0]
-        return real_rfft(*args, **kwargs)
+        if inside[0]:
+            counts["record_ffts"] += 1
+            counts["record_rows"] += np.size(x) // n ** dim
+        return real_rfft(x, *args, **kwargs)
 
-    def rhs(*args):
+    def rhs(*args, **kwargs):
         counts["rhs"] += 1
-        return real_rhs(*args)
+        return real_rhs(*args, **kwargs)
 
     def flow(*args, **kwargs):
         *rest, make_record = args
@@ -256,11 +268,22 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     monkeypatch.setattr(np.fft, "rfft", rfft)
     monkeypatch.setattr(run, "rhs_regularized", rhs)
     monkeypatch.setattr(run, "integrate_flow", flow)
-    simulate(make_config(dim=dim, n=n, model="regularized", epsilon=0.1, delta=0.2,
-                         horizon=0.05))
-    assert counts["records"] > 1 and counts["rhs"] > counts["records"]
+    cfg = make_config(dim=dim, n=n, model="regularized", epsilon=0.1, delta=delta,
+                      kind="random", seed=5, diameter=2.0, scheme=scheme, dt=dt,
+                      horizon=0.05)
+    traj = simulate(cfg)
+    monkeypatch.undo()
+    assert counts["records"] == traj.counters.records == len(traj.records) > 1
+    assert counts["rhs"] == traj.counters.rhs_evals >= counts["records"]
     assert counts["record_ffts"] == counts["records"]
+    assert counts["record_rows"] == (2 if delta > 0.0 else 3) * counts["records"]
     assert counts["ffts"] == counts["records"] + counts["rhs"]
+    assert traj.counters.rejected_steps > 0 or not cfg.integrator.adaptive
+    _, coupling, dissipation = build_operators(cfg)
+    for snap, rec in zip(traj.snapshots, traj.records):
+        assert rec.e_pot == energy_potential(snap.values, coupling, cfg.physics.kappa)
+        assert rec.sin2_seminorm == sin2_seminorm(snap.values, coupling)
+        assert rec.seminorm_sq == seminorm_sq(snap.values, dissipation)
 
 
 def test_simulate_deterministic():
@@ -304,12 +327,15 @@ def test_simulate_blow_up_keeps_partial_trajectory():
 @pytest.mark.parametrize("growth,row", [((0.0, 1e300, 1e300), 1), ((0.0, 10.0, 1e300), 2)])
 def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, row):
     # the earliest step decides, then the lowest index: row 1 overflows at the
-    # first step only in the tie
+    # first step only in the tie; node 5 has the largest rate
     rates = np.array(growth)[:, None]
+    theta0 = np.ones((3, 16))
+    theta0[:, 5] = 2.0
     with pytest.raises(BlowUpError) as err:
-        integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
+        integrate_flow(theta0, grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
                        lambda values, t, dissipated: [t] * len(values))
-    assert err.value.row == row
+    assert err.value.row == row and err.value.node == 5
+    assert str(err.value) == "non-finite state at t = 1e+10 (step 1 of 50, node 5)"
     times, snapshots, records, step_counts, counters = err.value.trajectory
     assert times == [0.0] and err.value.t == 0.0 and step_counts == []
     assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]

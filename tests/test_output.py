@@ -98,7 +98,8 @@ def test_write_run_outputs(tmp_path):
     assert manifest["termination"] == "completed"
     assert manifest["n_steps"] == traj.n_steps
     assert manifest["counters"] == {"steps": traj.n_steps, "rejected_steps": 0,
-                                    "rhs_evals": 4 * traj.n_steps + 1}
+                                    "rhs_evals": 4 * traj.n_steps + 1,
+                                    "records": len(traj.records)}
     assert set(manifest["platform"]) == {"python", "numpy", "system", "machine"}
 
     back = read_diagnostics_csv(paths["csv"])
@@ -138,6 +139,7 @@ def test_sweep_outputs(tmp_path):
         # the rungs step as one batched system and share its counters
         assert manifest["counters"] == asdict(sweep.counters)
         assert manifest["counters"]["steps"] == sweep.rungs[j].n_steps
+        assert manifest["counters"]["records"] == len(sweep.rungs[j].records)
     report = json.loads(paths["report"].read_text())
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
