@@ -12,7 +12,7 @@ from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bou
                           fit_decay_rate, mean_phase, min_sinc, poincare_sharp_discrete,
                           seminorm_sq, sin2_seminorm, truncation_functionals,
                           uniform_bound_report)
-from .dynamics import PhaseField, bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
+from .dynamics import bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
                      ParameterError, SingularityError)
 from .experiments import (refinement_study, relaxation_experiment, restrict_to_coarse,

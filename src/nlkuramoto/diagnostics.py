@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_field, _values_and_grid, _versine, bilinear_form
+from .dynamics import _field, _versine, bilinear_form
 from .errors import IterationError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
@@ -46,7 +46,7 @@ class DiagnosticsRecord:
 
 def diameter(theta) -> float:
     """max - min over nodes (the discrete essential diameter)."""
-    values, _ = _values_and_grid(theta, None)
+    values = np.asarray(theta, dtype=float)
     if values.size == 0:
         raise ParameterError("diameter of an empty field is undefined")
     return float(values.max() - values.min())
@@ -54,15 +54,13 @@ def diameter(theta) -> float:
 
 def mean_phase(theta, grid: Grid) -> float:
     """Quadrature-weighted average phase over the domain."""
-    values, fgrid = _values_and_grid(theta, grid)
-    _check_field(values, grid, fgrid)
+    values = _field(theta, grid)
     return float(grid.weight * values.sum() / grid.measure)
 
 
 def dist_sq_to_mean(theta, grid: Grid) -> float:
     """Squared L2 distance to the field's own mean."""
-    values, fgrid = _values_and_grid(theta, grid)
-    _check_field(values, grid, fgrid)
+    values = _field(theta, grid)
     centered = values - grid.weight * values.sum() / grid.measure
     return float(grid.weight * (centered @ centered))
 
@@ -74,8 +72,7 @@ def seminorm_sq(theta, matrix: KernelOperator) -> float:
 
 def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
     """Rows a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), angle = scale (u - u_0)."""
-    values, fgrid = _values_and_grid(theta, matrix.grid)
-    _check_field(values, matrix.grid, fgrid)
+    values = _field(theta, matrix.grid)
     angle = scale * (values - values.flat[0])
     return np.stack([_versine(angle), np.sin(angle)])
 
@@ -359,15 +356,9 @@ def truncation_functionals(trajectory) -> tuple[float, float]:
 
     Both start at zero and must not grow along a contracting flow.
     """
-    grid = trajectory.snapshots[0].grid
-    first = trajectory.snapshots[0].values
-    k_hi = float(first.max())
-    k_lo = float(first.min())
-    worst_hi = 0.0
-    worst_lo = 0.0
-    for snap in trajectory.snapshots:
-        over = np.maximum(snap.values - k_hi, 0.0)
-        under = np.maximum(k_lo - snap.values, 0.0)
-        worst_hi = max(worst_hi, float(grid.weight * (over @ over)))
-        worst_lo = max(worst_lo, float(grid.weight * (under @ under)))
-    return worst_hi, worst_lo
+    snaps = trajectory.snapshots
+    k_hi, k_lo = snaps[0].max(), snaps[0].min()
+    w = trajectory.grid.weight
+    hi = max(w * float(o @ o) for o in (np.maximum(s - k_hi, 0.0) for s in snaps))
+    lo = max(w * float(u @ u) for u in (np.maximum(k_lo - s, 0.0) for s in snaps))
+    return hi, lo

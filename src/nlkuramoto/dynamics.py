@@ -16,9 +16,10 @@ A caller can keep that stack and its applies (:class:`RateStack`): a
 diagnostics record at the same state reads its potential energy, and its
 singular seminorm when the rate dissipates, from them.  Every apply is real,
 and every form is taken about a base angle, so a constant field gives
-exactly zero rates and energies.  The rate functions take one field or an
-(R, N) family of fields, one member per row, each with its own coupling and
-delta when given one per row.
+exactly zero rates and energies.  Fields are plain float arrays, checked
+for their shape only.  The rate functions take one field or an (R, N)
+family of fields, one member per row, each with its own coupling and delta
+when given one per row; every other function takes one field.
 """
 
 from __future__ import annotations
@@ -28,50 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .grid import Grid, grids_match
+from .grid import Grid
 from .kernel import KernelOperator, stacked_apply, stacked_row_sums
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseField:
-    """Node-indexed phase values at one instant, tied to a grid."""
-
-    values: np.ndarray
-    t: float
-    grid: Grid
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.node_count,):
-            raise GridMismatchError(
-                f"field has {values.shape} values for a grid with {self.grid.node_count} nodes"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("phase field contains non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def _values_and_grid(theta, fallback_grid: Grid | None):
-    if isinstance(theta, PhaseField):
-        return theta.values, theta.grid
-    return np.asarray(theta, dtype=float), fallback_grid
-
-
-def _check_field(values: np.ndarray, grid: Grid, field_grid: Grid | None) -> None:
-    if field_grid is not None and not grids_match(field_grid, grid):
-        raise GridMismatchError("phase field and kernel matrix live on different grids")
-    if values.shape != (grid.node_count,):
+def _field(theta, grid: Grid, family: bool = False) -> np.ndarray:
+    """``theta`` as floats: one field on ``grid``, or with ``family`` an (R, N)
+    family too; GridMismatchError for any other shape."""
+    values = np.asarray(theta, dtype=float)
+    if values.shape[-1:] != (grid.node_count,) or values.ndim > 1 + family:
         raise GridMismatchError(
-            f"field has {values.shape[0]} values for a grid with {grid.node_count} nodes"
-        )
-
-
-def _rate_values(theta, grid: Grid) -> np.ndarray:
-    """One field, or an (R, N) family of fields, checked against ``grid``."""
-    values, fgrid = _values_and_grid(theta, grid)
-    _check_field(values[0] if values.ndim == 2 else values, grid, fgrid)
+            f"field of shape {values.shape} for a grid with {grid.node_count} nodes")
     return values
 
 
@@ -136,7 +104,7 @@ def rhs_singular(theta, coupling: KernelOperator, kappa: float, *,
     """
     if not coupling.is_singular:
         raise ParameterError("rhs_singular needs the singular kernel matrix")
-    values = _rate_values(theta, coupling.grid)
+    values = _field(theta, coupling.grid, family=True)
     return (kappa * _sine_rows(values, coupling, keep=keep)[1]).reshape(values.shape)
 
 
@@ -153,7 +121,7 @@ def rhs_regularized(theta, coupling, dissipation: KernelOperator,
     """
     if not dissipation.is_singular:
         raise ParameterError("the dissipation term uses the singular kernel matrix")
-    values = _rate_values(theta, dissipation.grid)
+    values = _field(theta, dissipation.grid, family=True)
     delta = np.asarray(delta, dtype=float)[..., None]
     if not delta.any():
         return (kappa * _sine_rows(values, coupling, keep=keep)[1]).reshape(values.shape)
@@ -170,12 +138,8 @@ def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu, *,
     weights.  nu may be a scalar or a per-node array.  ``keep``, if given,
     receives the evaluation's :class:`RateStack`.
     """
-    values, _ = _values_and_grid(theta, None)
+    values = _field(theta, kernel.grid, family=True)
     nn = values.shape[-1]
-    if kernel.grid.node_count != nn:
-        raise GridMismatchError(
-            f"kernel has {kernel.grid.node_count} nodes for a field with {nn} nodes"
-        )
     nu = np.asarray(nu, dtype=float)
     if nu.ndim not in (0, 1) or (nu.ndim == 1 and nu.shape[0] != nn):
         raise GridMismatchError("per-node frequencies must match the node count")
@@ -190,10 +154,8 @@ def bilinear_form(u, v, matrix: KernelOperator) -> float:
     constant, since both are taken about their first value (the form sees
     differences only).
     """
-    uv, ug = _values_and_grid(u, matrix.grid)
-    vv, vg = _values_and_grid(v, matrix.grid)
-    _check_field(uv, matrix.grid, ug)
-    _check_field(vv, matrix.grid, vg)
+    uv = _field(u, matrix.grid)
+    vv = _field(v, matrix.grid)
     uv = uv - uv.flat[0]
     vv = vv - vv.flat[0]
     return _form_value(uv, vv, matrix.apply(vv), matrix)

@@ -1,13 +1,14 @@
 """Scripted studies: truncation and dissipation sweeps, relaxation-rate
 verification, grid refinement, and the run-level invariant suite.
 
-Sweeps share one grid, one dissipation operator, one fixed step size (chosen
-for the stiffest rung so every rung is stable) and one output stride, so
-trajectories can be compared at identical times.  Each rung's coupling is
-built once, and all rungs step together as one batched system.  The
-successive differences Delta_j are the computable stand-in for the
-compactness limits the analysis provides: the sweeps certify a decreasing
-Cauchy trend, never a convergence order.
+Sweeps share one grid, one dissipation operator, one fixed step size (the
+configured one, else chosen for the stiffest rung so every rung is stable;
+every rung's config carries it) and one output stride, so trajectories can
+be compared at identical times.  Each rung's coupling is built once, and all
+rungs step together as one batched system.  The successive differences
+Delta_j are the computable stand-in for the compactness limits the analysis
+provides: the sweeps certify a decreasing Cauchy trend, never a convergence
+order.
 """
 
 from __future__ import annotations
@@ -97,9 +98,22 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
 def _successive_differences(trajs: list[Trajectory]) -> list[float]:
     """Worst L2 distance between consecutive rungs over their shared record times."""
     w = trajs[0].grid.weight
-    return [max(math.sqrt(w * float(d @ d))
-                for d in (sa.values - sb.values for sa, sb in zip(a.snapshots, b.snapshots)))
+    # row by row: a whole (K, N) difference would add to the sweep's peak memory
+    return [max(math.sqrt(w * float(d @ d)) for d in map(np.subtract, a.snapshots, b.snapshots))
             for a, b in zip(trajs, trajs[1:])]
+
+
+def _rung_configs(base: SimConfig, parameter: str, ladder, stiffest: Operators,
+                  delta: float) -> list[SimConfig]:
+    """One config per rung, each carrying the shared step: the configured one,
+    else the automatic step of the stiffest rung's operators at ``delta``."""
+    policy = base.integrator
+    dt = policy.dt
+    if dt is None:
+        dt = select_dt(stiffest.coupling, stiffest.dissipation, base.physics.kappa, delta,
+                       policy.safety, free_drift_horizon=policy.horizon)
+    return [replace(base, physics=replace(base.physics, **{parameter: value}),
+                    integrator=replace(policy, dt=dt)) for value in ladder]
 
 
 def _sweep(parameter, ladder, configs: list[SimConfig],
@@ -129,11 +143,11 @@ def _sweep(parameter, ladder, configs: list[SimConfig],
 def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
     """Shrink the kernel truncation along a decreasing ladder at fixed delta.
 
-    The step size is chosen for the smallest truncation (the stiffest rung)
-    and shared: row sums grow as the truncation shrinks, so that rung's step
-    is the smallest on the ladder.  Every rung shares the stiffest rung's
-    dissipation operator; each report includes the dissipation-seminorm uniform
-    bound.
+    Every rung shares the configured step, or else the automatic step of the
+    smallest truncation (the stiffest rung): row sums grow as the truncation
+    shrinks, so that rung's step is the smallest on the ladder.  Every rung
+    shares the stiffest rung's dissipation operator; each report includes the
+    dissipation-seminorm uniform bound.
     """
     ladder = _check_ladder(ladder, "epsilon ladder")
     problems = []
@@ -146,15 +160,7 @@ def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
 
     stiffest = build_operators(replace(
         base, physics=replace(base.physics, epsilon=ladder[-1])))
-    dt = select_dt(stiffest.coupling, stiffest.dissipation, base.physics.kappa,
-                   base.physics.delta, base.integrator.safety,
-                   free_drift_horizon=base.integrator.horizon)
-    configs = [
-        replace(base,
-                physics=replace(base.physics, epsilon=eps),
-                integrator=replace(base.integrator, dt=dt))
-        for eps in ladder
-    ]
+    configs = _rung_configs(base, "epsilon", ladder, stiffest, base.physics.delta)
     operators = [stiffest._replace(coupling=assemble_kernel_matrix(
         stiffest.grid, TRUNCATED, base.physics.s, eps)) for eps in ladder[:-1]]
     return _sweep("epsilon", ladder, configs, operators + [stiffest])
@@ -165,8 +171,8 @@ def sweep_delta(base: SimConfig, ladder) -> SweepResult:
 
     The initial diameter must be below pi: that hypothesis backs the
     sinc-seminorm uniform bound checked on every rung.  The operators do not
-    depend on delta, so one bundle serves every rung, and the step size is
-    the largest delta's.
+    depend on delta, so one bundle serves every rung, and the shared step is
+    the configured one or else the largest delta's automatic step.
     """
     ladder = _check_ladder(ladder, "delta ladder")
     problems = []
@@ -181,14 +187,7 @@ def sweep_delta(base: SimConfig, ladder) -> SweepResult:
         raise ConfigurationError(problems)
 
     ops = build_operators(base)
-    dt = select_dt(ops.coupling, ops.dissipation, base.physics.kappa, ladder[0],
-                   base.integrator.safety, free_drift_horizon=base.integrator.horizon)
-    configs = [
-        replace(base,
-                physics=replace(base.physics, delta=d),
-                integrator=replace(base.integrator, dt=dt))
-        for d in ladder
-    ]
+    configs = _rung_configs(base, "delta", ladder, ops, ladder[0])
     return _sweep("delta", ladder, configs, [ops] * len(ladder))
 
 
@@ -334,7 +333,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
         rows.append({"n": n, "dt": traj.dt, "n_steps": traj.n_steps,
                      "energy_residual": residual,
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
-        finals.append(traj.snapshots[-1].values.copy())
+        finals.append(traj.snapshots[-1])
         if n == n0:
             # step-halving row on the coarsest rung, with that rung's operators;
             # an adaptive run halves the fixed step of its base dt instead
@@ -434,7 +433,7 @@ def run_invariant_suite(cfg: SimConfig):
     if kappa == 0.0 and continuum:
         steps_between = traj.step_counts
         l2 = [math.sqrt(r.dist_sq) for r in traj.records]
-        linf = [float(np.abs(s.values).max()) for s in traj.snapshots]
+        linf = [float(np.abs(s).max()) for s in traj.snapshots]
         ok = all(b <= a + CONTRACTION_STEP_TOL * m
                  for (a, b), m in zip(_pairwise(l2), steps_between))
         ok = ok and all(b <= a + CONTRACTION_STEP_TOL * m

@@ -7,7 +7,6 @@ boundary; the composite midpoint rule gives a single uniform quadrature weight
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -46,11 +45,6 @@ class Grid:
     @property
     def node_count(self) -> int:
         return self.coords.shape[0]
-
-    def content_hash(self) -> str:
-        """Hash of the defining data, stable across processes and platforms."""
-        text = repr((self.dim, self.n, tuple(tuple(map(float, e)) for e in self.extents)))
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def grids_match(a: Grid, b: Grid) -> bool:

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .dynamics import PhaseField
 from .errors import BlowUpError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
@@ -181,7 +180,8 @@ class StepCounters:
 class Trajectory:
     """Snapshots and diagnostics of one run.
 
-    Snapshots hold the evolved (gauge-reduced, for continuum models) field;
+    ``snapshots`` is one read-only (len(times), N) array whose row k is the
+    evolved (gauge-reduced, for continuum models) field at ``times[k]``;
     :meth:`physical_values` restores the affine shift mean + nu * t.  The
     cumulative dissipation lives in the records, accumulated by the same
     trapezoidal quadrature the stepper uses.  ``dt`` is the base step, whose
@@ -194,7 +194,7 @@ class Trajectory:
     config: object
     grid: Grid
     times: list[float]
-    snapshots: list[PhaseField]
+    snapshots: np.ndarray
     records: list[DiagnosticsRecord]
     theta_bar: float
     nu: object
@@ -208,19 +208,21 @@ class Trajectory:
     def physical_values(self, index: int) -> np.ndarray:
         snap = self.snapshots[index]
         if not self.gauge_reduced:
-            return snap.values.copy()
-        return snap.values + self.theta_bar + float(self.nu) * snap.t
+            return snap.copy()
+        return snap + self.theta_bar + float(self.nu) * self.times[index]
 
 
 RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
 
 
 class Flow(NamedTuple):
-    """Times, per-member snapshots and records, the steps taken between
-    records, and the run's counters."""
+    """Times, snapshots and per-member records, the steps taken between
+    records, and the run's counters.  ``snapshots`` is one read-only
+    (R, len(times), N) array, member j's states at the record times in
+    ``snapshots[j]``."""
 
     times: list[float]
-    snapshots: list[list[PhaseField]]
+    snapshots: np.ndarray
     records: list[list[DiagnosticsRecord]]
     step_counts: list[int]
     counters: StepCounters
@@ -242,14 +244,17 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     rows.  Every record follows a rate evaluation at the state it records,
     the last one made (under every scheme, after rejected tries too), so
     ``make_record`` may reuse what that evaluation computed.
-    ``snapshots[j]`` and ``records[j]`` of the returned Flow are member j's.
+    The snapshots fill one (R, K, N) buffer, K the number of record times.
     On blow-up, raises BlowUpError naming the member (``row``) and the node of
     its largest |rate| at the last finite state (``node``), with ``t`` the
-    last good time and the partial Flow as ``trajectory``.
+    last good time and as ``trajectory`` the partial Flow, whose snapshots are
+    the rows recorded.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
+    marks = (*range(stride, n_steps, stride), n_steps)
+    snapshots = np.empty((len(values), 1 + len(marks), values.shape[1]))
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight
@@ -261,9 +266,16 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     def squares(rates):
         return [norm_w * float(r @ r) for r in rates]
 
-    def record(t):
+    def record(index, t):
+        snapshots[:, index] = values
         counters.records += 1
         return make_record(values, t, diss)
+
+    def recorded() -> Flow:
+        """The flow with its snapshots cut to the rows recorded, read-only."""
+        view = snapshots[:, :len(flow.times)]
+        view.setflags(write=False)
+        return flow._replace(snapshots=view)
 
     def peak(row):
         """The node of a member's largest |rate| at the current state."""
@@ -280,7 +292,7 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
             node = peak(exc.row)
             raise BlowUpError(f"non-finite state at t = {t + h:.6g} "
                               f"(step {counters.steps + 1}{where}, node {node})",
-                              trajectory=flow, t=t, row=exc.row, node=node) from exc
+                              trajectory=recorded(), t=t, row=exc.row, node=node) from exc
         rate_new = rate_of(new)
         return new, rate_new, [(c, squares(r)) for c, r in stages or ()]
 
@@ -299,10 +311,9 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # check in step() is the guard, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
-        flow = Flow([0.0], [[PhaseField(v, 0.0, grid)] for v in values],
-                    [[rec] for rec in record(0.0)], [], counters)
+        flow = Flow([0.0], snapshots, [[rec] for rec in record(0, 0.0)], [], counters)
         sq = squares(rate)
-        for k_rec in (*range(stride, n_steps, stride), n_steps):
+        for index, k_rec in enumerate(marks, 1):
             t, t_rec = flow.times[-1], k_rec * dt
             start = counters.steps
             if not adaptive:
@@ -322,15 +333,14 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
                     counters.rejected_steps += 1
                     if t + h == t:
                         row = int(np.argmin(errs <= 1.0))
-                        raise BlowUpError(f"step size underflow at t = {t:.6g}", trajectory=flow,
-                                          t=t, row=row, node=peak(row))
+                        raise BlowUpError(f"step size underflow at t = {t:.6g}",
+                                          trajectory=recorded(), t=t, row=row, node=peak(row))
                     continue
                 sq = accept(h_try, sq, stages, rate_new)
                 values, rate = new, rate_new
                 t = t_rec if last else t + h_try
             flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
-            for j, rec in enumerate(record(t_rec)):
-                flow.snapshots[j].append(PhaseField(values[j], t_rec, grid))
+            for j, rec in enumerate(record(index, t_rec)):
                 flow.records[j].append(rec)
-    return flow
+    return recorded()

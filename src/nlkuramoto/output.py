@@ -126,10 +126,9 @@ def write_run_outputs(traj, wall_clock_s: float = 0.0, notes: str = "") -> dict:
         write_diagnostics_csv(traj.records, csv_path)
         paths["csv"] = csv_path
     if "snapshots" in formats:
-        for k, snap in enumerate(traj.snapshots):
+        for k, t in enumerate(traj.times):
             snap_path = outdir / f"snapshot_{k:06d}.bin"
-            write_snapshot(snap_path, traj.grid.dim, traj.grid.n, snap.t,
-                           traj.physical_values(k))
+            write_snapshot(snap_path, traj.grid.dim, traj.grid.n, t, traj.physical_values(k))
         paths["snapshots"] = outdir
     if "manifest" in formats:
         manifest = build_manifest(cfg, status=traj.status, n_steps=traj.n_steps,

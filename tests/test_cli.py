@@ -4,8 +4,6 @@ from functools import partial
 from pathlib import Path
 
 import nlkuramoto.cli as cli
-import nlkuramoto.experiments as experiments
-from nlkuramoto import select_dt
 from nlkuramoto.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -92,12 +90,12 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert manifest["termination"] == "blow-up"
 
 
-def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys, monkeypatch):
-    # a step 12x past the stable size destabilizes the damping of delta = 0.4 only
-    monkeypatch.setattr(experiments, "select_dt", lambda *a, **k: 12.0 * select_dt(*a, **k))
+def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys):
+    # dt = 0.089, 12x past the stable step, destabilizes the damping of delta = 0.4 only
     cfg = write_cfg(tmp_path, BASE)
     code = main(["sweep-delta", str(cfg), "--ladder", "0.4,0.1", "--kappa", "0.05",
-                 "--kind", "random", "--seed", "3", "--horizon", "60", "--stride", "10"])
+                 "--kind", "random", "--seed", "3", "--horizon", "60", "--stride", "10",
+                 "--dt", "0.089"])
     assert code == 3
     assert "rung 0 (value 0.4) blew up" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "run_out" / "manifest.json").read_text())

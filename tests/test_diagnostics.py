@@ -189,13 +189,13 @@ def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa,
     _, coupling, dissipation = build_operators(cfg)
     m0 = traj.records[0].diameter
     for snap, rec in zip(traj.snapshots, traj.records):
-        assert rec.e_pot == energy_potential(snap.values, coupling, kappa)
-        assert rec.sin2_seminorm == sin2_seminorm(snap.values, coupling)
-        assert rec.seminorm_sq == seminorm_sq(snap.values, dissipation)
-        assert rec.dual_bound == dual_bound_value(snap.values, coupling, dissipation,
+        assert rec.e_pot == energy_potential(snap, coupling, kappa)
+        assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
+        assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
+        assert rec.dual_bound == dual_bound_value(snap, coupling, dissipation,
                                                   kappa, delta, m0)
     rows = {c.name: c for c in uniform_bound_report(traj)}
-    expect = max(sin2_seminorm(snap.values, coupling) for snap in traj.snapshots)
+    expect = max(sin2_seminorm(snap, coupling) for snap in traj.snapshots)
     assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
 
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (GridMismatchError, ParameterError, PhaseField, assemble_kernel_matrix,
-                        bilinear_form, build_grid, dual_bound_value, energy_kinetic,
-                        energy_potential, rhs_lattice, rhs_regularized, rhs_singular,
-                        seminorm_sq, sin2_seminorm)
+from nlkuramoto import (GridMismatchError, ParameterError, assemble_kernel_matrix,
+                        bilinear_form, build_grid, dist_sq_to_mean, dual_bound_value,
+                        energy_kinetic, energy_potential, mean_phase, rhs_lattice,
+                        rhs_regularized, rhs_singular, seminorm_sq, sin2_seminorm)
 
 import oracles
 from conftest import rel_close
@@ -15,16 +15,6 @@ from conftest import rel_close
 def random_field(grid, scale, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-scale, scale, grid.node_count)
-
-
-def test_phase_field_validation(grid16):
-    with pytest.raises(GridMismatchError):
-        PhaseField(np.zeros(5), 0.0, grid16)
-    with pytest.raises(ValueError):
-        PhaseField(np.full(16, np.nan), 0.0, grid16)
-    field = PhaseField(np.zeros(16), 0.0, grid16)
-    with pytest.raises(ValueError):
-        field.values[0] = 1.0
 
 
 def test_rhs_singular_constant_field(singular16):
@@ -180,12 +170,19 @@ def test_bilinear_form_is_half_seminorm(grid16, singular16):
     assert bilinear_form(u, u, singular16) >= 0.0
 
 
-def test_grid_mismatch_rejected(singular16):
+def test_grid_mismatch_rejected(grid16, singular16):
     with pytest.raises(GridMismatchError):
         rhs_singular(np.zeros(8), singular16, kappa=1.0)
-    other = build_grid(1, 16, [(0.0, 2.0)])
     with pytest.raises(GridMismatchError):
-        rhs_singular(PhaseField(np.zeros(16), 0.0, other), singular16, kappa=1.0)
+        rhs_singular(np.zeros((2, 8)), singular16, kappa=1.0)  # a family of 8-node fields
+    # only the rate functions take an (R, N) family
+    assert rhs_singular(np.zeros((2, 16)), singular16, kappa=1.0).shape == (2, 16)
+    family = np.zeros((2, 16))
+    for diagnostic in (lambda u: mean_phase(u, grid16), lambda u: dist_sq_to_mean(u, grid16),
+                       lambda u: bilinear_form(u, u, singular16),
+                       lambda u: energy_potential(u, singular16, 1.0)):
+        with pytest.raises(GridMismatchError):
+            diagnostic(family)
 
 
 def test_rhs_domination_consistency(grid16, singular16):

@@ -150,21 +150,34 @@ def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
         assert traj.times == alone.times and len(alone.records) > 2
         assert _bits(rung.records) == _bits(traj.records) == _bits(alone.records)
         for a, b in zip(traj.snapshots, alone.snapshots, strict=True):
-            assert a.values.tobytes() == b.values.tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
-def test_sweep_blow_up_names_the_unstable_rung(monkeypatch):
-    # a step 12x past the stable size destabilizes, at kappa = 0.05, the
+def test_sweep_blow_up_names_the_unstable_rung():
+    # dt = 0.089, 12x past the stable step, destabilizes at kappa = 0.05 the
     # damping of delta = 0.4 (the stiffest rung) but not of 0.1
-    monkeypatch.setattr(experiments, "select_dt", lambda *a, **k: 12.0 * select_dt(*a, **k))
-    base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10)
+    base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10, dt=0.089)
     with pytest.raises(BlowUpError) as err:
         sweep_delta(base, [0.4, 0.1])
     assert str(err.value).startswith("rung 0 (value 0.4) blew up: non-finite state at t = ")
     partial = err.value.trajectory
     assert partial.status == "blow-up" and partial.config.physics.delta == 0.4
     assert 1 < len(partial.records) == len(partial.snapshots) < partial.n_steps // 10
+    assert partial.snapshots.shape == (len(partial.times), 24)
     assert partial.times[-1] <= err.value.t < 60.0
+
+
+@pytest.mark.parametrize("parameter", ["epsilon", "delta"])
+def test_sweeps_share_a_configured_dt(parameter):
+    # every rung steps at the configured dt and its config carries it, so
+    # that config reproduces the rung alone
+    if parameter == "epsilon":
+        sweep = sweep_epsilon(eps_base(horizon=0.1, dt=0.001), [0.2, 0.1])
+    else:
+        sweep = sweep_delta(delta_base(horizon=0.1, dt=0.001), [0.4, 0.2])
+    assert sweep.dt == 0.001
+    assert [rung.config.integrator.dt for rung in sweep.rungs] == [0.001, 0.001]
+    assert [rung.n_steps for rung in sweep.rungs] == [100, 100]
 
 
 def test_sweep_delta_constant_data():
@@ -255,11 +268,9 @@ def test_relaxation_two_oscillators_match_closed_form():
     w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
     a = 2.0 * w12  # gap rate: gap' = -2 kappa W12 sin(gap), kappa = 1
     gap0 = -math.pi / 2
-    for k, snap in enumerate(traj.snapshots):
-        if snap.t == 0.0:
-            continue
-        sim_gap = snap.values[0] - snap.values[1]
-        exact = oracles.two_oscillator_gap(gap0, a, snap.t)
+    for t, snap in zip(traj.times[1:], traj.snapshots[1:]):
+        sim_gap = snap[0] - snap[1]
+        exact = oracles.two_oscillator_gap(gap0, a, t)
         assert abs(sim_gap - exact) <= 1e-6 * abs(exact)
 
 

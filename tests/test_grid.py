@@ -83,11 +83,3 @@ def test_poincare_domain_constant_rejects_bad_s(grid16):
     for s in (0.0, 1.0, -0.2, 1.2):
         with pytest.raises(ParameterError):
             poincare_domain_constant(grid16, s)
-
-
-def test_content_hash_tracks_content():
-    a = build_grid(1, 16, [(0.0, 1.0)])
-    b = build_grid(1, 16, [(0.0, 1.0)])
-    c = build_grid(1, 17, [(0.0, 1.0)])
-    assert a.content_hash() == b.content_hash()
-    assert a.content_hash() != c.content_hash()

@@ -99,7 +99,7 @@ def test_simulate_constant_field_is_equilibrium():
     traj = simulate(cfg)
     assert traj.status == "completed"
     for snap in traj.snapshots:
-        assert np.all(snap.values == traj.snapshots[0].values)
+        assert np.all(snap == traj.snapshots[0])
     assert traj.records[-1].dissipation_cum == 0.0
 
 
@@ -118,12 +118,16 @@ def test_simulate_trajectory_contract():
     assert np.all(np.diff(times) > 0)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.25, rel=1e-12)
+    # one read-only (record times, nodes) array
+    assert traj.snapshots.shape == (len(traj.times), 16) and traj.snapshots.dtype == float
+    with pytest.raises(ValueError):
+        traj.snapshots[-1, 0] = 0.0
     # first snapshot is the gauge-reduced initial data; the physical field
     # restores the original profile
     from nlkuramoto import initial_field
     theta0 = initial_field("smooth", traj.grid, diameter=1.0)
     bar = mean_phase(theta0, traj.grid)
-    assert np.allclose(traj.snapshots[0].values, theta0 - bar, atol=1e-15)
+    assert np.allclose(traj.snapshots[0], theta0 - bar, atol=1e-15)
     assert np.allclose(traj.physical_values(0), theta0, atol=1e-14)
     # gauge bookkeeping: physical field at T includes nu * T
     assert traj.gauge_reduced and traj.nu == 0.7
@@ -137,8 +141,8 @@ def test_simulate_extrema_contract_pointwise_in_time():
     cfg = make_config(n=48, model="regularized", epsilon=0.1, delta=0.1, kind="random",
                       seed=17, diameter=2.8, horizon=1.0, stride=3)
     traj = simulate(cfg)
-    tops = [float(s.values.max()) for s in traj.snapshots]
-    bottoms = [float(s.values.min()) for s in traj.snapshots]
+    tops = [float(s.max()) for s in traj.snapshots]
+    bottoms = [float(s.min()) for s in traj.snapshots]
     for (ta, tb), (a, b) in zip(zip(traj.times, traj.times[1:]), zip(tops, tops[1:])):
         assert b <= a + 1e-9 * (tb - ta)
     for (ta, tb), (a, b) in zip(zip(traj.times, traj.times[1:]), zip(bottoms, bottoms[1:])):
@@ -208,7 +212,7 @@ def test_simulate_with_its_bundle_matches_a_fresh_build():
     shared = simulate(cfg, build_operators(cfg))
     fresh = simulate(cfg)
     assert shared.records == fresh.records
-    assert all(np.array_equal(a.values, b.values)
+    assert all(np.array_equal(a, b)
                for a, b in zip(shared.snapshots, fresh.snapshots))
 
 
@@ -281,9 +285,9 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     assert traj.counters.rejected_steps > 0 or not cfg.integrator.adaptive
     _, coupling, dissipation = build_operators(cfg)
     for snap, rec in zip(traj.snapshots, traj.records):
-        assert rec.e_pot == energy_potential(snap.values, coupling, cfg.physics.kappa)
-        assert rec.sin2_seminorm == sin2_seminorm(snap.values, coupling)
-        assert rec.seminorm_sq == seminorm_sq(snap.values, dissipation)
+        assert rec.e_pot == energy_potential(snap, coupling, cfg.physics.kappa)
+        assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
+        assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
 
 
 def test_simulate_deterministic():
@@ -292,7 +296,7 @@ def test_simulate_deterministic():
     b = simulate(cfg)
     assert a.dt == b.dt
     for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa.values, sb.values)
+        assert np.array_equal(sa, sb)
 
 
 def test_simulate_matches_independent_euler():
@@ -304,11 +308,11 @@ def test_simulate_matches_independent_euler():
     g = traj.grid
     w_trunc = oracles.kernel_matrix_loop(g, 0.5, 0.3)
     w_sing = oracles.kernel_matrix_loop(g, 0.5)
-    theta0 = traj.snapshots[0].values
+    theta0 = traj.snapshots[0]
     n_euler = traj.n_steps * 10
     expect = oracles.euler_reference(theta0, w_trunc, w_sing, 0.05, 0.02,
                                      0.1 / n_euler, n_euler)
-    assert np.abs(traj.snapshots[-1].values - expect).max() <= 1e-6
+    assert np.abs(traj.snapshots[-1] - expect).max() <= 1e-6
 
 
 def test_simulate_blow_up_keeps_partial_trajectory():
@@ -320,6 +324,8 @@ def test_simulate_blow_up_keeps_partial_trajectory():
     partial = err.value.trajectory
     assert partial is not None and partial.status == "blow-up"
     assert 1 <= len(partial.records) < 61
+    assert partial.snapshots.shape == (len(partial.times), 64)
+    assert np.all(np.isfinite(partial.snapshots))
     assert all(b > a for a, b in zip(partial.times, partial.times[1:]))
     assert err.value.t is not None and 0.0 <= err.value.t < 30.0
 
@@ -339,6 +345,9 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
     times, snapshots, records, step_counts, counters = err.value.trajectory
     assert times == [0.0] and err.value.t == 0.0 and step_counts == []
     assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]
+    assert snapshots.shape == (3, len(times), 16) and np.all(snapshots == theta0[:, None])
+    with pytest.raises(ValueError):
+        snapshots[0, 0, 0] = 0.0  # read-only
     assert counters.steps == 0
 
 
@@ -349,7 +358,7 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
 def _bits(records, snapshots=()):
     # every record field and every snapshot, as raw bytes
     return (np.array([astuple(r) for r in records]).tobytes()
-            + b"".join(s.values.tobytes() for s in snapshots))
+            + b"".join(s.tobytes() for s in snapshots))
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -391,7 +400,7 @@ def test_rkc_is_second_order_on_the_two_oscillator_closed_form():
         traj = simulate(cfg)
         w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
         exact = oracles.two_oscillator_gap(-math.pi / 2, 2.0 * w12, 2.0)
-        final = traj.snapshots[-1].values
+        final = traj.snapshots[-1]
         errors.append(abs(final[0] - final[1] - exact))
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 

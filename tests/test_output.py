@@ -108,7 +108,7 @@ def test_write_run_outputs(tmp_path):
 
     # snapshots store the physical field: gauge shift and drift reapplied
     _, _, t_last, values = read_snapshot(snaps[-1])
-    assert t_last == traj.snapshots[-1].t
+    assert t_last == traj.times[-1]
     assert np.array_equal(values, traj.physical_values(len(traj.snapshots) - 1))
 
 
