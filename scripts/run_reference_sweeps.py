@@ -29,7 +29,7 @@ def base_config(outdir, model, **physics):
 
 
 def show(sweep):
-    print(f"\n{sweep.parameter} ladder: {list(sweep.ladder)} (dt = {sweep.dt:.6g})")
+    print(f"\n{sweep.parameter} ladder: {list(sweep.ladder)} (dt = {sweep.rungs[0].dt:.6g})")
     for j, d in enumerate(sweep.differences):
         print(f"  Delta_{j} = {d:.6e}")
     print(f"  strictly decreasing: {sweep.decreasing}")
@@ -44,7 +44,7 @@ def main() -> int:
 
     eps_base = base_config(outdir / "epsilon", "regularized", delta=0.1, epsilon=0.2)
     eps_sweep = sweep_epsilon(eps_base, [0.2, 0.1, 0.05, 0.025])
-    write_sweep_outputs(eps_sweep, eps_base)
+    write_sweep_outputs(eps_sweep)
     show(eps_sweep)
 
     # rough random data for the dissipation ladder: the singular coupling is
@@ -56,7 +56,7 @@ def main() -> int:
                          output=OutputConfig(directory=str(outdir / "delta"),
                                              formats=("csv", "manifest", "report")))
     del_sweep = sweep_delta(del_base, [0.4, 0.2, 0.1, 0.05])
-    write_sweep_outputs(del_sweep, del_base)
+    write_sweep_outputs(del_sweep)
     show(del_sweep)
 
     ok = (eps_sweep.decreasing and del_sweep.decreasing

@@ -101,11 +101,11 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
-    last = traj.records[-1]
+    last, counters = traj.records[-1], traj.counters
     if cfg.integrator.adaptive:
-        steps = f"{traj.n_steps} adaptive steps ({traj.counters.rejected_steps} rejected)"
+        steps = f"{counters.steps} adaptive steps ({counters.rejected_steps} rejected)"
     else:
-        steps = f"{traj.n_steps} steps (dt = {traj.dt:.6g})"
+        steps = f"{counters.steps} steps (dt = {traj.dt:.6g})"
     print(f"completed {steps} to t = {last.t:.6g}")
     print(f"final diameter = {last.diameter:.6g}, dist_sq = {last.dist_sq:.6g}")
     for name, path in sorted(paths.items()):
@@ -116,8 +116,9 @@ def cmd_simulate(args) -> int:
 def _cmd_sweep(args, which) -> int:
     cfg = _load_config(args)
     ladder = _parse_ladder(args.ladder)
+    t0 = time.perf_counter()
     sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(cfg, ladder)
-    paths = write_sweep_outputs(sweep, cfg)
+    paths = write_sweep_outputs(sweep, wall_clock_s=time.perf_counter() - t0)
     print(f"{sweep.parameter} ladder: {list(sweep.ladder)}")
     print(f"successive differences: {['%.6e' % d for d in sweep.differences]}")
     print(f"decreasing: {sweep.decreasing}, uniform bounds: "

@@ -130,6 +130,9 @@ def _validate(cfg: SimConfig) -> list[str]:
         problems.append(f"physics.kappa: must be nonnegative, got {p.kappa}")
     if p.delta < 0.0:
         problems.append(f"physics.delta: must be nonnegative, got {p.delta}")
+    elif p.delta > 0.0 and p.model == "lattice":
+        problems.append(f"physics.delta: the lattice model has no dissipation term, "
+                        f"got {p.delta}")
     if p.model == "regularized":
         if p.epsilon is None or p.epsilon <= 0.0:
             problems.append("physics.epsilon: the regularized model needs a positive truncation")
@@ -269,13 +272,14 @@ def collect_raw(text: str, source: str = "<config>"):
     return raw, problems
 
 
-def build_config(raw: dict) -> SimConfig:
+def build_config(raw: dict, problems=()) -> SimConfig:
     """Build and validate a SimConfig from a raw key mapping.
 
     Only the keys present in ``raw`` (and parsed cleanly) are set; every other
-    field keeps its dataclass default.
+    field keeps its dataclass default.  ``problems`` found earlier (by the
+    text parse or the overrides) are reported first, with this build's own.
     """
-    problems = []
+    problems = list(problems)
     given = {section: {} for section in _SCHEMA}
     for section, keys in _SCHEMA.items():
         for key, kind in keys.items():
@@ -306,19 +310,8 @@ def build_config(raw: dict) -> SimConfig:
     return cfg
 
 
-def _build_reporting(raw: dict, problems: list[str]) -> SimConfig:
-    """build_config, with ``problems`` found earlier reported alongside its own."""
-    if not problems:
-        return build_config(raw)
-    try:
-        build_config(raw)
-    except ConfigurationError as exc:
-        problems.extend(exc.problems)
-    raise ConfigurationError(problems)
-
-
 def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
-    return _build_reporting(*collect_raw(text, source))
+    return build_config(*collect_raw(text, source))
 
 
 def parse_config(path) -> SimConfig:
@@ -343,7 +336,7 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
             problems.append(f"{section}.{key}: '#' and line breaks are refused, got {value!r}")
         else:
             raw[(section, key)] = value.strip()
-    return _build_reporting(raw, problems)
+    return build_config(raw, problems)
 
 
 def _render(cfg: SimConfig) -> str:

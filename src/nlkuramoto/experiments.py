@@ -14,7 +14,6 @@ order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .diagnostics import (BoundCheck, energy_identity_residual, fit_decay_rate, 
                           uniform_bound_report)
 from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
-from .integrate import StepCounters, Trajectory, select_dt
+from .integrate import Trajectory, select_dt
 from .kernel import TRUNCATED, assemble_kernel_matrix
 from .run import Operators, build_operators, simulate, simulate_family
 
@@ -37,46 +36,38 @@ CONTRACTION_STEP_TOL = 1e-10  # per-step slack for the kappa = 0 semigroup check
 
 
 @dataclass(frozen=True)
-class RungResult:
-    value: float
-    config: SimConfig
-    records: list
-    bound_checks: list[BoundCheck]
-    n_steps: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """A ladder's rungs, one trajectory each (they share the step, the stride
+    and the batched run's counters), with each rung's uniform-bound rows in
+    ``bound_checks`` and the successive differences between rungs."""
+
     parameter: str
     ladder: tuple[float, ...]
-    rungs: list[RungResult]
+    rungs: list[Trajectory]
+    bound_checks: list[list[BoundCheck]]
     differences: list[float]
     decreasing: bool
     bounds_ok: bool
-    dt: float
-    stride: int
-    wall_clock_s: float  # the rungs' batched simulation
-    counters: StepCounters  # of the batched simulation, which every rung shares
 
     def report(self) -> dict:
         return {
             "parameter": self.parameter,
             "ladder": list(self.ladder),
-            "dt": self.dt,
-            "stride": self.stride,
+            "dt": self.rungs[0].dt,
+            "stride": self.rungs[0].config.integrator.stride,
             "successive_differences": self.differences,
             "decreasing": self.decreasing,
             "bounds_ok": self.bounds_ok,
             "rungs": [
                 {
-                    "value": rung.value,
+                    "value": value,
                     "config_hash": rung.config.content_hash(),
-                    "n_steps": rung.n_steps,
+                    "n_steps": rung.counters.steps,
                     "final_diameter": rung.records[-1].diameter,
                     "final_dist_sq": rung.records[-1].dist_sq,
-                    "bounds": [asdict(c) for c in rung.bound_checks],
+                    "bounds": [asdict(c) for c in checks],
                 }
-                for rung in self.rungs
+                for value, rung, checks in zip(self.ladder, self.rungs, self.bound_checks)
             ],
         }
 
@@ -119,25 +110,19 @@ def _rung_configs(base: SimConfig, parameter: str, ladder, stiffest: Operators,
 def _sweep(parameter, ladder, configs: list[SimConfig],
            operators: list[Operators]) -> SweepResult:
     """Step every rung together and check each one's uniform bounds."""
-    t0 = time.perf_counter()
     try:
         trajs = simulate_family(configs, operators)
     except BlowUpError as exc:
         raise BlowUpError(f"rung {exc.row} (value {ladder[exc.row]}) blew up: {exc}",
                           trajectory=exc.trajectory, t=exc.t, row=exc.row,
                           node=exc.node) from exc
-    wall_clock_s = time.perf_counter() - t0
-    rungs = [RungResult(value=value, config=traj.config, records=traj.records,
-                        bound_checks=uniform_bound_report(traj), n_steps=traj.n_steps)
-             for value, traj in zip(ladder, trajs)]
+    bound_checks = [uniform_bound_report(traj) for traj in trajs]
     diffs = _successive_differences(trajs)
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
-    bounds_ok = all(c.satisfied is not False
-                    for rung in rungs for c in rung.bound_checks)
-    return SweepResult(parameter=parameter, ladder=ladder, rungs=rungs,
-                       differences=diffs, decreasing=decreasing, bounds_ok=bounds_ok,
-                       dt=trajs[0].dt, stride=configs[0].integrator.stride,
-                       wall_clock_s=wall_clock_s, counters=trajs[0].counters)
+    bounds_ok = all(c.satisfied is not False for checks in bound_checks for c in checks)
+    return SweepResult(parameter=parameter, ladder=ladder, rungs=trajs,
+                       bound_checks=bound_checks, differences=diffs, decreasing=decreasing,
+                       bounds_ok=bounds_ok)
 
 
 def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
@@ -330,7 +315,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
         traj = simulate(cfg, ops)
         e0 = traj.records[0].e_pot + traj.records[0].e_kin
         residual = energy_identity_residual(traj)
-        rows.append({"n": n, "dt": traj.dt, "n_steps": traj.n_steps,
+        rows.append({"n": n, "dt": traj.dt, "n_steps": traj.counters.steps,
                      "energy_residual": residual,
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
         finals.append(traj.snapshots[-1])

@@ -178,17 +178,18 @@ class StepCounters:
 
 @dataclass
 class Trajectory:
-    """Snapshots and diagnostics of one run.
+    """The one record of what a run did: its config, status, step and work,
+    snapshots and diagnostics.
 
     ``snapshots`` is one read-only (len(times), N) array whose row k is the
     evolved (gauge-reduced, for continuum models) field at ``times[k]``;
     :meth:`physical_values` restores the affine shift mean + nu * t.  The
     cumulative dissipation lives in the records, accumulated by the same
     trapezoidal quadrature the stepper uses.  ``dt`` is the base step, whose
-    multiples give the record times; ``n_steps`` is the number of steps the
-    run was set for, or the accepted steps of an adaptive rkc run;
-    ``step_counts`` holds the steps taken between consecutive records and
-    ``counters`` the work of the whole run (a family's members share it).
+    multiples give the record times; ``step_counts`` holds the steps taken
+    between consecutive records and ``counters`` the work of the whole run
+    (a family's members share it): ``counters.steps`` is the accepted steps,
+    of a partial run too.  ``status`` is "completed" or "blow-up".
     """
 
     config: object
@@ -200,7 +201,6 @@ class Trajectory:
     nu: object
     gauge_reduced: bool
     dt: float
-    n_steps: int
     step_counts: list[int]
     counters: StepCounters
     status: str = "completed"

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SimConfig
 from .diagnostics import DiagnosticsRecord
-from .integrate import StepCounters
+from .integrate import Trajectory
 
 CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
                "dist_sq", "dissipation_cum", "dual_bound")
@@ -86,19 +85,19 @@ def platform_fingerprint() -> dict:
     }
 
 
-def build_manifest(cfg: SimConfig, *, status: str, n_steps: int = 0, dt: float = 0.0,
-                   wall_clock_s: float = 0.0, notes: str = "",
-                   counters: StepCounters | None = None) -> dict:
+def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
+    """The manifest of a run: its config and hash, platform, termination, step
+    and counters, all read from the trajectory."""
     manifest = {
-        "config": asdict(cfg),
-        "config_hash": cfg.content_hash(),
+        "config": asdict(traj.config),
+        "config_hash": traj.config.content_hash(),
         "artifact_version": __version__,
         "platform": platform_fingerprint(),
-        "termination": status,
-        "n_steps": n_steps,
-        "dt": dt,
+        "termination": traj.status,
+        "n_steps": traj.counters.steps,
+        "dt": traj.dt,
         "wall_clock_s": wall_clock_s,
-        "counters": asdict(counters or StepCounters()),
+        "counters": asdict(traj.counters),
     }
     if notes:
         manifest["notes"] = notes
@@ -109,16 +108,17 @@ def write_manifest(manifest: dict, path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def write_run_outputs(traj, wall_clock_s: float = 0.0, notes: str = "") -> dict:
+def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "",
+                      directory=None) -> dict:
     """Write a trajectory's outputs per its config's output block.
 
-    Returns the mapping of artifact names to paths.  Snapshots store the
-    physical field (gauge shift reapplied).
+    ``directory`` defaults to the config's output directory.  Returns the
+    mapping of artifact names to paths.  Snapshots store the physical field
+    (gauge shift reapplied).
     """
-    cfg: SimConfig = traj.config
-    outdir = Path(cfg.output.directory)
+    outdir = Path(directory or traj.config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.output.formats
+    formats = traj.config.output.formats
     paths = {}
 
     if "csv" in formats:
@@ -131,30 +131,19 @@ def write_run_outputs(traj, wall_clock_s: float = 0.0, notes: str = "") -> dict:
             write_snapshot(snap_path, traj.grid.dim, traj.grid.n, t, traj.physical_values(k))
         paths["snapshots"] = outdir
     if "manifest" in formats:
-        manifest = build_manifest(cfg, status=traj.status, n_steps=traj.n_steps,
-                                  dt=traj.dt, wall_clock_s=wall_clock_s, notes=notes,
-                                  counters=traj.counters)
         man_path = outdir / "manifest.json"
-        write_manifest(manifest, man_path)
+        write_manifest(build_manifest(traj, wall_clock_s, notes), man_path)
         paths["manifest"] = man_path
     return paths
 
 
-def write_sweep_outputs(sweep, cfg: SimConfig) -> dict:
-    """Write per-rung directories plus the top-level sweep report."""
-    outdir = Path(cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for j, rung in enumerate(sweep.rungs):
-        rung_dir = outdir / f"rung_{j}"
-        rung_dir.mkdir(exist_ok=True)
-        write_diagnostics_csv(rung.records, rung_dir / "diagnostics.csv")
-        write_manifest(build_manifest(rung.config, status="completed",
-                                      n_steps=rung.n_steps, dt=sweep.dt,
-                                      wall_clock_s=sweep.wall_clock_s,
-                                      counters=sweep.counters),
-                       rung_dir / "manifest.json")
-        paths[f"rung_{j}"] = rung_dir
+def write_sweep_outputs(sweep, wall_clock_s: float = 0.0) -> dict:
+    """Write each rung's outputs to ``rung_<j>/`` of the sweep's output
+    directory, per the output formats, plus the top-level sweep report."""
+    outdir = Path(sweep.rungs[0].config.output.directory)
+    paths = {f"rung_{j}": outdir / f"rung_{j}" for j in range(len(sweep.rungs))}
+    for rung, rung_dir in zip(sweep.rungs, paths.values()):
+        write_run_outputs(rung, wall_clock_s, directory=rung_dir)
     report_path = outdir / "sweep_report.json"
     report_path.write_text(json.dumps(sweep.report(), indent=2, sort_keys=True) + "\n")
     paths["report"] = report_path

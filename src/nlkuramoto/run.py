@@ -132,9 +132,8 @@ def simulate_family(configs: list[SimConfig],
 
     policy = cfg.integrator
     # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
-    lattice = model == "lattice"
-    kappa_rate = kappa / (grid.node_count * grid.weight) if lattice else kappa
-    bounds = [stiffness_bound(c, dissipation, kappa_rate, 0.0 if lattice else delta)
+    kappa_rate = kappa / (grid.node_count * grid.weight) if model == "lattice" else kappa
+    bounds = [stiffness_bound(c, dissipation, kappa_rate, delta)
               for c, delta in zip(couplings, deltas)]
     dt = policy.dt
     if dt is None:
@@ -192,7 +191,6 @@ def simulate_family(configs: list[SimConfig],
         return Trajectory(
             config=configs[j], grid=grid, times=list(flow.times), snapshots=flow.snapshots[j],
             records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
-            n_steps=flow.counters.steps if policy.adaptive else n_steps,
             step_counts=list(flow.step_counts), counters=flow.counters, status=status)
 
     try:

@@ -88,6 +88,8 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert "blow-up" in captured.err
     manifest = json.loads((tmp_path / "run_out" / "manifest.json").read_text())
     assert manifest["termination"] == "blow-up"
+    # the steps taken before the blow-up, not the 80 the run was set for
+    assert manifest["n_steps"] == manifest["counters"]["steps"] < 80
 
 
 def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys):

@@ -127,6 +127,19 @@ def test_nu_file_only_for_lattice(tmp_path):
     assert any("nu_file" in p for p in err.value.problems)
 
 
+def test_lattice_model_refuses_dissipation():
+    # the lattice rate has no dissipation term: a delta would leave the
+    # dynamics alone and skew only the records' E_K and dual bound
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("[physics]\nmodel = lattice\nkappa = -1\ndelta = 0.7\n")
+    assert err.value.problems == [
+        "physics.kappa: must be nonnegative, got -1.0",
+        "physics.delta: the lattice model has no dissipation term, got 0.7"]
+    lattice = parse_config_text("[physics]\nmodel = lattice\ndelta = 0\n")
+    assert replace(lattice, physics=replace(lattice.physics, delta=0.7)).problems() == [
+        "physics.delta: the lattice model has no dissipation term, got 0.7"]
+
+
 def test_two_dimensional_extents():
     cfg = parse_config_text("[grid]\ndimension = 2\nnodes = 8\nextent = 0 1\nextent2 = -1 1\n")
     assert cfg.grid.extents == ((0.0, 1.0), (-1.0, 1.0))

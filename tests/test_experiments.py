@@ -84,7 +84,7 @@ def test_sweep_epsilon_shares_dt_and_times():
     base = eps_base()
     ladder = [0.4, 0.2, 0.1]
     sweep = sweep_epsilon(base, ladder)
-    assert len({rung.n_steps for rung in sweep.rungs}) == 1
+    (dt,) = {rung.dt for rung in sweep.rungs}
     requested = {rung.config.integrator.dt for rung in sweep.rungs}
     # the stiffest rung's step is exactly the smallest automatic step on the ladder
     dissipation = build_operators(base).dissipation
@@ -94,7 +94,7 @@ def test_sweep_epsilon_shares_dt_and_times():
                   base.integrator.safety, free_drift_horizon=base.integrator.horizon)
         for eps in ladder)}
     # the executed step is the request rounded down to land on the horizon
-    assert sweep.dt <= requested.pop() * (1 + 1e-12)
+    assert dt <= requested.pop() * (1 + 1e-12)
 
 
 def test_sweep_epsilon_validation():
@@ -162,7 +162,8 @@ def test_sweep_blow_up_names_the_unstable_rung():
     assert str(err.value).startswith("rung 0 (value 0.4) blew up: non-finite state at t = ")
     partial = err.value.trajectory
     assert partial.status == "blow-up" and partial.config.physics.delta == 0.4
-    assert 1 < len(partial.records) == len(partial.snapshots) < partial.n_steps // 10
+    # one record at t = 0 and one after every 10th step taken
+    assert 1 < len(partial.records) == len(partial.snapshots) == partial.counters.steps // 10 + 1
     assert partial.snapshots.shape == (len(partial.times), 24)
     assert partial.times[-1] <= err.value.t < 60.0
 
@@ -175,9 +176,9 @@ def test_sweeps_share_a_configured_dt(parameter):
         sweep = sweep_epsilon(eps_base(horizon=0.1, dt=0.001), [0.2, 0.1])
     else:
         sweep = sweep_delta(delta_base(horizon=0.1, dt=0.001), [0.4, 0.2])
-    assert sweep.dt == 0.001
+    assert [rung.dt for rung in sweep.rungs] == [0.001, 0.001]
     assert [rung.config.integrator.dt for rung in sweep.rungs] == [0.001, 0.001]
-    assert [rung.n_steps for rung in sweep.rungs] == [100, 100]
+    assert [rung.counters.steps for rung in sweep.rungs] == [100, 100]
 
 
 def test_sweep_delta_constant_data():
@@ -198,8 +199,8 @@ def test_sweep_delta_decreasing():
     assert sweep.decreasing
     assert sweep.bounds_ok
     # the sinc-seminorm row applies on every rung of a singular-coupling sweep
-    for rung in sweep.rungs:
-        rows = {c.name: c for c in rung.bound_checks}
+    for checks in sweep.bound_checks:
+        rows = {c.name: c for c in checks}
         assert rows["seminorm-sinc-bound"].satisfied is True
 
 
@@ -388,7 +389,7 @@ def test_invariant_suite_semigroup_run_under_adaptive_rkc():
                       seed=12, diameter=2.0, horizon=0.4, stride=10, scheme="rkc")
     traj, checks, ok = run_invariant_suite(cfg)
     assert ok and {c.name: c for c in checks}["semigroup-contraction"].passed is True
-    assert sum(traj.step_counts) == traj.n_steps and len(set(traj.step_counts)) > 1
+    assert sum(traj.step_counts) == traj.counters.steps and len(set(traj.step_counts)) > 1
 
 
 def test_invariant_suite_lattice_run():

@@ -180,10 +180,9 @@ def test_simulate_lattice_with_per_node_frequencies(tmp_path):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.3])
 def test_simulate_lattice_dt_from_raw_row_sums(kappa):
-    # the lattice step is bounded by 2 kappa max_row(raw kernel) / N; delta
-    # does not enter, since the lattice rate has no dissipation term
+    # the lattice step is bounded by 2 kappa max_row(raw kernel) / N
     cfg = make_config(dim=2, n=6, extents=((0.0, 1.0), (0.0, 2.0)), model="lattice",
-                      kappa=kappa, delta=0.7, horizon=0.3, safety=0.4)
+                      kappa=kappa, horizon=0.3, safety=0.4)
     traj = simulate(cfg)
     raw = oracles.kernel_matrix_loop(traj.grid, 0.5, weight=1.0)
     lam = 2.0 * kappa * raw.sum(axis=1).max() / traj.grid.node_count
@@ -309,7 +308,7 @@ def test_simulate_matches_independent_euler():
     w_trunc = oracles.kernel_matrix_loop(g, 0.5, 0.3)
     w_sing = oracles.kernel_matrix_loop(g, 0.5)
     theta0 = traj.snapshots[0]
-    n_euler = traj.n_steps * 10
+    n_euler = traj.counters.steps * 10
     expect = oracles.euler_reference(theta0, w_trunc, w_sing, 0.05, 0.02,
                                      0.1 / n_euler, n_euler)
     assert np.abs(traj.snapshots[-1] - expect).max() <= 1e-6
@@ -422,8 +421,8 @@ def test_adaptive_rkc_lands_on_the_rk4_record_times():
     assert [r.t for r in rkc.records] == [r.t for r in rk4.records]
     assert rkc.dt == rk4.dt
     # fewer, larger steps than rk4's, each interval counted exactly
-    assert sum(rkc.step_counts) == rkc.n_steps == rkc.counters.steps < rk4.n_steps
-    assert rk4.step_counts == [7] * (len(rk4.times) - 2) + [rk4.n_steps % 7 or 7]
+    assert sum(rkc.step_counts) == rkc.counters.steps < rk4.counters.steps
+    assert rk4.step_counts == [7] * (len(rk4.times) - 2) + [rk4.counters.steps % 7 or 7]
 
 
 def test_fixed_step_rkc_family_members_equal_lone_runs():
@@ -435,15 +434,16 @@ def test_fixed_step_rkc_family_members_equal_lone_runs():
     for rung in sweep.rungs:
         alone = simulate(rung.config)
         assert _bits(rung.records) == _bits(alone.records)
-        assert alone.counters == sweep.counters
+        assert alone.counters == rung.counters
 
 
 def test_rk4_takes_four_rate_evaluations_a_step():
     traj = simulate(make_config(n=32, kind="random", seed=2, diameter=2.0, horizon=0.2,
                                 stride=3))
-    assert traj.counters.rhs_evals == 4 * traj.n_steps + 1
-    assert traj.counters.steps == traj.n_steps and traj.counters.rejected_steps == 0
-    assert sum(traj.step_counts) == traj.n_steps
+    steps = traj.counters.steps
+    assert traj.counters.rhs_evals == 4 * steps + 1
+    assert steps == round(0.2 / traj.dt) and traj.counters.rejected_steps == 0
+    assert sum(traj.step_counts) == steps
 
 
 def test_reference_relaxation_takes_at_most_2500_rate_evaluations():
@@ -457,7 +457,7 @@ def test_reference_relaxation_takes_at_most_2500_rate_evaluations():
     assert cfg.integrator.scheme == "rkc"
     traj = simulate(cfg)
     assert traj.counters.rhs_evals <= 2500
-    assert traj.n_steps <= 1000
+    assert traj.counters.steps <= 1000
 
 
 def test_adaptive_rkc_refuses_a_step_shrunk_to_nothing(grid16):

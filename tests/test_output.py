@@ -96,9 +96,10 @@ def test_write_run_outputs(tmp_path):
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["config_hash"] == cfg.content_hash()
     assert manifest["termination"] == "completed"
-    assert manifest["n_steps"] == traj.n_steps
-    assert manifest["counters"] == {"steps": traj.n_steps, "rejected_steps": 0,
-                                    "rhs_evals": 4 * traj.n_steps + 1,
+    n_steps = round(0.2 / traj.dt)
+    assert manifest["n_steps"] == n_steps
+    assert manifest["counters"] == {"steps": n_steps, "rejected_steps": 0,
+                                    "rhs_evals": 4 * n_steps + 1,
                                     "records": len(traj.records)}
     assert set(manifest["platform"]) == {"python", "numpy", "system", "machine"}
 
@@ -120,10 +121,10 @@ def test_number_format_round_trips_every_double(x):
 
 
 def test_manifest_hash_reproducible():
-    cfg = make_config(n=16)
-    a = build_manifest(cfg, status="completed")
-    b = build_manifest(cfg, status="completed")
-    assert a["config_hash"] == b["config_hash"]
+    cfg = make_config(n=16, horizon=0.01)
+    a = build_manifest(simulate(cfg))
+    b = build_manifest(simulate(cfg))
+    assert a["config_hash"] == b["config_hash"] == cfg.content_hash()
 
 
 def test_sweep_outputs(tmp_path):
@@ -131,16 +132,35 @@ def test_sweep_outputs(tmp_path):
                        kind="smooth", diameter=1.0, horizon=0.2, stride=4,
                        directory=str(tmp_path / "sweep"))
     sweep = sweep_epsilon(base, [0.2, 0.1, 0.05, 0.025])
-    paths = write_sweep_outputs(sweep, base)
-    for j in range(4):
+    paths = write_sweep_outputs(sweep)
+    for j, rung in enumerate(sweep.rungs):
         rung_dir = paths[f"rung_{j}"]
         assert (rung_dir / "diagnostics.csv").exists()
         manifest = json.loads((rung_dir / "manifest.json").read_text())
         # the rungs step as one batched system and share its counters
-        assert manifest["counters"] == asdict(sweep.counters)
-        assert manifest["counters"]["steps"] == sweep.rungs[j].n_steps
-        assert manifest["counters"]["records"] == len(sweep.rungs[j].records)
+        assert manifest["counters"] == asdict(sweep.rungs[0].counters)
+        assert manifest["n_steps"] == manifest["counters"]["steps"] == round(0.2 / rung.dt)
+        assert manifest["counters"]["records"] == len(rung.records)
     report = json.loads(paths["report"].read_text())
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
     assert len(report["successive_differences"]) == 3
+
+
+def test_sweep_rungs_write_what_their_lone_runs_write(tmp_path):
+    # each rung directory follows output.formats and holds exactly the files
+    # a lone run of the rung's config writes
+    base = make_config(n=16, model="regularized", epsilon=0.2, delta=0.1, kind="random",
+                       seed=5, diameter=2.0, horizon=0.1, stride=5,
+                       formats=("csv", "manifest", "snapshots"),
+                       directory=str(tmp_path / "sweep"))
+    sweep = sweep_epsilon(base, [0.2, 0.1])
+    paths = write_sweep_outputs(sweep, wall_clock_s=0.5)
+    for j, rung in enumerate(sweep.rungs):
+        alone = tmp_path / f"alone_{j}"
+        write_run_outputs(simulate(rung.config), wall_clock_s=0.5, directory=alone)
+        names = sorted(path.name for path in paths[f"rung_{j}"].iterdir())
+        assert names == sorted(path.name for path in alone.iterdir())
+        assert sum(name.startswith("snapshot_") for name in names) == len(rung.times) > 2
+        for name in names:
+            assert (paths[f"rung_{j}"] / name).read_bytes() == (alone / name).read_bytes()

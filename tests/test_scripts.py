@@ -14,7 +14,10 @@ SCRIPTS = ("run_reference_sweeps.py", "run_relaxation_study.py", "run_refinement
 
 def run_script(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    # the suite's own warning filters (pyproject.toml) hold in the scripts too
+    warnings = ("-W", "error::DeprecationWarning", "-W", "error::FutureWarning",
+                "-W", "error::RuntimeWarning")
+    return subprocess.run([sys.executable, *warnings, str(ROOT / "scripts" / script), *args],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
 
