@@ -24,7 +24,7 @@ def base_config(outdir, model, **physics):
         physics=PhysicsConfig(model=model, s=0.5, kappa=1.0, **physics),
         initial=InitialConfig(kind="smooth", diameter=math.pi / 2),
         integrator=IntegratorPolicy(scheme="rk4", safety=0.5, horizon=2.0, stride=20),
-        output=OutputConfig(directory=str(outdir), formats=("csv", "manifest", "report")),
+        output=OutputConfig(directory=str(outdir), formats=("csv", "manifest")),
     )
 
 
@@ -54,7 +54,7 @@ def main() -> int:
                          initial=InitialConfig(kind="random", diameter=math.pi / 2, seed=7),
                          integrator=del_base.integrator,
                          output=OutputConfig(directory=str(outdir / "delta"),
-                                             formats=("csv", "manifest", "report")))
+                                             formats=("csv", "manifest")))
     del_sweep = sweep_delta(del_base, [0.4, 0.2, 0.1, 0.05])
     write_sweep_outputs(del_sweep)
     show(del_sweep)

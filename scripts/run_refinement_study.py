@@ -8,15 +8,15 @@ grid, plus a step-halving row (the residual must drop at least 4x).
 """
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nlkuramoto import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig,
-                        PhysicsConfig, SimConfig, refinement_study)
+                        PhysicsConfig, SimConfig, refinement_study, write_json)
 
 
 def main() -> int:
@@ -50,8 +50,7 @@ def main() -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "refinement_report.json").write_text(
-        json.dumps(report.report(), indent=2, sort_keys=True) + "\n")
+    write_json(asdict(report), outdir / "refinement_report.json")
 
     diffs_ok = all(b < a for a, b in zip(report.coarse_diffs, report.coarse_diffs[1:]))
     ok = diffs_ok and h["ratio"] >= 4.0

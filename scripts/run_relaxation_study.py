@@ -7,16 +7,16 @@ cross-checks the time stepper against the closed-form two-oscillator gap.
 """
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nlkuramoto import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig,
                         PhysicsConfig, SimConfig, psi, relaxation_experiment, simulate,
-                        write_run_outputs)
+                        write_json, write_run_outputs)
 
 
 def config(outdir, n, safety, stride, diameter=math.pi / 2, kind="smooth"):
@@ -40,11 +40,9 @@ def main() -> int:
     cfg = config(outdir / "main", args.nodes, safety=0.25, stride=20)
     report, traj = relaxation_experiment(cfg)
     write_run_outputs(traj)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "relaxation_report.json").write_text(
-        json.dumps(report.report(), indent=2, sort_keys=True) + "\n")
+    write_json(asdict(report), outdir / "relaxation_report.json")
 
-    print(f"n = {args.nodes}: M = {report.m:.6g}, min sinc = {report.c_m:.6g}")
+    print(f"n = {args.nodes}: M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g}  "
           f"(1/lambda_star = {1 / report.lambda_star:.4g} <= "
           f"C_P_domain = {report.c_p_domain:.4g})")

@@ -19,10 +19,10 @@ from .experiments import (refinement_study, relaxation_experiment, restrict_to_c
                           run_invariant_suite, sweep_delta, sweep_epsilon)
 from .grid import build_grid, poincare_domain_constant
 from .initial import initial_field
-from .integrate import select_dt, step
+from .integrate import step
 from .kernel import (assemble_kernel_matrix, k_eps_analytic_bound, k_eps_star_analytic_bound,
                      lipschitz_bounds, psi, psi_eps)
 from .output import (CSV_COLUMNS, build_manifest, read_diagnostics_csv, read_snapshot,
-                     write_diagnostics_csv, write_run_outputs, write_snapshot,
+                     write_diagnostics_csv, write_json, write_run_outputs, write_snapshot,
                      write_sweep_outputs)
 from .run import build_operators, simulate

@@ -11,9 +11,9 @@ converge.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import apply_overrides, parse_config
@@ -21,7 +21,7 @@ from .diagnostics import poincare_sharp_discrete
 from .errors import BlowUpError, ConfigurationError, IterationError
 from .experiments import relaxation_experiment, run_invariant_suite, sweep_delta, sweep_epsilon
 from .grid import poincare_domain_constant
-from .output import write_run_outputs, write_sweep_outputs
+from .output import write_json, write_run_outputs, write_sweep_outputs
 from .run import build_operators, simulate
 
 EXIT_OK = 0
@@ -87,20 +87,15 @@ def _parse_ladder(raw: str) -> list[float]:
         raise ConfigurationError([f"--ladder expects numbers, got {raw!r}"]) from None
 
 
-def _persist_blowup(exc: BlowUpError) -> None:
-    traj = exc.trajectory
-    if traj is None:
-        return
-    write_run_outputs(traj, notes=str(exc))
-    print(f"partial outputs written to {Path(traj.config.output.directory).resolve()}",
-          file=sys.stderr)
+def _elapsed(args) -> float:
+    """Seconds since :func:`main` started the command."""
+    return time.perf_counter() - args.started
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    t0 = time.perf_counter()
     traj = simulate(cfg)
-    paths = write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
+    paths = write_run_outputs(traj, wall_clock_s=_elapsed(args))
     last, counters = traj.records[-1], traj.counters
     if cfg.integrator.adaptive:
         steps = f"{counters.steps} adaptive steps ({counters.rejected_steps} rejected)"
@@ -116,9 +111,8 @@ def cmd_simulate(args) -> int:
 def _cmd_sweep(args, which) -> int:
     cfg = _load_config(args)
     ladder = _parse_ladder(args.ladder)
-    t0 = time.perf_counter()
     sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(cfg, ladder)
-    paths = write_sweep_outputs(sweep, wall_clock_s=time.perf_counter() - t0)
+    paths = write_sweep_outputs(sweep, wall_clock_s=_elapsed(args))
     print(f"{sweep.parameter} ladder: {list(sweep.ladder)}")
     print(f"successive differences: {['%.6e' % d for d in sweep.differences]}")
     print(f"decreasing: {sweep.decreasing}, uniform bounds: "
@@ -129,14 +123,10 @@ def _cmd_sweep(args, which) -> int:
 
 def cmd_relax(args) -> int:
     cfg = _load_config(args)
-    t0 = time.perf_counter()
     report, traj = relaxation_experiment(cfg)
-    write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
-    outdir = Path(cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "relaxation_report.json").write_text(
-        json.dumps(report.report(), indent=2, sort_keys=True) + "\n")
-    print(f"initial diameter M = {report.m:.6g}, min sinc = {report.c_m:.6g}")
+    write_run_outputs(traj, wall_clock_s=_elapsed(args))
+    write_json(asdict(report), Path(cfg.output.directory) / "relaxation_report.json")
+    print(f"initial diameter M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g} "
           f"(domain constant bound 1/C = {1.0 / report.c_p_domain:.8g})")
     print(f"certified rate = {report.certified_rate:.6g}, fitted rate = {report.gamma_hat:.6g}")
@@ -162,9 +152,8 @@ def cmd_poincare(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    t0 = time.perf_counter()
     traj, checks, ok = run_invariant_suite(cfg)
-    write_run_outputs(traj, wall_clock_s=time.perf_counter() - t0)
+    write_run_outputs(traj, wall_clock_s=_elapsed(args))
     for check in checks:
         tag = "pass" if check.passed else "skip" if check.passed is None else "FAIL"
         print(f"[{tag}] {check.name}: {check.detail}")
@@ -209,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()  # the one clock of wall_clock_s
     try:
         return args.func(args)
     except ConfigurationError as exc:
@@ -221,7 +211,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
-        _persist_blowup(exc)
+        traj = exc.trajectory
+        if traj is not None:  # the partial run's outputs
+            write_run_outputs(traj, wall_clock_s=_elapsed(args), notes=str(exc))
+            print(f"partial outputs written to {Path(traj.config.output.directory).resolve()}",
+                  file=sys.stderr)
         return EXIT_NUMERICAL
     except IterationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

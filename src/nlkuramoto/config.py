@@ -20,7 +20,7 @@ from .integrate import RK4, RKC, SCHEMES
 from .initial import KINDS
 
 MODELS = ("lattice", "regularized", "singular")
-OUTPUT_FORMATS = ("csv", "manifest", "snapshots", "report")
+OUTPUT_FORMATS = ("csv", "manifest", "snapshots")
 
 
 @dataclass(frozen=True)

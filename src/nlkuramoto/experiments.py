@@ -24,9 +24,9 @@ from .diagnostics import (BoundCheck, energy_identity_residual, fit_decay_rate, 
                           uniform_bound_report)
 from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
-from .integrate import Trajectory, select_dt
-from .kernel import TRUNCATED, assemble_kernel_matrix
-from .run import Operators, build_operators, simulate, simulate_family
+from .integrate import Trajectory
+from .kernel import assemble_kernel_matrix
+from .run import Operators, build_operators, family_step, simulate, simulate_family
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
@@ -94,17 +94,14 @@ def _successive_differences(trajs: list[Trajectory]) -> list[float]:
             for a, b in zip(trajs, trajs[1:])]
 
 
-def _rung_configs(base: SimConfig, parameter: str, ladder, stiffest: Operators,
-                  delta: float) -> list[SimConfig]:
-    """One config per rung, each carrying the shared step: the configured one,
-    else the automatic step of the stiffest rung's operators at ``delta``."""
-    policy = base.integrator
-    dt = policy.dt
-    if dt is None:
-        dt = select_dt(stiffest.coupling, stiffest.dissipation, base.physics.kappa, delta,
-                       policy.safety, free_drift_horizon=policy.horizon)
-    return [replace(base, physics=replace(base.physics, **{parameter: value}),
-                    integrator=replace(policy, dt=dt)) for value in ladder]
+def _rung_configs(base: SimConfig, parameter: str, ladder,
+                  operators: list[Operators]) -> list[SimConfig]:
+    """One config per rung, each carrying the family's shared step, so a
+    rung's manifest reproduces that rung alone."""
+    configs = [replace(base, physics=replace(base.physics, **{parameter: value}))
+               for value in ladder]
+    dt, _ = family_step(configs, operators)
+    return [replace(cfg, integrator=replace(cfg.integrator, dt=dt)) for cfg in configs]
 
 
 def _sweep(parameter, ladder, configs: list[SimConfig],
@@ -145,10 +142,10 @@ def sweep_epsilon(base: SimConfig, ladder) -> SweepResult:
 
     stiffest = build_operators(replace(
         base, physics=replace(base.physics, epsilon=ladder[-1])))
-    configs = _rung_configs(base, "epsilon", ladder, stiffest, base.physics.delta)
     operators = [stiffest._replace(coupling=assemble_kernel_matrix(
-        stiffest.grid, TRUNCATED, base.physics.s, eps)) for eps in ladder[:-1]]
-    return _sweep("epsilon", ladder, configs, operators + [stiffest])
+        stiffest.grid, base.physics.s, eps)) for eps in ladder[:-1]] + [stiffest]
+    return _sweep("epsilon", ladder, _rung_configs(base, "epsilon", ladder, operators),
+                  operators)
 
 
 def sweep_delta(base: SimConfig, ladder) -> SweepResult:
@@ -171,16 +168,15 @@ def sweep_delta(base: SimConfig, ladder) -> SweepResult:
     if problems:
         raise ConfigurationError(problems)
 
-    ops = build_operators(base)
-    configs = _rung_configs(base, "delta", ladder, ops, ladder[0])
-    return _sweep("delta", ladder, configs, [ops] * len(ladder))
+    operators = [build_operators(base)] * len(ladder)
+    return _sweep("delta", ladder, _rung_configs(base, "delta", ladder, operators), operators)
 
 
 @dataclass(frozen=True)
 class RelaxationReport:
     """Outcome of a relaxation run against its certified exponential rate."""
 
-    m: float
+    initial_diameter: float
     c_m: float
     lambda_star: float
     c_p_domain: float
@@ -192,11 +188,6 @@ class RelaxationReport:
     rate_ok: bool
     satisfied: bool
     table: list[dict]
-
-    def report(self) -> dict:
-        report = asdict(self)
-        report["initial_diameter"] = report.pop("m")
-        return report
 
 
 def pointwise_relaxation(records, kappa: float, lam_star: float):
@@ -261,7 +252,7 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
         rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
 
     report = RelaxationReport(
-        m=m0, c_m=min_sinc(m0), lambda_star=lam_star, c_p_domain=c_p_dom,
+        initial_diameter=m0, c_m=min_sinc(m0), lambda_star=lam_star, c_p_domain=c_p_dom,
         certified_rate=rate, gamma_hat=gamma_hat, fit_residual=residual,
         pointwise_ok=pointwise_ok, pointwise_margin=margin,
         rate_ok=rate_ok, satisfied=pointwise_ok and rate_ok, table=table,
@@ -285,9 +276,6 @@ class RefinementReport:
     coarse_diffs: list[float]
     dt_halving: dict
 
-    def report(self) -> dict:
-        return asdict(self)
-
 
 def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
     """Refine the grid at fixed physics; separate h-error from the parameter limits.
@@ -299,6 +287,8 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
     An adaptive rkc run takes that row in fixed steps of its base dt.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
+    if not n_ladder:
+        raise ConfigurationError(["refinement ladder: need at least one grid size"])
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigurationError(["refinement ladder must be strictly increasing"])
     for n in n_ladder[1:]:

@@ -68,14 +68,6 @@ def auto_step(bound: float, safety: float, free_drift_horizon: float = 1.0) -> f
     return safety / bound
 
 
-def select_dt(coupling: KernelOperator | None, dissipation: KernelOperator | None,
-              kappa: float, delta: float, safety: float,
-              free_drift_horizon: float = 1.0) -> float:
-    """Step size safety / (2 kappa max_row(coupling) + 2 delta max_row(dissipation))."""
-    return auto_step(stiffness_bound(coupling, dissipation, kappa, delta), safety,
-                     free_drift_horizon)
-
-
 @lru_cache(maxsize=None)
 def _rkc_coefficients(s: int):
     """(mu, nu, mu~, gamma~, c) of the s-stage RKC2 method, indexed by stage.
@@ -167,13 +159,11 @@ def _step_factor(err: float) -> float:
 
 @dataclass
 class StepCounters:
-    """The work of one run: accepted and rejected steps, rate evaluations and
-    record times (t = 0 included)."""
+    """The work of one run: accepted and rejected steps and rate evaluations."""
 
     steps: int = 0
     rejected_steps: int = 0
     rhs_evals: int = 0
-    records: int = 0
 
 
 @dataclass
@@ -268,7 +258,6 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
 
     def record(index, t):
         snapshots[:, index] = values
-        counters.records += 1
         return make_record(values, t, diss)
 
     def recorded() -> Flow:

@@ -13,8 +13,7 @@ entry at each nonnegative offset) and the real spectrum of its even circulant
 embedding, twice as long on each axis; an apply zero-pads, multiplies in
 Fourier space with real transforms and truncates, in O(N log N) time and
 O(N) memory, and :func:`stacked_apply` applies one operator per row of a
-stack (or of a family of stacks) in one transform pair.  The dense matrix is
-built only on request.
+stack (or of a family of stacks) in one transform pair.
 """
 
 from __future__ import annotations
@@ -24,14 +23,9 @@ from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, ParameterError, SingularityError
 from .grid import Grid, grids_match
-
-SINGULAR = "singular"
-TRUNCATED = "truncated"
-VARIANTS = (SINGULAR, TRUNCATED)
 
 
 def _check_s(s: float) -> None:
@@ -133,10 +127,10 @@ class KernelOperator:
     differences: the sine or difference factor vanishes at y = x, so the
     excluded entry contributes nothing even for the truncated kernel.
     ``spectrum`` is the real half-spectrum of the generator's even circulant
-    embedding (shape (n+1,) in 1d, (2n, n+1) in 2d).
+    embedding (shape (n+1,) in 1d, (2n, n+1) in 2d).  ``eps`` is the
+    truncation, None for the singular kernel.
     """
 
-    variant: str
     s: float
     eps: float | None
     grid: Grid
@@ -146,36 +140,18 @@ class KernelOperator:
 
     @property
     def is_singular(self) -> bool:
-        return self.variant == SINGULAR
+        return self.eps is None
 
     def apply(self, x) -> np.ndarray:
         """W x for real x of shape (..., N), batched over the leading axes."""
         return _spectral_apply(self.grid, self.spectrum, x)
 
-    def to_dense(self) -> np.ndarray:
-        """The explicit (N, N) matrix, built without N^2-sized index arrays."""
-        n, d = self.grid.n, self.grid.dim
-        offsets = np.abs(np.arange(1 - n, n))
-        extended = self.generator[np.ix_(*[offsets] * d)]  # entry at signed offsets
-        # windows[k, m] = extended[k + m]; reversing k gives W[i, j] = extended[j - i + n - 1]
-        windows = sliding_window_view(extended, (n,) * d)[(slice(None, None, -1),) * d]
-        return windows.copy().reshape(n ** d, n ** d)
 
-
-def assemble_kernel_matrix(grid: Grid, variant: str, s: float,
-                           eps: float | None = None) -> KernelOperator:
-    """Build the kernel operator for a grid in O(N log N) time and O(N) memory."""
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    _check_s(s)
-    if variant == TRUNCATED:
-        if eps is None or eps <= 0.0:
-            raise ParameterError(f"truncated variant needs eps > 0, got {eps}")
-    else:
-        eps = None
-
+def assemble_kernel_matrix(grid: Grid, s: float, eps: float | None = None) -> KernelOperator:
+    """Build the kernel operator for a grid in O(N log N) time and O(N) memory:
+    the singular kernel for ``eps=None``, else its truncation at ``eps``."""
     r = _offset_distances(grid)
-    if variant == TRUNCATED:
+    if eps is not None:
         generator = psi_eps(r, grid.dim, s, eps)
     else:
         r.flat[0] = 1.0  # placeholder; the diagonal is zeroed below
@@ -191,8 +167,8 @@ def assemble_kernel_matrix(grid: Grid, variant: str, s: float,
     row_sums = _toeplitz_row_sums(generator)
     for a in (generator, spectrum, row_sums):
         a.setflags(write=False)
-    return KernelOperator(variant=variant, s=s, eps=eps, grid=grid, generator=generator,
-                          spectrum=spectrum, row_sums=row_sums)
+    return KernelOperator(s=s, eps=eps, grid=grid, generator=generator, spectrum=spectrum,
+                          row_sums=row_sums)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Result serialization: diagnostics CSV, snapshot binaries, run manifests.
+"""Result serialization: diagnostics CSV, snapshot binaries, JSON manifests and reports.
 
 Numbers are written as the shortest decimal that round-trips to the same
 double, so a reparsed CSV reproduces the in-memory records exactly.  Snapshot
@@ -87,7 +87,7 @@ def platform_fingerprint() -> dict:
 
 def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
     """The manifest of a run: its config and hash, platform, termination, step
-    and counters, all read from the trajectory."""
+    and counters (``records`` counts the record times), all read from the trajectory."""
     manifest = {
         "config": asdict(traj.config),
         "config_hash": traj.config.content_hash(),
@@ -97,15 +97,16 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
         "n_steps": traj.counters.steps,
         "dt": traj.dt,
         "wall_clock_s": wall_clock_s,
-        "counters": asdict(traj.counters),
+        "counters": {**asdict(traj.counters), "records": len(traj.times)},
     }
     if notes:
         manifest["notes"] = notes
     return manifest
 
 
-def write_manifest(manifest: dict, path) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def write_json(obj, path) -> None:
+    """Write a manifest or report as indented JSON with sorted keys."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "",
@@ -132,19 +133,19 @@ def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = 
         paths["snapshots"] = outdir
     if "manifest" in formats:
         man_path = outdir / "manifest.json"
-        write_manifest(build_manifest(traj, wall_clock_s, notes), man_path)
+        write_json(build_manifest(traj, wall_clock_s, notes), man_path)
         paths["manifest"] = man_path
     return paths
 
 
 def write_sweep_outputs(sweep, wall_clock_s: float = 0.0) -> dict:
     """Write each rung's outputs to ``rung_<j>/`` of the sweep's output
-    directory, per the output formats, plus the top-level sweep report."""
+    directory, per the output formats, plus the top-level sweep report (always)."""
     outdir = Path(sweep.rungs[0].config.output.directory)
     paths = {f"rung_{j}": outdir / f"rung_{j}" for j in range(len(sweep.rungs))}
     for rung, rung_dir in zip(sweep.rungs, paths.values()):
         write_run_outputs(rung, wall_clock_s, directory=rung_dir)
     report_path = outdir / "sweep_report.json"
-    report_path.write_text(json.dumps(sweep.report(), indent=2, sort_keys=True) + "\n")
+    write_json(sweep.report(), report_path)
     paths["report"] = report_path
     return paths

@@ -4,11 +4,12 @@
 callers that need them again after the run pass that bundle to
 :func:`simulate`.  :func:`simulate_family` steps several runs that differ
 only in epsilon or delta as one (R, N) system; a plain run is a family of
-one.  Continuum models always evolve in the zero-mean, zero-frequency gauge:
-the mean is subtracted from the initial field here, and the affine shift
-mean + nu * t is reapplied when physical fields are requested.  The lattice
-model is gauge-reduced too when its frequency is constant, and integrated
-as-is when per-node frequencies are supplied.
+one, and :func:`family_step` picks a family's step.  Continuum models always
+evolve in the zero-mean, zero-frequency gauge: the mean is subtracted from
+the initial field here, and the affine shift mean + nu * t is reapplied when
+physical fields are requested.  The lattice model is gauge-reduced too when
+its frequency is constant, and integrated as-is when per-node frequencies are
+supplied.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import Trajectory, auto_step, integrate_flow, stiffness_bound
-from .kernel import SINGULAR, TRUNCATED, KernelOperator, assemble_kernel_matrix, stacked_apply
+from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
 
 
 class Operators(NamedTuple):
@@ -48,10 +49,10 @@ def build_operators(cfg: SimConfig) -> Operators:
     """Build the grid and the kernel operators a config asks for."""
     grid = build_grid(cfg.grid.dimension, cfg.grid.nodes, cfg.grid.extents)
     s = cfg.physics.s
-    dissipation = assemble_kernel_matrix(grid, SINGULAR, s)
+    dissipation = assemble_kernel_matrix(grid, s)
     coupling = dissipation
     if cfg.physics.model == "regularized":
-        coupling = assemble_kernel_matrix(grid, TRUNCATED, s, cfg.physics.epsilon)
+        coupling = assemble_kernel_matrix(grid, s, cfg.physics.epsilon)
     return Operators(grid, coupling, dissipation)
 
 
@@ -79,6 +80,29 @@ def load_frequency(cfg: SimConfig, grid: Grid):
 
 def _step_count(horizon: float, dt: float) -> int:
     return max(1, int(math.ceil(horizon / dt - 1e-12)))
+
+
+def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
+    """kappa as the rate applies it, kappa / (N w) = kappa / |domain| for the lattice."""
+    kappa = cfg.physics.kappa
+    return kappa / (grid.node_count * grid.weight) if cfg.physics.model == "lattice" else kappa
+
+
+def family_step(configs: list[SimConfig], operators: list[Operators]) -> tuple[float, float]:
+    """A family's shared step, the configured one or else the smallest of the
+    members' automatic steps, and the largest of their stiffness bounds.
+
+    Sweeps write this step into every rung's config; :func:`simulate_family`
+    shortens it to divide the horizon."""
+    policy = configs[0].integrator
+    kappa = _rate_kappa(configs[0], operators[0].grid)
+    bounds = [stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
+              for cfg, ops in zip(configs, operators, strict=True)]
+    dt = policy.dt
+    if dt is None:
+        dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
+                 for bound in bounds)
+    return dt, max(bounds)
 
 
 def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
@@ -123,7 +147,7 @@ def simulate_family(configs: list[SimConfig],
     theta0 = initial_field(cfg.initial.kind, grid, diameter=cfg.initial.diameter,
                            seed=cfg.initial.seed, value=cfg.initial.value)
     nu = load_frequency(cfg, grid)
-    kappa = cfg.physics.kappa
+    kappa = _rate_kappa(cfg, grid)  # the records' energies take the rate's coupling too
     model = cfg.physics.model
 
     gauge = np.ndim(nu) == 0  # continuum configs always hit this branch
@@ -131,14 +155,7 @@ def simulate_family(configs: list[SimConfig],
     work = theta0 - theta_bar
 
     policy = cfg.integrator
-    # the lattice rate is the undamped singular coupling scaled by 1 / (N w)
-    kappa_rate = kappa / (grid.node_count * grid.weight) if model == "lattice" else kappa
-    bounds = [stiffness_bound(c, dissipation, kappa_rate, delta)
-              for c, delta in zip(couplings, deltas)]
-    dt = policy.dt
-    if dt is None:
-        dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
-                 for bound in bounds)
+    dt, stiffness = family_step(configs, operators)
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
 
@@ -149,7 +166,7 @@ def simulate_family(configs: list[SimConfig],
         nu_term = 0.0 if gauge else nu
 
         def rhs(values):
-            return rhs_lattice(values, coupling, kappa, nu_term, keep=kept)
+            return rhs_lattice(values, coupling, cfg.physics.kappa, nu_term, keep=kept)
     elif model == "regularized" or max(deltas) > 0.0:
 
         def rhs(values):
@@ -196,7 +213,7 @@ def simulate_family(configs: list[SimConfig],
     try:
         flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
-            policy.stride, policy.scheme, make_record, stiffness=max(bounds),
+            policy.stride, policy.scheme, make_record, stiffness=stiffness,
             adaptive=policy.adaptive)
     except BlowUpError as exc:
         partial = trajectory(exc.row, exc.trajectory, "blow-up")

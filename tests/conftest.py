@@ -59,9 +59,9 @@ def grid64():
 
 @pytest.fixture(scope="session")
 def singular16(grid16):
-    return assemble_kernel_matrix(grid16, "singular", 0.5)
+    return assemble_kernel_matrix(grid16, 0.5)
 
 
 @pytest.fixture(scope="session")
 def singular64(grid64):
-    return assemble_kernel_matrix(grid64, "singular", 0.5)
+    return assemble_kernel_matrix(grid64, 0.5)

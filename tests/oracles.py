@@ -38,7 +38,7 @@ def kernel_matrix_loop(grid, s, eps=None, weight=None) -> np.ndarray:
 
 
 class DenseOperator:
-    """The kernel-operator interface (apply, row_sums, to_dense) over an
+    """The kernel-operator interface (apply, row_sums) over an
     explicit symmetric matrix, for synthetic weights the lattice has no
     generator for.
 
@@ -57,9 +57,6 @@ class DenseOperator:
 
     def apply(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.weights  # symmetric: x W = (W x^T)^T
-
-    def to_dense(self) -> np.ndarray:
-        return self.weights.copy()
 
 
 def rhs_singular_loop(grid, theta, s, kappa) -> np.ndarray:

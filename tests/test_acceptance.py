@@ -222,7 +222,7 @@ def test_criterion_7_poincare_constants():
         grid = build_grid(1, n, [(0.0, 1.0)])
         for s in (0.25, 0.5, 0.75):
             from nlkuramoto import assemble_kernel_matrix
-            matrix = assemble_kernel_matrix(grid, "singular", s)
+            matrix = assemble_kernel_matrix(grid, s)
             lam = poincare_sharp_discrete(matrix)
             dom = poincare_domain_constant(grid, s)
             if 1.0 / lam > dom:
@@ -307,8 +307,8 @@ def test_criterion_11_rhs_oracle_equivalence():
         theta = rng.uniform(-2.0, 2.0, grid.node_count)
 
         from nlkuramoto import assemble_kernel_matrix
-        sing = assemble_kernel_matrix(grid, "singular", s)
-        trunc = assemble_kernel_matrix(grid, "truncated", s, eps)
+        sing = assemble_kernel_matrix(grid, s)
+        trunc = assemble_kernel_matrix(grid, s, eps)
 
         pairs = [
             (rhs_singular(theta, sing, kappa),

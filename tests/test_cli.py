@@ -1,10 +1,14 @@
 import json
 import math
+from fnmatch import fnmatch
 from functools import partial
 from pathlib import Path
 
+import pytest
+
 import nlkuramoto.cli as cli
 from nlkuramoto.cli import main
+from nlkuramoto.config import OUTPUT_FORMATS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,6 +61,16 @@ def test_flag_overrides_beat_file_values(tmp_path):
     assert manifest["config"]["output"]["directory"] == str(out2)
 
 
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+def test_simulate_writes_each_format_alone(tmp_path, capsys, fmt):
+    pattern = {"csv": "diagnostics.csv", "manifest": "manifest.json",
+               "snapshots": "snapshot_*.bin"}[fmt]
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg), "--set", f"output.formats={fmt}"]) == 0
+    names = [path.name for path in (tmp_path / "run_out").iterdir()]
+    assert names and all(fnmatch(name, pattern) for name in names)
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "\n[physics]\ns = 1.2\n")
     assert main(["simulate", str(cfg)]) == 2
@@ -90,6 +104,7 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert manifest["termination"] == "blow-up"
     # the steps taken before the blow-up, not the 80 the run was set for
     assert manifest["n_steps"] == manifest["counters"]["steps"] < 80
+    assert manifest["wall_clock_s"] > 0.0
 
 
 def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys):

@@ -262,7 +262,7 @@ def test_content_hashes_are_stable():
     assert SimConfig().content_hash() == (
         "f54523261cf6ea1e395550a4c1e180e8c601530f8945be41f940544fe2b1b288")
     assert parse_config(CONFIGS / "regularized_sweep_base.cfg").content_hash() == (
-        "34763e6fe7c4572d4534de1ef90cb9f92e543a4f48f3f4a467bc988f160da26b")
+        "25b1b676639e836a6fcd7830eb7ed4d4d376d177858e0eb4e42dabb92d0dbbf0")
     assert parse_config(CONFIGS / "relaxation_quarter_circle.cfg").content_hash() == (
         "23a5d613ed0181488826eca3079b39e1ef7f1e24b436488c60a6fbb75d5fe8b0")
     # nu_file is valid only for the lattice model and epsilon only for the

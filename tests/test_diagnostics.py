@@ -60,7 +60,7 @@ def test_energy_kinetic(grid16, singular16):
     assert energy_kinetic(theta, singular16, delta=0.0) == 0.0
     assert energy_kinetic(theta, singular16, delta=0.4) == pytest.approx(
         0.1 * seminorm_sq(theta, singular16), rel=1e-15)
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
     with pytest.raises(ParameterError):
         energy_kinetic(theta, trunc, delta=0.1)
 
@@ -218,7 +218,7 @@ def test_poincare_two_nodes_closed_form():
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_poincare_matches_dense_oracle(s):
     g = build_grid(1, 64, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, "singular", s)
+    m = assemble_kernel_matrix(g, s)
     lam = poincare_sharp_discrete(m)
     assert lam == pytest.approx(oracles.lambda_star_dense(g, s), rel=1e-8)
     assert 1.0 / lam <= poincare_domain_constant(g, s)
@@ -226,7 +226,7 @@ def test_poincare_matches_dense_oracle(s):
 
 def test_poincare_2d_grid():
     g = build_grid(2, 8, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, "singular", 0.5)
+    m = assemble_kernel_matrix(g, 0.5)
     lam = poincare_sharp_discrete(m)
     assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.5), rel=1e-8)
 
@@ -240,27 +240,27 @@ def test_poincare_matches_dense_oracle_everywhere(shape, s, width, ratio):
     dim, n = shape
     extents = [(0.0, width), (0.0, width * ratio)][:dim]
     g = build_grid(dim, n, extents)
-    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", s))
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, s))
     assert lam == pytest.approx(oracles.lambda_star_dense(g, s), rel=1e-10)
 
 
 def test_poincare_scaling_covariance(grid16, singular16):
     lam = poincare_sharp_discrete(singular16)
-    scaled = oracles.DenseOperator(3.0 * singular16.to_dense(), grid16)
+    scaled = oracles.DenseOperator(3.0 * oracles.kernel_matrix_loop(grid16, 0.5), grid16)
     assert poincare_sharp_discrete(scaled) == pytest.approx(3.0 * lam, rel=1e-10)
 
 
 def test_poincare_near_square_box_matches_dense_oracle():
     # two nearly equal lowest eigenvalues (the 1 x 1.001 box)
     g = build_grid(2, 12, [(0.0, 1.0), (0.0, 1.001)])
-    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.5))
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, 0.5))
     assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.5), rel=1e-10)
 
 
 def test_poincare_converges_where_rounding_floors_the_residual():
     # the rounding floor of the stop (5.7e-8) lies above tol * lambda (9.3e-10)
     g = build_grid(1, 1024, [(0.0, 1.0)])
-    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.95))
+    lam = poincare_sharp_discrete(assemble_kernel_matrix(g, 0.95))
     assert lam == pytest.approx(oracles.lambda_star_dense(g, 0.95), rel=1e-8)
 
 
@@ -278,12 +278,12 @@ def test_poincare_apply_budget(monkeypatch, dim, n):
 
     monkeypatch.setattr(kernel, "_spectral_apply", counted)
     g = build_grid(dim, n, [(0.0, 1.0)] * dim)
-    poincare_sharp_discrete(assemble_kernel_matrix(g, "singular", 0.5))
+    poincare_sharp_discrete(assemble_kernel_matrix(g, 0.5))
     assert 0 < rows[0] <= 150
 
 
 def test_poincare_iteration_error():
-    m = assemble_kernel_matrix(build_grid(1, 64, [(0.0, 1.0)]), "singular", 0.5)
+    m = assemble_kernel_matrix(build_grid(1, 64, [(0.0, 1.0)]), 0.5)
     with pytest.raises(IterationError) as info:
         poincare_sharp_discrete(m, max_iter=1)
     message = str(info.value)

@@ -24,10 +24,10 @@ def test_rhs_singular_constant_field(singular16):
 
 def test_rhs_singular_two_nodes_antisymmetric():
     g = build_grid(1, 2, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, "singular", 0.5)
+    m = assemble_kernel_matrix(g, 0.5)
     a = 0.4
     rate = rhs_singular(np.array([a, -a]), m, kappa=1.0)
-    expect = m.to_dense()[0, 1] * np.sin(-2.0 * a)
+    expect = m.generator[1] * np.sin(-2.0 * a)
     assert rate[0] == pytest.approx(expect, rel=1e-14)
     assert rate[1] == pytest.approx(-expect, rel=1e-14)
 
@@ -40,13 +40,13 @@ def test_rhs_singular_matches_oracle(grid16, singular16):
 
 
 def test_rhs_singular_rejects_truncated(grid16):
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
     with pytest.raises(ParameterError):
         rhs_singular(np.zeros(16), trunc, kappa=1.0)
 
 
 def test_rhs_regularized_constant_field(grid16, singular16):
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
     rate = rhs_regularized(np.full(16, -2.0), trunc, singular16, kappa=1.0, delta=0.3)
     assert np.all(rate == 0.0)
 
@@ -57,8 +57,8 @@ def test_constant_field_is_exactly_still(dim, n, value):
     # real transforms of all-zero shifted fields: every rate, energy and
     # seminorm of every variant is exactly zero, not merely round-off small
     g = build_grid(dim, n, [(0.0, 1.0), (0.0, 1.7)][:dim])
-    sing = assemble_kernel_matrix(g, "singular", 0.6)
-    trunc = assemble_kernel_matrix(g, "truncated", 0.6, 0.05)
+    sing = assemble_kernel_matrix(g, 0.6)
+    trunc = assemble_kernel_matrix(g, 0.6, 0.05)
     theta = np.full(g.node_count, value)
     rates = [rhs_singular(theta, sing, 1.3),
              rhs_regularized(theta, trunc, sing, 1.3, 0.4),
@@ -81,7 +81,7 @@ def test_rhs_regularized_pure_dissipation_preserves_mean(grid16, singular16):
 
 
 def test_rhs_regularized_matches_oracle(grid16, singular16):
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.2)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.2)
     theta = random_field(grid16, 1.0, seed=5)
     rate = rhs_regularized(theta, trunc, singular16, kappa=1.1, delta=0.25)
     expect = oracles.rhs_regularized_loop(grid16, theta, 0.5, 0.2, 1.1, 0.25)
@@ -127,7 +127,7 @@ def test_rhs_lattice_couples_through_the_raw_kernel():
     # the singular operator without its cell weight, on an anisotropic box
     g = build_grid(2, 5, [(0.0, 1.0), (0.0, 3.0)])
     theta = random_field(g, 1.5, seed=12)
-    rate = rhs_lattice(theta, assemble_kernel_matrix(g, "singular", 0.4), kappa=0.9, nu=0.3)
+    rate = rhs_lattice(theta, assemble_kernel_matrix(g, 0.4), kappa=0.9, nu=0.3)
     raw = oracles.kernel_matrix_loop(g, 0.4, weight=1.0)
     assert rel_close(rate, oracles.rhs_lattice_loop(theta, raw, 0.9, 0.3), rtol=1e-13)
     with pytest.raises(GridMismatchError):
@@ -136,7 +136,7 @@ def test_rhs_lattice_couples_through_the_raw_kernel():
 
 def test_rates_of_a_family_are_its_members_rates(grid16, singular16):
     # one row per member, each with its own coupling and delta, bitwise
-    truncs = [assemble_kernel_matrix(grid16, "truncated", 0.5, eps) for eps in (0.2, 0.1, 0.05)]
+    truncs = [assemble_kernel_matrix(grid16, 0.5, eps) for eps in (0.2, 0.1, 0.05)]
     family = np.stack([random_field(grid16, 1.0, seed=k) for k in range(3)])
     deltas = [0.3, 0.2, 0.1]
     rates = rhs_regularized(family, truncs, singular16, 0.7, deltas)
@@ -188,7 +188,7 @@ def test_grid_mismatch_rejected(grid16, singular16):
 def test_rhs_domination_consistency(grid16, singular16):
     # swapping the truncated coupling for the singular one moves each
     # component by at most kappa times the matrices' row-sum gap
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.15)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.15)
     theta = random_field(grid16, 1.4, seed=31)
     gap = np.abs(rhs_singular(theta, singular16, 1.2)
                  - rhs_regularized(theta, trunc, singular16, 1.2, 0.0))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,9 @@ import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
                         assemble_kernel_matrix, build_operators, energy_identity_residual,
                         initial_field, refinement_study, relaxation_experiment,
-                        restrict_to_coarse, run_invariant_suite, select_dt, simulate,
+                        restrict_to_coarse, run_invariant_suite, simulate,
                         sweep_delta, sweep_epsilon)
+from nlkuramoto.integrate import auto_step, stiffness_bound
 
 import oracles
 from conftest import make_config
@@ -89,8 +90,8 @@ def test_sweep_epsilon_shares_dt_and_times():
     # the stiffest rung's step is exactly the smallest automatic step on the ladder
     dissipation = build_operators(base).dissipation
     assert requested == {min(
-        select_dt(assemble_kernel_matrix(dissipation.grid, "truncated", 0.5, eps),
-                  dissipation, base.physics.kappa, base.physics.delta,
+        auto_step(stiffness_bound(assemble_kernel_matrix(dissipation.grid, 0.5, eps),
+                                  dissipation, base.physics.kappa, base.physics.delta),
                   base.integrator.safety, free_drift_horizon=base.integrator.horizon)
         for eps in ladder)}
     # the executed step is the request rounded down to land on the horizon
@@ -218,12 +219,12 @@ def test_sweep_report_shape():
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Every kernel-matrix assembly made through run or experiments, by variant."""
+    """Every kernel-matrix assembly made through run or experiments, by kernel."""
     calls = []
     for module in (run, experiments):
-        def counted(*args, _assemble=module.assemble_kernel_matrix, **kwargs):
-            calls.append(args[1])
-            return _assemble(*args, **kwargs)
+        def counted(grid, s, eps=None, _assemble=module.assemble_kernel_matrix):
+            calls.append("singular" if eps is None else "truncated")
+            return _assemble(grid, s, eps)
         monkeypatch.setattr(module, "assemble_kernel_matrix", counted)
     return calls
 
@@ -291,13 +292,13 @@ def test_relaxation_report_fields():
     report, _ = relaxation_experiment(make_config(n=32, kind="smooth",
                                                   diameter=math.pi / 2, horizon=1.0,
                                                   stride=8))
-    assert report.m == pytest.approx(math.pi / 2, rel=1e-12)
+    assert report.initial_diameter == pytest.approx(math.pi / 2, rel=1e-12)
     assert report.c_m == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert report.certified_rate == pytest.approx(report.c_m * report.lambda_star, rel=1e-12)
     assert 1.0 / report.lambda_star <= report.c_p_domain
     assert report.gamma_hat >= report.certified_rate
     assert report.pointwise_ok and report.rate_ok and report.satisfied
-    data = report.report()
+    data = asdict(report)
     assert data["satisfied"] is True
     assert len(data["table"]) == len([r for r in data["table"]])
 
@@ -352,6 +353,11 @@ def test_refinement_ladder_validation():
         refinement_study(base, [16, 8])
     with pytest.raises(ConfigurationError):
         refinement_study(base, [8, 12])
+
+
+def test_refinement_refuses_an_empty_ladder():
+    with pytest.raises(ConfigurationError, match="at least one grid size"):
+        refinement_study(make_config(n=8), [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,39 +7,40 @@ import pytest
 
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
                         build_grid, build_operators, energy_potential, mean_phase, parse_config,
-                        rhs_singular, select_dt, seminorm_sq, simulate, sin2_seminorm, step,
+                        rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
                         sweep_epsilon)
-from nlkuramoto.integrate import integrate_flow, stiffness_bound
+from nlkuramoto.integrate import auto_step, integrate_flow, stiffness_bound
 
 import oracles
 from conftest import make_config
 
 
 def test_select_dt_free_drift(grid16, singular16):
-    assert select_dt(None, None, 0.0, 0.0, 0.5, free_drift_horizon=2.0) == 1.0
-    assert select_dt(singular16, singular16, 0.0, 0.0, 0.25) == 0.25
+    assert auto_step(stiffness_bound(None, None, 0.0, 0.0), 0.5, free_drift_horizon=2.0) == 1.0
+    assert auto_step(stiffness_bound(singular16, singular16, 0.0, 0.0), 0.25) == 0.25
 
 
 def test_select_dt_scales_inversely_with_kappa(singular16):
-    dt1 = select_dt(singular16, singular16, 1.0, 0.0, 0.5)
-    dt2 = select_dt(singular16, singular16, 2.0, 0.0, 0.5)
+    dt1 = auto_step(stiffness_bound(singular16, singular16, 1.0, 0.0), 0.5)
+    dt2 = auto_step(stiffness_bound(singular16, singular16, 2.0, 0.0), 0.5)
     assert dt2 == pytest.approx(dt1 / 2.0, rel=1e-15)
 
 
 def test_select_dt_matches_oracle_row_sums():
     g = build_grid(1, 64, [(0.0, 1.0)])
-    sing = assemble_kernel_matrix(g, "singular", 0.5)
-    trunc = assemble_kernel_matrix(g, "truncated", 0.5, 0.1)
+    sing = assemble_kernel_matrix(g, 0.5)
+    trunc = assemble_kernel_matrix(g, 0.5, 0.1)
     w_sing = oracles.kernel_matrix_loop(g, 0.5)
     w_trunc = oracles.kernel_matrix_loop(g, 0.5, 0.1)
     lam = 2.0 * 1.0 * w_trunc.sum(axis=1).max() + 2.0 * 0.01 * w_sing.sum(axis=1).max()
-    assert select_dt(trunc, sing, 1.0, 0.01, 0.5) == pytest.approx(0.5 / lam, rel=1e-13)
+    dt = auto_step(stiffness_bound(trunc, sing, 1.0, 0.01), 0.5)
+    assert dt == pytest.approx(0.5 / lam, rel=1e-13)
 
 
 def test_select_dt_rejects_bad_safety(singular16):
     for sigma in (0.0, 1.5, -1.0):
         with pytest.raises(ParameterError):
-            select_dt(singular16, singular16, 1.0, 0.0, sigma)
+            auto_step(stiffness_bound(singular16, singular16, 1.0, 0.0), sigma)
 
 
 def test_step_zero_rhs_is_identity():
@@ -74,7 +75,7 @@ def test_step_detects_blow_up():
 
 
 def test_rk4_order_via_step_halving(grid16, singular16):
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.2)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.2)
     rng = np.random.default_rng(12)
     theta = rng.uniform(-0.7, 0.7, 16)
 
@@ -190,6 +191,17 @@ def test_simulate_lattice_dt_from_raw_row_sums(kappa):
     assert traj.dt == pytest.approx(0.3 / np.ceil(0.3 / dt), rel=1e-13)
 
 
+def test_lattice_records_use_the_coupling_of_its_rate():
+    # on a domain of length 2 the lattice couples at kappa / |domain| = 0.5, so
+    # its records, energies and dual bound included, are the singular run's at 0.5
+    common = dict(n=32, extents=((0.0, 2.0),), kind="random", seed=3, diameter=2.0,
+                  horizon=0.2, stride=4)
+    lattice = simulate(make_config(model="lattice", kappa=1.0, **common))
+    singular = simulate(make_config(model="singular", kappa=0.5, **common))
+    assert np.array_equal(lattice.snapshots, singular.snapshots)
+    assert [astuple(r) for r in lattice.records] == [astuple(r) for r in singular.records]
+
+
 def test_simulate_lattice_frequency_file_length_checked(tmp_path):
     nu_path = tmp_path / "nu.txt"
     np.savetxt(nu_path, np.zeros(5))
@@ -276,7 +288,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
                       horizon=0.05)
     traj = simulate(cfg)
     monkeypatch.undo()
-    assert counts["records"] == traj.counters.records == len(traj.records) > 1
+    assert counts["records"] == len(traj.times) == len(traj.records) > 1
     assert counts["rhs"] == traj.counters.rhs_evals >= counts["records"]
     assert counts["record_ffts"] == counts["records"]
     assert counts["record_rows"] == (2 if delta > 0.0 else 3) * counts["records"]

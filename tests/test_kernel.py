@@ -47,61 +47,68 @@ def test_psi_eps_validation():
 
 def test_two_node_entry():
     g = build_grid(1, 2, [(0.0, 1.0)])
-    w = assemble_kernel_matrix(g, "singular", 0.5).to_dense()
-    assert w[0, 1] == 2.0  # psi(0.5) * w = 4 * 0.5
-    assert w[1, 0] == 2.0
-    assert w[0, 0] == 0.0
+    op = assemble_kernel_matrix(g, 0.5)
+    assert op.generator[1] == 2.0  # W[0, 1] = W[1, 0] = psi(0.5) * w = 4 * 0.5
+    assert op.generator[0] == 0.0
+    assert np.array_equal(op.row_sums, [2.0, 2.0])
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
-@pytest.mark.parametrize("variant,eps", [("singular", None), ("truncated", 0.1)])
-def test_matrix_matches_loop_oracle(dim, n, variant, eps):
+@pytest.mark.parametrize("eps", [None, 0.1], ids=["singular-None", "truncated-0.1"])
+def test_matrix_matches_loop_oracle(dim, n, eps):
     g = build_grid(dim, n, [(0.0, 1.0)])
-    m = assemble_kernel_matrix(g, variant, 0.5, eps)
+    m = assemble_kernel_matrix(g, 0.5, eps)
     expect = oracles.kernel_matrix_loop(g, 0.5, eps)
-    assert np.allclose(m.to_dense(), expect, rtol=1e-13, atol=0.0)
+    # node 0 sits in the corner, so its row holds the entry at every offset
+    assert np.allclose(m.generator.ravel(), expect[0], rtol=1e-13, atol=0.0)
+    assert np.allclose(m.row_sums, expect.sum(axis=1), rtol=1e-13, atol=0.0)
+    x = np.random.default_rng(n).standard_normal(g.node_count)
+    assert rel_close(m.apply(x), expect @ x, rtol=1e-12)
 
 
-def test_matrix_structure(singular64):
-    w = singular64.to_dense()
-    assert np.array_equal(w, w.T)
-    assert np.all(w >= 0.0)
-    assert np.all(np.diag(w) == 0.0)
-    # row sums come from prefix sums of the generator, not from the dense rows
-    assert np.allclose(singular64.row_sums, w.sum(axis=1), rtol=1e-14, atol=0)
+def test_matrix_structure(grid64, singular64):
+    assert np.all(singular64.generator >= 0.0)
+    assert singular64.generator[0] == 0.0
+    # row sums come from prefix sums of the generator, not from dense rows
+    expect = oracles.kernel_matrix_loop(grid64, 0.5).sum(axis=1)
+    assert np.allclose(singular64.row_sums, expect, rtol=1e-14, atol=0)
+    # the apply is self-adjoint: x . W y = y . W x
+    x, y = np.random.default_rng(1).standard_normal((2, grid64.node_count))
+    assert x @ singular64.apply(y) == pytest.approx(y @ singular64.apply(x), rel=1e-13)
 
 
 def test_truncated_dominated_by_singular(grid64, singular64):
+    # every entry is a generator value, so the generators order the matrices
     for eps in (0.5, 0.1, 0.01):
-        trunc = assemble_kernel_matrix(grid64, "truncated", 0.5, eps)
-        assert np.all(trunc.to_dense() <= singular64.to_dense())
+        trunc = assemble_kernel_matrix(grid64, 0.5, eps)
+        assert np.all(trunc.generator <= singular64.generator)
 
 
 def test_truncated_monotone_in_eps(grid16):
-    mats = [assemble_kernel_matrix(grid16, "truncated", 0.5, eps).to_dense()
+    gens = [assemble_kernel_matrix(grid16, 0.5, eps).generator
             for eps in (0.4, 0.2, 0.1, 0.05)]
-    for coarse, fine in zip(mats, mats[1:]):
-        off = ~np.eye(coarse.shape[0], dtype=bool)
-        assert np.all(fine[off] > coarse[off])
+    for coarse, fine in zip(gens, gens[1:]):
+        assert np.all(fine[1:] > coarse[1:])  # every off-diagonal offset
 
 
 def test_reflection_symmetry():
     # dyadic grid: coordinates and distances are exact, so the reflected
-    # relabeling permutes the matrix identically
+    # relabeling commutes with the operator
     g = build_grid(1, 64, [(0.0, 1.0)])
-    w = assemble_kernel_matrix(g, "singular", 0.5).to_dense()
-    rev = np.arange(g.node_count)[::-1]
-    assert np.array_equal(w[np.ix_(rev, rev)], w)
+    op = assemble_kernel_matrix(g, 0.5)
+    x = np.random.default_rng(2).standard_normal(g.node_count)
+    assert rel_close(op.apply(x[::-1]), op.apply(x)[::-1], rtol=1e-13)
+    assert np.array_equal(op.row_sums, op.row_sums[::-1])
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=st.floats(0.05, 0.95), eps=st.floats(0.01, 2.0))
 def test_truncation_invariants(s, eps):
     g = build_grid(1, 12, [(0.0, 1.0)])
-    sing = assemble_kernel_matrix(g, "singular", s).to_dense()
-    trunc = assemble_kernel_matrix(g, "truncated", s, eps).to_dense()
-    assert np.all(trunc <= sing)
-    assert np.array_equal(trunc, trunc.T)
+    sing = assemble_kernel_matrix(g, s)
+    trunc = assemble_kernel_matrix(g, s, eps)
+    assert np.all(trunc.generator <= sing.generator)
+    assert np.all(trunc.row_sums <= sing.row_sums)
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,9 +121,9 @@ def test_operator_matches_loop_oracle(shape, s, eps, lengths, seed):
     dim, n = shape
     # anisotropic boxes in 2d: distinct spacings on the two axes
     g = build_grid(dim, n, [(-1.0, -1.0 + length) for length in lengths[:dim]])
-    op = assemble_kernel_matrix(g, "singular" if eps is None else "truncated", s, eps)
+    op = assemble_kernel_matrix(g, s, eps)
     expect = oracles.kernel_matrix_loop(g, s, eps)
-    assert rel_close(op.to_dense(), expect, rtol=1e-12)
+    assert rel_close(op.generator.ravel(), expect[0], rtol=1e-12)
     assert rel_close(op.row_sums, expect.sum(axis=1), rtol=1e-12)
     x = np.random.default_rng(seed).standard_normal((3, g.node_count))
     batched = op.apply(x)
@@ -135,9 +142,9 @@ def test_operator_matches_loop_oracle(shape, s, eps, lengths, seed):
 def test_stacked_apply_is_each_operator_apply_bitwise(shape, s, eps, lengths, picks, seed):
     dim, n = shape
     g = build_grid(dim, n, [(0.0, length) for length in lengths[:dim]])
-    ops = [assemble_kernel_matrix(g, "singular", s),
-           assemble_kernel_matrix(g, "truncated", s, eps[0]),
-           assemble_kernel_matrix(g, "truncated", s, eps[1])]
+    ops = [assemble_kernel_matrix(g, s),
+           assemble_kernel_matrix(g, s, eps[0]),
+           assemble_kernel_matrix(g, s, eps[1])]
     stack = tuple(ops[k] for k in picks)
     x = np.random.default_rng(seed).standard_normal((len(stack), g.node_count))
     got = stacked_apply(stack)(x)
@@ -147,7 +154,7 @@ def test_stacked_apply_is_each_operator_apply_bitwise(shape, s, eps, lengths, pi
 
 
 def test_stacked_apply_takes_one_row_of_operators_per_member(grid16, singular16):
-    trunc = assemble_kernel_matrix(grid16, "truncated", 0.5, 0.1)
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
     layout = ((singular16, trunc), (trunc, trunc), (trunc, singular16))
     x = np.random.default_rng(3).standard_normal((3, 2, 16))
     got = stacked_apply(layout)(x)
@@ -158,16 +165,17 @@ def test_stacked_apply_takes_one_row_of_operators_per_member(grid16, singular16)
 
 
 def test_stacked_apply_needs_one_grid(grid16, singular16):
-    other = assemble_kernel_matrix(build_grid(1, 16, [(0.0, 2.0)]), "singular", 0.5)
+    other = assemble_kernel_matrix(build_grid(1, 16, [(0.0, 2.0)]), 0.5)
     with pytest.raises(GridMismatchError):
         stacked_apply((singular16, other))
 
 
 def test_assemble_validation(grid16):
-    with pytest.raises(ParameterError):
-        assemble_kernel_matrix(grid16, "truncated", 0.5, None)
-    with pytest.raises(ParameterError):
-        assemble_kernel_matrix(grid16, "gaussian", 0.5)
+    assert assemble_kernel_matrix(grid16, 0.5).is_singular
+    assert not assemble_kernel_matrix(grid16, 0.5, 0.1).is_singular
+    for s, eps in ((0.5, 0.0), (0.5, -0.1), (1.5, None), (0.0, 0.1)):
+        with pytest.raises(ParameterError):
+            assemble_kernel_matrix(grid16, s, eps)
 
 
 def test_lipschitz_bounds_against_oracle():
