@@ -132,6 +132,8 @@ def cmd_relax(args) -> int:
     print(f"certified rate = {report.certified_rate:.6g}, fitted rate = {report.gamma_hat:.6g}")
     print(f"pointwise bound: {'ok' if report.pointwise_ok else 'VIOLATED'}"
           f" (margin {report.pointwise_margin:.4g})")
+    if report.rows_below_floor:
+        print(f"  {report.rows_below_floor} rows below the rounding floor not compared")
     print(f"rate bound: {'ok' if report.rate_ok else 'VIOLATED'}")
     return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED
 

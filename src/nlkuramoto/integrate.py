@@ -266,35 +266,14 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
         view.setflags(write=False)
         return flow._replace(snapshots=view)
 
-    def peak(row):
-        """The node of a member's largest |rate| at the current state."""
-        return int(np.argmax(np.abs(rate[row])))
+    def blow_up(message, t, row) -> BlowUpError:
+        """The error of member ``row`` at the current state, reached at t:
+        ``message`` with {node} the node of the member's largest |rate| there."""
+        node = int(np.argmax(np.abs(rate[row])))
+        return BlowUpError(message.format(node=node), trajectory=recorded(), t=t, row=row,
+                           node=node)
 
-    def advance(t, h, where):
-        """One step of size h from the current state at t: the new state, its
-        rate and the stage (abscissa, squared rate norms) of the quadrature."""
-        stages = [] if scheme == RKC else None
-        try:
-            new = step(values, rate_of, h, scheme, k1=rate, stiffness=stiffness,
-                       stage_rates=stages)
-        except BlowUpError as exc:
-            node = peak(exc.row)
-            raise BlowUpError(f"non-finite state at t = {t + h:.6g} "
-                              f"(step {counters.steps + 1}{where}, node {node})",
-                              trajectory=recorded(), t=t, row=exc.row, node=node) from exc
-        rate_new = rate_of(new)
-        return new, rate_new, [(c, squares(r)) for c, r in stages or ()]
-
-    def accept(h, sq, stages, rate_new):
-        """Count a step and add its trapezoid over the abscissae 0, c_1, ...,
-        c_{s-1}, 1; returns the squared norms of its end rate."""
-        nodes = [(0.0, sq), *stages, (1.0, squares(rate_new))]
-        for j in range(len(diss)):
-            diss[j] += 0.5 * h * sum((cb - ca) * (qa[j] + qb[j])
-                                     for (ca, qa), (cb, qb) in zip(nodes, nodes[1:]))
-        counters.steps += 1
-        return nodes[-1][1]
-
+    where = ", adaptive" if adaptive else f" of {n_steps}"
     h = dt
     # Overflow on the way to a detected blow-up is expected; the finite-state
     # check in step() is the guard, so the warnings are suppressed here.
@@ -305,29 +284,39 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
         for index, k_rec in enumerate(marks, 1):
             t, t_rec = flow.times[-1], k_rec * dt
             start = counters.steps
-            if not adaptive:
-                for k in range(counters.steps, k_rec):
-                    values, rate, stages = advance(k * dt, dt, f" of {n_steps}")
-                    sq = accept(dt, sq, stages, rate)
-            while adaptive and t < t_rec:
-                # a step within 10% of the record time stretches to land on it
-                # rather than leave a sliver
-                last = 1.1 * h >= t_rec - t
+            while t < t_rec:
+                # an adaptive step within 10% of the record time stretches to
+                # land on it rather than leave a sliver
+                last = adaptive and 1.1 * h >= t_rec - t
                 h_try = t_rec - t if last else h
-                new, rate_new, stages = advance(t, h_try, ", adaptive")
-                errs = _error_norms(values, new, rate, rate_new, h_try)
-                err = float(errs.max())
-                h = h_try * _step_factor(err)
-                if not err <= 1.0:
-                    counters.rejected_steps += 1
-                    if t + h == t:
-                        row = int(np.argmin(errs <= 1.0))
-                        raise BlowUpError(f"step size underflow at t = {t:.6g}",
-                                          trajectory=recorded(), t=t, row=row, node=peak(row))
-                    continue
-                sq = accept(h_try, sq, stages, rate_new)
-                values, rate = new, rate_new
-                t = t_rec if last else t + h_try
+                stages = [] if scheme == RKC else None
+                try:
+                    new = step(values, rate_of, h_try, scheme, k1=rate, stiffness=stiffness,
+                               stage_rates=stages)
+                except BlowUpError as exc:
+                    raise blow_up(f"non-finite state at t = {t + h_try:.6g} (step "
+                                  f"{counters.steps + 1}{where}, node {{node}})",
+                                  t, exc.row) from exc
+                rate_new = rate_of(new)
+                if adaptive:
+                    errs = _error_norms(values, new, rate, rate_new, h_try)
+                    err = float(errs.max())
+                    h = h_try * _step_factor(err)
+                    if not err <= 1.0:
+                        counters.rejected_steps += 1
+                        if t + h == t:
+                            raise blow_up(f"step size underflow at t = {t:.6g}", t,
+                                          int(np.argmin(errs <= 1.0)))
+                        continue
+                # the step's trapezoid over the abscissae 0, c_1, ..., c_{s-1}, 1
+                nodes = [(0.0, sq), *((c, squares(r)) for c, r in stages or ()),
+                         (1.0, squares(rate_new))]
+                for j in range(len(diss)):
+                    diss[j] += 0.5 * h_try * sum((cb - ca) * (qa[j] + qb[j])
+                                                 for (ca, qa), (cb, qb) in zip(nodes, nodes[1:]))
+                counters.steps += 1
+                values, rate, sq = new, rate_new, nodes[-1][1]
+                t = t_rec if last else t + h_try if adaptive else counters.steps * dt
             flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
             for j, rec in enumerate(record(index, t_rec)):

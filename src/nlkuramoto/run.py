@@ -15,12 +15,13 @@ supplied.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import SimConfig
+from .config import IntegratorPolicy, SimConfig
 from .diagnostics import (DiagnosticsRecord, _cosine_double_sum, _cosine_fields, _dual_bound,
                           _kinetic_from_seminorm, diameter, dist_sq_to_mean, mean_phase)
 from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_singular
@@ -82,6 +83,23 @@ def _step_count(horizon: float, dt: float) -> int:
     return max(1, int(math.ceil(horizon / dt - 1e-12)))
 
 
+def physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_record_buffer(policy: IntegratorPolicy, members: int, n_steps: int, nodes: int) -> None:
+    """Refuse a run whose snapshot buffer, members x record times x nodes
+    doubles, exceeds physical memory: it would fail to allocate, or fill pages
+    until the system kills the run."""
+    size = members * (len(range(policy.stride, n_steps, policy.stride)) + 2) * nodes * 8
+    if size > physical_memory():
+        raise ConfigurationError(
+            f"the snapshot buffer needs {size / 2 ** 30:.3g} GiB, more than the machine's "
+            f"{physical_memory() / 2 ** 30:.3g} GiB of physical memory: raise integrator.stride "
+            f"({policy.stride}) or shorten integrator.horizon ({policy.horizon})")
+
+
 def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
     """kappa as the rate applies it, kappa / (N w) = kappa / |domain| for the lattice."""
     kappa = cfg.physics.kappa
@@ -127,8 +145,9 @@ def simulate_family(configs: list[SimConfig],
     worst member's error, and rkc's stages the largest stiffness bound); with
     a fixed step each trajectory is bitwise the member's alone (for rkc, when
     the members' step needs as many stages alone, as a sweep's does).  A
-    BlowUpError carries the partial trajectory of the member that went
-    non-finite first (``row``).
+    snapshot buffer larger than physical memory raises ConfigurationError
+    before any step.  A BlowUpError carries the partial trajectory of the
+    member that went non-finite first (``row``).
     """
     cfg = configs[0]
     for other in configs:
@@ -158,23 +177,19 @@ def simulate_family(configs: list[SimConfig],
     dt, stiffness = family_step(configs, operators)
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
+    _check_record_buffer(policy, len(configs), n_steps, grid.node_count)
 
-    # the stack of the rate evaluation last made: integrate_flow records a
-    # state only right after evaluating the rate there
+    # the last rate evaluation's stack: integrate_flow records a state right after one
     kept = RateStack()
     if model == "lattice":
-        nu_term = 0.0 if gauge else nu
-
-        def rhs(values):
-            return rhs_lattice(values, coupling, cfg.physics.kappa, nu_term, keep=kept)
+        rate, args = rhs_lattice, (coupling, cfg.physics.kappa, 0.0 if gauge else nu)
     elif model == "regularized" or max(deltas) > 0.0:
-
-        def rhs(values):
-            return rhs_regularized(values, couplings, dissipation, kappa, deltas, keep=kept)
+        rate, args = rhs_regularized, (couplings, dissipation, kappa, deltas)
     else:
+        rate, args = rhs_singular, (coupling, kappa)
 
-        def rhs(values):
-            return rhs_singular(values, coupling, kappa, keep=kept)
+    def rhs(values):
+        return rate(values, *args, keep=kept)
 
     bounded_diameter = diameter(theta0) < math.pi
 
@@ -216,7 +231,6 @@ def simulate_family(configs: list[SimConfig],
             policy.stride, policy.scheme, make_record, stiffness=stiffness,
             adaptive=policy.adaptive)
     except BlowUpError as exc:
-        partial = trajectory(exc.row, exc.trajectory, "blow-up")
-        raise BlowUpError(str(exc), trajectory=partial, t=exc.t, row=exc.row,
-                          node=exc.node) from exc
+        exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")
+        raise
     return [trajectory(j, flow, "completed") for j in range(len(configs))]

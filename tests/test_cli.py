@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import nlkuramoto.cli as cli
+import nlkuramoto.run as run
 from nlkuramoto.cli import main
 from nlkuramoto.config import OUTPUT_FORMATS
 
@@ -178,6 +179,30 @@ def test_relax_command(tmp_path, capsys):
     assert "pointwise bound: ok" in out
     report = json.loads((tmp_path / "run_out" / "relaxation_report.json").read_text())
     assert report["satisfied"] is True
+
+
+def test_relax_skips_rows_below_the_rounding_floor(tmp_path, capsys):
+    # at kappa = 200 the state reaches its rounded mean by t = 0.2: its spread
+    # is a few ulps of the mean while the certified bound keeps falling, so
+    # those rows are rounding and are not compared
+    out = tmp_path / "k200"
+    assert main(["relax", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--kappa", "200",
+                 "--nodes", "64", "--horizon", "0.2", "--out", str(out)]) == 0
+    report = json.loads((out / "relaxation_report.json").read_text())
+    assert report["pointwise_ok"] is True
+    assert 0 < report["rows_below_floor"] < len(report["table"])
+    assert f"{report['rows_below_floor']} rows below the rounding floor" in capsys.readouterr().out
+
+
+def test_a_snapshot_buffer_larger_than_memory_is_refused(tmp_path, capsys, monkeypatch):
+    # one record row of 24 doubles already exceeds the pretended 64 bytes
+    monkeypatch.setattr(run, "physical_memory", lambda: 64)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot buffer needs" in err
+    assert "integrator.stride (4)" in err and "integrator.horizon (0.3)" in err
+    assert not (tmp_path / "run_out").exists()
 
 
 def test_relax_manifest_records_wall_clock(tmp_path, capsys):

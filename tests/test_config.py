@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from nlkuramoto import (ConfigurationError, GridConfig, PhysicsConfig, SimConfig
                         apply_overrides, parse_config, parse_config_text, simulate)
 from nlkuramoto.cli import _OVERRIDE_FLAGS
 from nlkuramoto.cli import main as cli_main
-from nlkuramoto.config import collect_raw
+from nlkuramoto.config import _SCHEMA, collect_raw
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -213,6 +214,21 @@ def test_shipped_configs_parse():
     assert configs, "example configs missing"
     for path in configs:
         parse_config(path)
+
+
+def test_readme_config_example_parses_and_names_every_key():
+    # the README's ini block is the config reference: it parses, and it lists
+    # every key under its section, commented out or not
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config_text(block, source="README.md")
+    documented, section = set(), None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[] ")
+        elif match := re.match(r"#?\s*(\w+) =", line):
+            documented.add((section, match.group(1)))
+    assert {(name, key) for name, keys in _SCHEMA.items() for key in keys} <= documented
 
 
 def test_syntax_errors_carry_line_numbers():

@@ -11,6 +11,8 @@ from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
                         initial_field, refinement_study, relaxation_experiment,
                         restrict_to_coarse, run_invariant_suite, simulate,
                         sweep_delta, sweep_epsilon)
+from nlkuramoto.diagnostics import DiagnosticsRecord
+from nlkuramoto.experiments import pointwise_relaxation
 from nlkuramoto.integrate import auto_step, stiffness_bound
 
 import oracles
@@ -406,4 +408,29 @@ def test_invariant_suite_lattice_run():
     by_name = {c.name: c for c in checks}
     assert by_name["mean-conservation"].passed is True
     assert by_name["diameter-monotone"].passed is True
+    assert by_name["energy-monotone"].passed is True
     assert by_name["uniform-bounds"].passed is None
+    # on (0, 2) the rate couples at kappa / 2, and so do the records' energies
+    cfg = make_config(n=32, model="lattice", extents=((0.0, 2.0),), kind="random", seed=3,
+                      diameter=1.5, horizon=0.5, scheme="rkc")
+    _, checks, ok = run_invariant_suite(cfg)
+    assert ok and {c.name: c for c in checks}["energy-monotone"].passed is True
+
+
+def _relax_record(t, mean, diameter, dist_sq):
+    return DiagnosticsRecord(t=t, mean=mean, diameter=diameter, e_pot=0.0, e_kin=0.0,
+                             seminorm_sq=0.0, dist_sq=dist_sq, dissipation_cum=0.0,
+                             dual_bound=math.nan, sin2_seminorm=0.0)
+
+
+def test_pointwise_relaxation_compares_only_rows_above_the_rounding_floor():
+    start = _relax_record(0.0, 0.0, 1.0, 0.1)
+    # a field within ulps of its mean 1e-15 when the bound has underflowed to 0
+    stalled = _relax_record(1000.0, 1e-15, 1e-30, 1e-62)
+    _, table, ok, margin, below = pointwise_relaxation([start, stalled], 1.0, 1.0, 1.0)
+    assert ok and below == 1 and len(table) == 2 and table[1]["bound"] == 0.0
+    assert margin == pytest.approx(1.0 + experiments.RELAXATION_TOL, rel=1e-15)
+    # a row above the floor and over its bound still fails
+    over = _relax_record(1.0, 0.0, 1e-20, 0.1)
+    _, _, ok, margin, below = pointwise_relaxation([start, over, stalled], 1.0, 1.0, 1.0)
+    assert not ok and below == 1 and margin < 1.0

@@ -341,6 +341,24 @@ def test_simulate_blow_up_keeps_partial_trajectory():
     assert err.value.t is not None and 0.0 <= err.value.t < 30.0
 
 
+def test_fixed_step_blow_up_after_several_steps():
+    # dt = 3 is far past the dissipation's stable step: the state goes
+    # non-finite at step 30 of 100, after one interior record
+    cfg = apply_overrides(
+        parse_config(Path(__file__).resolve().parents[1] / "configs"
+                     / "regularized_sweep_base.cfg"),
+        {("grid", "nodes"): "64", ("integrator", "dt"): "3", ("integrator", "horizon"): "300",
+         ("physics", "delta"): "1"})
+    with pytest.raises(BlowUpError) as err:
+        simulate(cfg)
+    partial, dt, stride = err.value.trajectory, 3.0, cfg.integrator.stride
+    assert str(err.value) == "non-finite state at t = 90 (step 30 of 100, node 8)"
+    assert partial.dt == dt and partial.counters.steps == 29
+    assert err.value.t == partial.counters.steps * dt
+    assert partial.times == [k * stride * dt for k in range(len(partial.times))]
+    assert len(partial.times) == len(partial.records) == 2 and partial.step_counts == [20]
+
+
 @pytest.mark.parametrize("growth,row", [((0.0, 1e300, 1e300), 1), ((0.0, 10.0, 1e300), 2)])
 def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, row):
     # the earliest step decides, then the lowest index: row 1 overflows at the
