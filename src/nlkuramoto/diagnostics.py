@@ -29,7 +29,11 @@ class DiagnosticsRecord:
     computable upper bound for the dual norm of the rate field (NaN when the
     initial diameter is not below pi, where the bound has no meaning).
     ``sin2_seminorm`` (coupling matrix) feeds the dual bound and the bound
-    report; it is neither written to the CSV nor compared (NaN when read back).
+    report.  ``linf`` is the largest |u|; ``overshoot_hi`` and ``overshoot_lo``
+    are the squared L2 norms of the overshoot above the run's t = 0 max and
+    below its t = 0 min; ``dist_to_next`` is the L2 distance to the next
+    member of the run's family (NaN for the last member and a lone run).  These
+    fields are neither written to the CSV nor compared (NaN when read back).
     """
 
     t: float
@@ -42,6 +46,10 @@ class DiagnosticsRecord:
     dissipation_cum: float
     dual_bound: float
     sin2_seminorm: float = field(default=math.nan, compare=False)
+    linf: float = field(default=math.nan, compare=False)
+    overshoot_hi: float = field(default=math.nan, compare=False)
+    overshoot_lo: float = field(default=math.nan, compare=False)
+    dist_to_next: float = field(default=math.nan, compare=False)
 
 
 def diameter(theta) -> float:
@@ -352,13 +360,9 @@ def fit_decay_rate(times, dist_sq, transient_fraction: float = 0.1,
 
 def truncation_functionals(trajectory) -> tuple[float, float]:
     """Worst squared norms of the overshoot above the initial max and below
-    the initial min, over all recorded snapshots.
+    the initial min, over all records.
 
     Both start at zero and must not grow along a contracting flow.
     """
-    snaps = trajectory.snapshots
-    k_hi, k_lo = snaps[0].max(), snaps[0].min()
-    w = trajectory.grid.weight
-    hi = max(w * float(o @ o) for o in (np.maximum(s - k_hi, 0.0) for s in snaps))
-    lo = max(w * float(u @ u) for u in (np.maximum(k_lo - s, 0.0) for s in snaps))
-    return hi, lo
+    records = trajectory.records
+    return max(r.overshoot_hi for r in records), max(r.overshoot_lo for r in records)

@@ -88,10 +88,7 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
 
 def _successive_differences(trajs: list[Trajectory]) -> list[float]:
     """Worst L2 distance between consecutive rungs over their shared record times."""
-    w = trajs[0].grid.weight
-    # row by row: a whole (K, N) difference would add to the sweep's peak memory
-    return [max(math.sqrt(w * float(d @ d)) for d in map(np.subtract, a.snapshots, b.snapshots))
-            for a, b in zip(trajs, trajs[1:])]
+    return [max(r.dist_to_next for r in traj.records) for traj in trajs[:-1]]
 
 
 def _rung_configs(base: SimConfig, parameter: str, ladder,
@@ -200,8 +197,10 @@ def pointwise_relaxation(records, kappa: float, lam_star: float, measure: float)
     diameter) of the record: no field within 4 ulps of its mean has a larger
     dist_sq, so below that floor the distance is rounding.  Returns
     (rate, table, ok, margin, below): one {t, dist_sq, bound} row per record,
-    whether every compared row holds, the smallest bound / dist_sq over them
-    (1 when every distance is zero), and the number of rows below the floor.
+    whether every compared row holds, the smallest bound / dist_sq over the
+    compared rows after t = 0 (1 when every such distance is zero; the t = 0
+    row's ratio is 1 + RELAXATION_TOL by construction), and the number of rows
+    below the floor.
     """
     rate = kappa * min_sinc(records[0].diameter) * lam_star
     dist0 = records[0].dist_sq
@@ -209,14 +208,14 @@ def pointwise_relaxation(records, kappa: float, lam_star: float, measure: float)
     ok = True
     margin = math.inf
     below = 0
-    for rec in records:
+    for k, rec in enumerate(records):
         bound = dist0 * math.exp(-rate * rec.t) * (1.0 + RELAXATION_TOL)
         table.append({"t": rec.t, "dist_sq": rec.dist_sq, "bound": bound})
         if bound < measure * (4.0 * np.spacing(abs(rec.mean) + rec.diameter)) ** 2:
             below += 1
             continue
         ok = ok and rec.dist_sq <= bound
-        if rec.dist_sq > 0.0:
+        if k > 0 and rec.dist_sq > 0.0:
             margin = min(margin, bound / rec.dist_sq)
     return rate, table, ok, 1.0 if math.isinf(margin) else margin, below
 
@@ -317,7 +316,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
         rows.append({"n": n, "dt": traj.dt, "n_steps": traj.counters.steps,
                      "energy_residual": residual,
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
-        finals.append(traj.snapshots[-1])
+        finals.append(traj.final)
         if n == n0:
             # step-halving row on the coarsest rung, with that rung's operators;
             # an adaptive run halves the fixed step of its base dt instead
@@ -419,7 +418,7 @@ def run_invariant_suite(cfg: SimConfig):
     if kappa == 0.0 and continuum:
         steps_between = traj.step_counts
         l2 = [math.sqrt(r.dist_sq) for r in traj.records]
-        linf = [float(np.abs(s).max()) for s in traj.snapshots]
+        linf = [r.linf for r in traj.records]
         ok = all(b <= a + CONTRACTION_STEP_TOL * m
                  for (a, b), m in zip(_pairwise(l2), steps_between))
         ok = ok and all(b <= a + CONTRACTION_STEP_TOL * m

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -169,23 +170,28 @@ class StepCounters:
 @dataclass
 class Trajectory:
     """The one record of what a run did: its config, status, step and work,
-    snapshots and diagnostics.
+    final state and diagnostics.
 
-    ``snapshots`` is one read-only (len(times), N) array whose row k is the
-    evolved (gauge-reduced, for continuum models) field at ``times[k]``;
+    ``final`` is the read-only evolved (gauge-reduced, for continuum models)
+    field at the last time reached: ``times[-1]`` for a completed run, the last
+    finite state for a blow-up.  ``snapshots`` is None unless the config's
+    output formats name ``snapshots``; then it is one read-only (len(times), N)
+    array whose row k is the evolved field at ``times[k]``, and
     :meth:`physical_values` restores the affine shift mean + nu * t.  The
-    cumulative dissipation lives in the records, accumulated by the same
-    trapezoidal quadrature the stepper uses.  ``dt`` is the base step, whose
-    multiples give the record times; ``step_counts`` holds the steps taken
-    between consecutive records and ``counters`` the work of the whole run
-    (a family's members share it): ``counters.steps`` is the accepted steps,
-    of a partial run too.  ``status`` is "completed" or "blow-up".
+    records carry every per-record norm the checks read, so no check needs the
+    snapshots.  The cumulative dissipation lives in the records, accumulated
+    by the same trapezoidal quadrature the stepper uses.  ``dt`` is the base
+    step, whose multiples give the record times; ``step_counts`` holds the
+    steps taken between consecutive records and ``counters`` the work of the
+    whole run (a family's members share it): ``counters.steps`` is the
+    accepted steps, of a partial run too.  ``status`` is "completed" or
+    "blow-up".
     """
 
     config: object
     grid: Grid
     times: list[float]
-    snapshots: np.ndarray
+    final: np.ndarray
     records: list[DiagnosticsRecord]
     theta_bar: float
     nu: object
@@ -194,8 +200,13 @@ class Trajectory:
     step_counts: list[int]
     counters: StepCounters
     status: str = "completed"
+    snapshots: np.ndarray | None = None
 
     def physical_values(self, index: int) -> np.ndarray:
+        """The physical field at ``times[index]``; needs the snapshots."""
+        if self.snapshots is None:
+            raise ParameterError("the trajectory kept no snapshots: add 'snapshots' to "
+                                 "output.formats")
         snap = self.snapshots[index]
         if not self.gauge_reduced:
             return snap.copy()
@@ -206,22 +217,23 @@ RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
 
 
 class Flow(NamedTuple):
-    """Times, snapshots and per-member records, the steps taken between
-    records, and the run's counters.  ``snapshots`` is one read-only
-    (R, len(times), N) array, member j's states at the record times in
-    ``snapshots[j]``."""
+    """Times, the current (R, N) state and per-member records, the steps taken
+    between records, and the run's counters.  ``final`` is read-only;
+    ``snapshots``, when kept, is one read-only (R, len(times), N) array,
+    member j's states at the record times in ``snapshots[j]``, else None."""
 
     times: list[float]
-    snapshots: np.ndarray
+    final: np.ndarray
     records: list[list[DiagnosticsRecord]]
     step_counts: list[int]
     counters: StepCounters
+    snapshots: np.ndarray | None = None
 
 
 def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], np.ndarray],
                    dt: float, n_steps: int, stride: int, scheme: str,
                    make_record: RecordFn, *, stiffness: float = 0.0,
-                   adaptive: bool = False) -> Flow:
+                   adaptive: bool = False, keep_snapshots: bool = False) -> Flow:
     """Step an (R, N) family of states together, recording at t = k dt for
     every ``stride``-th k and at k = ``n_steps``.
 
@@ -234,17 +246,21 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     rows.  Every record follows a rate evaluation at the state it records,
     the last one made (under every scheme, after rejected tries too), so
     ``make_record`` may reuse what that evaluation computed.
-    The snapshots fill one (R, K, N) buffer, K the number of record times.
-    On blow-up, raises BlowUpError naming the member (``row``) and the node of
-    its largest |rate| at the last finite state (``node``), with ``t`` the
-    last good time and as ``trajectory`` the partial Flow, whose snapshots are
-    the rows recorded.
+    Only the current (R, N) state is held, returned as ``final``; with
+    ``keep_snapshots`` the recorded states also fill one (R, K, N) buffer, K
+    the number of record times.  On blow-up, raises BlowUpError naming the
+    member (``row``) and the node of its largest |rate| at the last finite
+    state (``node``), with ``t`` the last good time and as ``trajectory`` the
+    partial Flow, whose ``final`` is that state and whose snapshots, if kept,
+    are the rows recorded.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
-    marks = (*range(stride, n_steps, stride), n_steps)
-    snapshots = np.empty((len(values), 1 + len(marks), values.shape[1]))
+    marks = range(stride, n_steps, stride)
+    snapshots = None
+    if keep_snapshots:
+        snapshots = np.empty((len(values), len(marks) + 2, values.shape[1]))
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight
@@ -257,14 +273,19 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
         return [norm_w * float(r @ r) for r in rates]
 
     def record(index, t):
-        snapshots[:, index] = values
+        if snapshots is not None:
+            snapshots[:, index] = values
         return make_record(values, t, diss)
 
     def recorded() -> Flow:
-        """The flow with its snapshots cut to the rows recorded, read-only."""
+        """The flow at the current state, its snapshots cut to the rows
+        recorded; both read-only."""
+        values.setflags(write=False)
+        if snapshots is None:
+            return flow._replace(final=values)
         view = snapshots[:, :len(flow.times)]
         view.setflags(write=False)
-        return flow._replace(snapshots=view)
+        return flow._replace(final=values, snapshots=view)
 
     def blow_up(message, t, row) -> BlowUpError:
         """The error of member ``row`` at the current state, reached at t:
@@ -279,9 +300,9 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # check in step() is the guard, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
-        flow = Flow([0.0], snapshots, [[rec] for rec in record(0, 0.0)], [], counters)
+        flow = Flow([0.0], values, [[rec] for rec in record(0, 0.0)], [], counters)
         sq = squares(rate)
-        for index, k_rec in enumerate(marks, 1):
+        for index, k_rec in enumerate(chain(marks, (n_steps,)), 1):
             t, t_rec = flow.times[-1], k_rec * dt
             start = counters.steps
             while t < t_rec:

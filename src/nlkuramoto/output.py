@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import DiagnosticsRecord, energy_identity_residual, truncation_functionals
 from .integrate import Trajectory
 
 CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
@@ -85,9 +85,25 @@ def platform_fingerprint() -> dict:
     }
 
 
+def _margins(traj: Trajectory) -> dict:
+    """How close a run came to its invariants, read from its records: the
+    largest |mean|, the worst diameter slope (D_k+1 - D_k) / (t_k+1 - t_k)
+    (None with one record), the energy-identity residual and the worst
+    truncation overshoot norm."""
+    records = traj.records
+    slopes = [(b.diameter - a.diameter) / (b.t - a.t) for a, b in zip(records, records[1:])]
+    return {
+        "max_abs_mean": max(abs(r.mean) for r in records),
+        "worst_diameter_slope": max(slopes, default=None),
+        "energy_identity_residual": energy_identity_residual(traj),
+        "worst_truncation_overshoot": max(truncation_functionals(traj)),
+    }
+
+
 def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
-    """The manifest of a run: its config and hash, platform, termination, step
-    and counters (``records`` counts the record times), all read from the trajectory."""
+    """The manifest of a run: its config and hash, platform, termination, step,
+    counters (``records`` counts the record times) and invariant margins, all
+    read from the trajectory."""
     manifest = {
         "config": asdict(traj.config),
         "config_hash": traj.config.content_hash(),
@@ -98,6 +114,7 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
         "dt": traj.dt,
         "wall_clock_s": wall_clock_s,
         "counters": {**asdict(traj.counters), "records": len(traj.times)},
+        "margins": _margins(traj),
     }
     if notes:
         manifest["notes"] = notes

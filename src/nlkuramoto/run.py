@@ -89,15 +89,16 @@ def physical_memory() -> int:
 
 
 def _check_record_buffer(policy: IntegratorPolicy, members: int, n_steps: int, nodes: int) -> None:
-    """Refuse a run whose snapshot buffer, members x record times x nodes
-    doubles, exceeds physical memory: it would fail to allocate, or fill pages
-    until the system kills the run."""
+    """Refuse a run that keeps snapshots when its buffer, members x record
+    times x nodes doubles, exceeds physical memory: it would fail to allocate,
+    or fill pages until the system kills the run."""
     size = members * (len(range(policy.stride, n_steps, policy.stride)) + 2) * nodes * 8
     if size > physical_memory():
         raise ConfigurationError(
             f"the snapshot buffer needs {size / 2 ** 30:.3g} GiB, more than the machine's "
             f"{physical_memory() / 2 ** 30:.3g} GiB of physical memory: raise integrator.stride "
-            f"({policy.stride}) or shorten integrator.horizon ({policy.horizon})")
+            f"({policy.stride}), shorten integrator.horizon ({policy.horizon}) or drop "
+            f"'snapshots' from output.formats")
 
 
 def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
@@ -144,10 +145,14 @@ def simulate_family(configs: list[SimConfig],
     smallest automatic one, if not configured; adaptive rkc steps follow the
     worst member's error, and rkc's stages the largest stiffness bound); with
     a fixed step each trajectory is bitwise the member's alone (for rkc, when
-    the members' step needs as many stages alone, as a sweep's does).  A
-    snapshot buffer larger than physical memory raises ConfigurationError
-    before any step.  A BlowUpError carries the partial trajectory of the
-    member that went non-finite first (``row``).
+    the members' step needs as many stages alone, as a sweep's does).  A run
+    holds one state per member plus its records, whose norms (the largest
+    |u|, the overshoots above the t = 0 max and below its min, the L2 distance
+    to the next member) serve every check; it keeps the snapshots only when
+    ``output.formats`` names them, and a snapshot buffer larger than physical
+    memory then raises ConfigurationError before any step.  A BlowUpError
+    carries the partial trajectory of the member that went non-finite first
+    (``row``).
     """
     cfg = configs[0]
     for other in configs:
@@ -177,7 +182,9 @@ def simulate_family(configs: list[SimConfig],
     dt, stiffness = family_step(configs, operators)
     n_steps = _step_count(policy.horizon, dt)
     dt = policy.horizon / n_steps
-    _check_record_buffer(policy, len(configs), n_steps, grid.node_count)
+    keep_snapshots = "snapshots" in cfg.output.formats
+    if keep_snapshots:
+        _check_record_buffer(policy, len(configs), n_steps, grid.node_count)
 
     # the last rate evaluation's stack: integrate_flow records a state right after one
     kept = RateStack()
@@ -192,6 +199,13 @@ def simulate_family(configs: list[SimConfig],
         return rate(values, *args, keep=kept)
 
     bounded_diameter = diameter(theta0) < math.pi
+    top, bottom = work.max(), work.min()  # every member's t = 0 extremes
+    w = grid.weight
+
+    def excess_sq(excess) -> float:
+        """w |max(excess, 0)|^2: an overshoot norm, as the checks read it."""
+        positive = np.maximum(excess, 0.0)
+        return w * float(positive @ positive)
 
     def make_record(values, t, dissipated) -> list[DiagnosticsRecord]:
         # the rate evaluation at this state already applied the coupling to
@@ -212,24 +226,32 @@ def simulate_family(configs: list[SimConfig],
             sin2 = _cosine_double_sum(fields[j, :2], applied[j, :2], c, 0.5)
             seminorm = 2.0 * _form_value(u, u, wu[j], dissipation)
             dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else math.nan
+            hi, lo = v.max(), v.min()
+            gap = v - values[j + 1] if j + 1 < len(values) else None
+            # an overshoot norm is exactly 0.0 until the row crosses its t = 0
+            # extreme, so it is formed only then
             records.append(DiagnosticsRecord(
-                t=t, mean=mean_phase(v, grid), diameter=diameter(v), e_pot=e_pot,
+                t=t, mean=mean_phase(v, grid), diameter=float(hi - lo), e_pot=e_pot,
                 e_kin=_kinetic_from_seminorm(seminorm, delta), seminorm_sq=seminorm,
                 dist_sq=dist_sq_to_mean(v, grid), dissipation_cum=diss, dual_bound=dual,
-                sin2_seminorm=sin2))
+                sin2_seminorm=sin2, linf=float(max(abs(hi), abs(lo))),
+                overshoot_hi=excess_sq(v - top) if hi > top else 0.0,
+                overshoot_lo=excess_sq(bottom - v) if lo < bottom else 0.0,
+                dist_to_next=math.nan if gap is None else math.sqrt(w * float(gap @ gap))))
         return records
 
     def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
-            config=configs[j], grid=grid, times=list(flow.times), snapshots=flow.snapshots[j],
+            config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
             records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
-            step_counts=list(flow.step_counts), counters=flow.counters, status=status)
+            step_counts=list(flow.step_counts), counters=flow.counters, status=status,
+            snapshots=None if flow.snapshots is None else flow.snapshots[j])
 
     try:
         flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
             policy.stride, policy.scheme, make_record, stiffness=stiffness,
-            adaptive=policy.adaptive)
+            adaptive=policy.adaptive, keep_snapshots=keep_snapshots)
     except BlowUpError as exc:
         exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")
         raise

@@ -193,3 +193,26 @@ def euler_reference(theta0, w_coupling, w_dissipation, kappa, delta, dt, n_steps
 def two_oscillator_gap(phi0: float, a: float, t: float) -> float:
     """Closed-form phase gap of two oscillators: gap' = -a sin(gap)."""
     return 2.0 * math.atan(math.tan(phi0 / 2.0) * math.exp(-a * t))
+
+
+# The snapshot passes the checks made before the records carried these norms:
+# each returns one value per snapshot row, by the same expressions, so a record
+# must match it bitwise.
+
+def overshoot_series(snapshots, weight) -> tuple[list[float], list[float]]:
+    """Squared L2 norms of the overshoot above the first row's max and below
+    its min, row by row."""
+    k_hi, k_lo = snapshots[0].max(), snapshots[0].min()
+    hi = [weight * float(o @ o) for o in (np.maximum(s - k_hi, 0.0) for s in snapshots)]
+    lo = [weight * float(u @ u) for u in (np.maximum(k_lo - s, 0.0) for s in snapshots)]
+    return hi, lo
+
+
+def distance_series(snapshots_a, snapshots_b, weight) -> list[float]:
+    """L2 distance between two runs' rows at each shared record time."""
+    return [math.sqrt(weight * float(d @ d)) for d in map(np.subtract, snapshots_a, snapshots_b)]
+
+
+def linf_series(snapshots) -> list[float]:
+    """Largest |u| of each row."""
+    return [float(np.abs(s).max()) for s in snapshots]

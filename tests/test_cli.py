@@ -198,11 +198,14 @@ def test_a_snapshot_buffer_larger_than_memory_is_refused(tmp_path, capsys, monke
     # one record row of 24 doubles already exceeds the pretended 64 bytes
     monkeypatch.setattr(run, "physical_memory", lambda: 64)
     cfg = write_cfg(tmp_path, BASE)
-    assert main(["simulate", str(cfg)]) == 2
+    assert main(["simulate", str(cfg), "--set", "output.formats=csv manifest snapshots"]) == 2
     err = capsys.readouterr().err
     assert "snapshot buffer needs" in err
     assert "integrator.stride (4)" in err and "integrator.horizon (0.3)" in err
+    assert "drop 'snapshots' from output.formats" in err
     assert not (tmp_path / "run_out").exists()
+    # without the snapshots format a run holds no buffer, and nothing is refused
+    assert main(["simulate", str(cfg)]) == 0
 
 
 def test_relax_manifest_records_wall_clock(tmp_path, capsys):

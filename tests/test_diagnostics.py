@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (IterationError, ParameterError, assemble_kernel_matrix,
+from nlkuramoto import (BlowUpError, IterationError, ParameterError, assemble_kernel_matrix,
                         build_grid, diameter, dist_sq_to_mean, dual_bound_value,
                         energy_identity_residual, energy_kinetic, energy_potential,
                         fit_decay_rate, min_sinc, poincare_domain_constant,
                         poincare_sharp_discrete, seminorm_sq, simulate, sin2_seminorm,
                         truncation_functionals, uniform_bound_report)
+from nlkuramoto import run
+from nlkuramoto.experiments import _successive_differences
+from nlkuramoto.run import simulate_family
 
 import oracles
 from conftest import make_config
@@ -183,7 +186,7 @@ def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa,
     cfg = make_config(dim=dim, n=n, extents=[(0.0, length) for length in lengths[:dim]],
                       model="singular" if eps is None else "regularized", s=s, epsilon=eps,
                       kappa=kappa, delta=delta, kind="random", seed=seed, diameter=diameter,
-                      horizon=0.02, stride=3)
+                      horizon=0.02, stride=3, formats=("csv", "manifest", "snapshots"))
     traj = simulate(cfg)
     from nlkuramoto import build_operators
     _, coupling, dissipation = build_operators(cfg)
@@ -319,6 +322,79 @@ def test_fit_decay_rate_floor_truncation():
     d = np.exp(-20.0 * t)  # underflows below the floor midway
     gamma, _ = fit_decay_rate(t, d)
     assert gamma == pytest.approx(20.0, rel=1e-6)
+
+
+SNAPSHOTS = ("csv", "manifest", "snapshots")
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_norms_match_the_snapshot_passes(records, snapshots, weight):
+    # member j's records against its (K, N) snapshots: bitwise the passes the
+    # checks made over snapshots before the records carried these norms; a
+    # blow-up partial's norms may overflow, as they did there
+    for j, (recs, snaps) in enumerate(zip(records, snapshots, strict=True)):
+        assert len(recs) == len(snaps) > 1
+        with np.errstate(over="ignore"):
+            hi, lo = oracles.overshoot_series(snaps, weight)
+        assert _bits([r.overshoot_hi for r in recs]) == _bits(hi)
+        assert _bits([r.overshoot_lo for r in recs]) == _bits(lo)
+        assert _bits([r.linf for r in recs]) == _bits(oracles.linf_series(snaps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = ([math.nan] * len(recs) if j + 1 == len(records)
+                    else oracles.distance_series(snaps, snapshots[j + 1], weight))
+        assert _bits([r.dist_to_next for r in recs]) == _bits(gaps)
+
+
+@pytest.mark.parametrize("dim,n,scheme", [(1, 32, "rk4"), (2, 6, "rkc")])
+@pytest.mark.parametrize("ladder", [(0.2,), (0.2, 0.1, 0.05)])
+def test_record_norms_equal_the_snapshot_passes(dim, n, scheme, ladder):
+    # a lone run and an epsilon family of three, in 1d under rk4 and in 2d
+    # under adaptive rkc (automatic dt)
+    configs = [make_config(dim=dim, n=n, model="regularized", epsilon=eps, delta=0.1,
+                           kind="random", seed=6, diameter=2.0, horizon=0.05, stride=2,
+                           scheme=scheme, formats=SNAPSHOTS) for eps in ladder]
+    assert configs[0].integrator.adaptive == (scheme == "rkc")
+    trajs = simulate_family(configs)
+    w = trajs[0].grid.weight
+    _assert_norms_match_the_snapshot_passes([t.records for t in trajs],
+                                            [t.snapshots for t in trajs], w)
+    for traj in trajs:
+        hi, lo = oracles.overshoot_series(traj.snapshots, w)
+        assert truncation_functionals(traj) == (max(hi), max(lo))
+        assert np.array_equal(traj.final, traj.snapshots[-1])
+    assert _successive_differences(trajs) == [
+        max(oracles.distance_series(a.snapshots, b.snapshots, w))
+        for a, b in zip(trajs, trajs[1:])]
+
+
+def test_record_norms_of_a_blow_up_partial_equal_the_snapshot_passes(monkeypatch):
+    # dt = 0.089 is 12x past the stable step of delta = 0.4: the family blows
+    # up, and its partial flow's records match its snapshots up to the last
+    # record; the growing states overshoot their initial extremes
+    flows = []
+    real_flow = run.integrate_flow
+
+    def capturing(*args, **kwargs):
+        try:
+            return real_flow(*args, **kwargs)
+        except BlowUpError as exc:
+            flows.append(exc.trajectory)
+            raise
+
+    monkeypatch.setattr(run, "integrate_flow", capturing)
+    configs = [make_config(n=24, kappa=0.05, delta=delta, kind="random", seed=3, horizon=60.0,
+                           stride=10, dt=0.089, formats=SNAPSHOTS) for delta in (0.4, 0.2, 0.1)]
+    with pytest.raises(BlowUpError) as err:
+        simulate_family(configs)
+    (flow,) = flows
+    partial = err.value.trajectory
+    assert partial.status == "blow-up" and len(partial.records) == len(flow.times) > 2
+    _assert_norms_match_the_snapshot_passes(flow.records, flow.snapshots, partial.grid.weight)
+    assert max(truncation_functionals(partial)) > 0.0
+    assert np.all(np.isfinite(flow.final)) and partial.final is not None
 
 
 def test_truncation_functionals_on_contracting_run():

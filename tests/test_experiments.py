@@ -126,8 +126,9 @@ def delta_base(**kw):
 
 
 def _bits(records):
-    # every field, sin2_seminorm included, as raw bytes
-    return np.array([astuple(r) for r in records]).tobytes()
+    # every field, sin2_seminorm included, as raw bytes; all but the distance
+    # to the next member, which a lone run does not have
+    return np.array([astuple(replace(r, dist_to_next=0.0)) for r in records]).tobytes()
 
 
 @pytest.mark.parametrize("parameter,dim,n", [("epsilon", 1, 24), ("epsilon", 2, 8),
@@ -142,7 +143,8 @@ def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
         return families[-1]
 
     monkeypatch.setattr(experiments, "simulate_family", recording)
-    data = dict(dim=dim, n=n, extents=[(0.0, 1.0)] * dim, kind="random", seed=4, diameter=2.0)
+    data = dict(dim=dim, n=n, extents=[(0.0, 1.0)] * dim, kind="random", seed=4, diameter=2.0,
+                formats=("csv", "manifest", "snapshots"))
     if parameter == "epsilon":
         sweep = sweep_epsilon(eps_base(**data), [0.2, 0.1, 0.05])
     else:
@@ -159,7 +161,8 @@ def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
 def test_sweep_blow_up_names_the_unstable_rung():
     # dt = 0.089, 12x past the stable step, destabilizes at kappa = 0.05 the
     # damping of delta = 0.4 (the stiffest rung) but not of 0.1
-    base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10, dt=0.089)
+    base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10, dt=0.089,
+                      formats=("csv", "manifest", "snapshots"))
     with pytest.raises(BlowUpError) as err:
         sweep_delta(base, [0.4, 0.1])
     assert str(err.value).startswith("rung 0 (value 0.4) blew up: non-finite state at t = ")
@@ -266,7 +269,7 @@ def test_relaxation_constant_data_trivially_satisfied():
 
 def test_relaxation_two_oscillators_match_closed_form():
     cfg = make_config(n=2, kind="two_cluster", diameter=math.pi / 2, horizon=2.0,
-                      safety=0.02, stride=10)
+                      safety=0.02, stride=10, formats=("csv", "manifest", "snapshots"))
     report, traj = relaxation_experiment(cfg)
     assert report.satisfied
     w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
@@ -429,8 +432,19 @@ def test_pointwise_relaxation_compares_only_rows_above_the_rounding_floor():
     stalled = _relax_record(1000.0, 1e-15, 1e-30, 1e-62)
     _, table, ok, margin, below = pointwise_relaxation([start, stalled], 1.0, 1.0, 1.0)
     assert ok and below == 1 and len(table) == 2 and table[1]["bound"] == 0.0
-    assert margin == pytest.approx(1.0 + experiments.RELAXATION_TOL, rel=1e-15)
+    assert margin == 1.0  # the one row after t = 0 is below the floor
     # a row above the floor and over its bound still fails
     over = _relax_record(1.0, 0.0, 1e-20, 0.1)
     _, _, ok, margin, below = pointwise_relaxation([start, over, stalled], 1.0, 1.0, 1.0)
     assert not ok and below == 1 and margin < 1.0
+
+
+def test_pointwise_margin_leaves_out_the_t0_row():
+    # the t = 0 row's bound / dist_sq is 1 + RELAXATION_TOL by construction;
+    # the margin is the smallest ratio after it
+    start = _relax_record(0.0, 0.0, 1.0, 0.1)
+    later = _relax_record(1.0, 0.0, 0.5, 0.001)
+    _, table, ok, margin, below = pointwise_relaxation([start, later], 1.0, 1.0, 1.0)
+    assert ok and below == 0
+    assert table[0]["bound"] / table[0]["dist_sq"] == pytest.approx(1.01, rel=1e-15)
+    assert margin == table[1]["bound"] / 0.001 > 40.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
-                        build_grid, build_operators, energy_potential, mean_phase, parse_config,
-                        rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
+                        build_grid, build_operators, energy_potential, initial_field, mean_phase,
+                        parse_config, rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
                         sweep_epsilon)
 from nlkuramoto.integrate import auto_step, integrate_flow, stiffness_bound
 
@@ -96,7 +97,8 @@ def test_rk4_order_via_step_halving(grid16, singular16):
 
 
 def test_simulate_constant_field_is_equilibrium():
-    cfg = make_config(n=16, kind="constant", value=1.2, horizon=0.5, stride=4)
+    cfg = make_config(n=16, kind="constant", value=1.2, horizon=0.5, stride=4,
+                      formats=("csv", "manifest", "snapshots"))
     traj = simulate(cfg)
     assert traj.status == "completed"
     for snap in traj.snapshots:
@@ -113,7 +115,8 @@ def test_simulate_pure_dissipation_l2_contracts():
 
 
 def test_simulate_trajectory_contract():
-    cfg = make_config(n=16, nu=0.7, horizon=0.25, stride=3, diameter=1.0)
+    cfg = make_config(n=16, nu=0.7, horizon=0.25, stride=3, diameter=1.0,
+                      formats=("csv", "manifest", "snapshots"))
     traj = simulate(cfg)
     times = np.array(traj.times)
     assert np.all(np.diff(times) > 0)
@@ -123,9 +126,12 @@ def test_simulate_trajectory_contract():
     assert traj.snapshots.shape == (len(traj.times), 16) and traj.snapshots.dtype == float
     with pytest.raises(ValueError):
         traj.snapshots[-1, 0] = 0.0
+    # the final state is the last snapshot, read-only too
+    assert np.array_equal(traj.final, traj.snapshots[-1])
+    with pytest.raises(ValueError):
+        traj.final[0] = 0.0
     # first snapshot is the gauge-reduced initial data; the physical field
     # restores the original profile
-    from nlkuramoto import initial_field
     theta0 = initial_field("smooth", traj.grid, diameter=1.0)
     bar = mean_phase(theta0, traj.grid)
     assert np.allclose(traj.snapshots[0], theta0 - bar, atol=1e-15)
@@ -140,7 +146,8 @@ def test_simulate_extrema_contract_pointwise_in_time():
     # along a bounded-diameter flow the running max never rises and the
     # running min never falls (up to time-discretization slack)
     cfg = make_config(n=48, model="regularized", epsilon=0.1, delta=0.1, kind="random",
-                      seed=17, diameter=2.8, horizon=1.0, stride=3)
+                      seed=17, diameter=2.8, horizon=1.0, stride=3,
+                      formats=("csv", "manifest", "snapshots"))
     traj = simulate(cfg)
     tops = [float(s.max()) for s in traj.snapshots]
     bottoms = [float(s.min()) for s in traj.snapshots]
@@ -195,7 +202,7 @@ def test_lattice_records_use_the_coupling_of_its_rate():
     # on a domain of length 2 the lattice couples at kappa / |domain| = 0.5, so
     # its records, energies and dual bound included, are the singular run's at 0.5
     common = dict(n=32, extents=((0.0, 2.0),), kind="random", seed=3, diameter=2.0,
-                  horizon=0.2, stride=4)
+                  horizon=0.2, stride=4, formats=("csv", "manifest", "snapshots"))
     lattice = simulate(make_config(model="lattice", kappa=1.0, **common))
     singular = simulate(make_config(model="singular", kappa=0.5, **common))
     assert np.array_equal(lattice.snapshots, singular.snapshots)
@@ -223,8 +230,7 @@ def test_simulate_with_its_bundle_matches_a_fresh_build():
     shared = simulate(cfg, build_operators(cfg))
     fresh = simulate(cfg)
     assert shared.records == fresh.records
-    assert all(np.array_equal(a, b)
-               for a, b in zip(shared.snapshots, fresh.snapshots))
+    assert np.array_equal(shared.final, fresh.final)
 
 
 def test_simulate_rejects_a_bundle_built_for_another_config():
@@ -285,7 +291,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     monkeypatch.setattr(run, "integrate_flow", flow)
     cfg = make_config(dim=dim, n=n, model="regularized", epsilon=0.1, delta=delta,
                       kind="random", seed=5, diameter=2.0, scheme=scheme, dt=dt,
-                      horizon=0.05)
+                      horizon=0.05, formats=("csv", "manifest", "snapshots"))
     traj = simulate(cfg)
     monkeypatch.undo()
     assert counts["records"] == len(traj.times) == len(traj.records) > 1
@@ -305,9 +311,8 @@ def test_simulate_deterministic():
     cfg = make_config(n=32, kind="random", seed=13, diameter=2.0, horizon=0.3)
     a = simulate(cfg)
     b = simulate(cfg)
-    assert a.dt == b.dt
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa, sb)
+    assert a.dt == b.dt and a.records == b.records
+    assert np.array_equal(a.final, b.final)
 
 
 def test_simulate_matches_independent_euler():
@@ -319,24 +324,46 @@ def test_simulate_matches_independent_euler():
     g = traj.grid
     w_trunc = oracles.kernel_matrix_loop(g, 0.5, 0.3)
     w_sing = oracles.kernel_matrix_loop(g, 0.5)
-    theta0 = traj.snapshots[0]
+    theta0 = initial_field("smooth", g, diameter=0.2)
+    theta0 = theta0 - mean_phase(theta0, g)
     n_euler = traj.counters.steps * 10
     expect = oracles.euler_reference(theta0, w_trunc, w_sing, 0.05, 0.02,
                                      0.1 / n_euler, n_euler)
-    assert np.abs(traj.snapshots[-1] - expect).max() <= 1e-6
+    assert np.abs(traj.final - expect).max() <= 1e-6
+
+
+def test_a_run_without_the_snapshots_format_holds_one_state_per_member():
+    # 1,010 records of 512 nodes: a snapshot buffer would take K N 8 B = 4.1 MB,
+    # while the run holds one state and its records
+    cfg = make_config(n=512, kind="random", seed=1, diameter=2.0, horizon=0.15)
+    ops = build_operators(cfg)
+    # a short run first, so lazy imports and the operators' caches are in place
+    simulate(replace(cfg, integrator=replace(cfg.integrator, horizon=0.001)), ops)
+    tracemalloc.start()
+    try:
+        traj = simulate(cfg, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.snapshots is None and len(traj.times) >= 1000
+    assert traj.final.shape == (512,)
+    with pytest.raises(ParameterError):
+        traj.physical_values(0)
+    assert peak < len(traj.times) * 512 * 8 / 4
 
 
 def test_simulate_blow_up_keeps_partial_trajectory():
     # force instability: fixed dt far beyond the dissipation stability limit
     cfg = make_config(n=64, model="singular", kappa=0.0, delta=1.0, kind="random",
-                      seed=3, diameter=2.0, horizon=30.0, dt=0.5, stride=1)
+                      seed=3, diameter=2.0, horizon=30.0, dt=0.5, stride=1,
+                      formats=("csv", "manifest", "snapshots"))
     with pytest.raises(BlowUpError) as err:
         simulate(cfg)
     partial = err.value.trajectory
     assert partial is not None and partial.status == "blow-up"
     assert 1 <= len(partial.records) < 61
     assert partial.snapshots.shape == (len(partial.times), 64)
-    assert np.all(np.isfinite(partial.snapshots))
+    assert np.all(np.isfinite(partial.snapshots)) and np.all(np.isfinite(partial.final))
     assert all(b > a for a, b in zip(partial.times, partial.times[1:]))
     assert err.value.t is not None and 0.0 <= err.value.t < 30.0
 
@@ -368,10 +395,11 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
     theta0[:, 5] = 2.0
     with pytest.raises(BlowUpError) as err:
         integrate_flow(theta0, grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
-                       lambda values, t, dissipated: [t] * len(values))
+                       lambda values, t, dissipated: [t] * len(values), keep_snapshots=True)
     assert err.value.row == row and err.value.node == 5
     assert str(err.value) == "non-finite state at t = 1e+10 (step 1 of 50, node 5)"
-    times, snapshots, records, step_counts, counters = err.value.trajectory
+    times, final, records, step_counts, counters, snapshots = err.value.trajectory
+    assert np.array_equal(final, theta0)
     assert times == [0.0] and err.value.t == 0.0 and step_counts == []
     assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]
     assert snapshots.shape == (3, len(times), 16) and np.all(snapshots == theta0[:, None])
@@ -385,8 +413,9 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
 # ---------------------------------------------------------------------------
 
 def _bits(records, snapshots=()):
-    # every record field and every snapshot, as raw bytes
-    return (np.array([astuple(r) for r in records]).tobytes()
+    # every record field and every snapshot, as raw bytes; all but the
+    # distance to the next member, which a lone run does not have
+    return (np.array([astuple(replace(r, dist_to_next=0.0)) for r in records]).tobytes()
             + b"".join(s.tobytes() for s in snapshots))
 
 
@@ -429,7 +458,7 @@ def test_rkc_is_second_order_on_the_two_oscillator_closed_form():
         traj = simulate(cfg)
         w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
         exact = oracles.two_oscillator_gap(-math.pi / 2, 2.0 * w12, 2.0)
-        final = traj.snapshots[-1]
+        final = traj.final
         errors.append(abs(final[0] - final[1] - exact))
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 
@@ -438,7 +467,7 @@ def test_rkc_runs_are_deterministic():
     cfg = make_config(n=64, kind="random", seed=13, diameter=2.0, horizon=0.3, stride=5,
                       scheme="rkc")
     a, b = simulate(cfg), simulate(cfg)
-    assert _bits(a.records, a.snapshots) == _bits(b.records, b.snapshots)
+    assert _bits(a.records, [a.final]) == _bits(b.records, [b.final])
     assert a.counters == b.counters and a.step_counts == b.step_counts
 
 

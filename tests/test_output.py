@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (CSV_COLUMNS, DiagnosticsRecord, build_manifest, read_diagnostics_csv,
-                        read_snapshot, simulate, sweep_epsilon, write_diagnostics_csv,
+from nlkuramoto import (CSV_COLUMNS, BlowUpError, DiagnosticsRecord, build_manifest,
+                        energy_identity_residual, read_diagnostics_csv, read_snapshot, simulate,
+                        sweep_epsilon, truncation_functionals, write_diagnostics_csv,
                         write_run_outputs, write_snapshot, write_sweep_outputs)
 
 from conftest import make_config
@@ -102,6 +103,21 @@ def test_write_run_outputs(tmp_path):
                                     "rhs_evals": 4 * n_steps + 1,
                                     "records": len(traj.records)}
     assert set(manifest["platform"]) == {"python", "numpy", "system", "machine"}
+    assert set(manifest) == {"config", "config_hash", "artifact_version", "platform",
+                             "termination", "n_steps", "dt", "wall_clock_s", "counters",
+                             "margins"}
+    records = traj.records
+    assert manifest["margins"] == {
+        "max_abs_mean": max(abs(r.mean) for r in records),
+        "worst_diameter_slope": max((b.diameter - a.diameter) / (b.t - a.t)
+                                    for a, b in zip(records, records[1:])),
+        "energy_identity_residual": energy_identity_residual(traj),
+        "worst_truncation_overshoot": max(truncation_functionals(traj)),
+    }
+    # a contracting run: its margins sit inside the invariant suite's tolerances
+    assert manifest["margins"]["max_abs_mean"] <= 1e-10
+    assert manifest["margins"]["worst_diameter_slope"] <= 1e-8
+    assert manifest["margins"]["worst_truncation_overshoot"] <= 1e-16
 
     back = read_diagnostics_csv(paths["csv"])
     assert len(back) == len(traj.records)
@@ -118,6 +134,21 @@ def test_write_run_outputs(tmp_path):
 def test_number_format_round_trips_every_double(x):
     from nlkuramoto.output import format_number
     assert float(format_number(x)) == x
+
+
+def test_blow_up_manifest_margins_with_one_record():
+    # dt = 0.5 is far past the stable step: the run blows up before its first
+    # record after t = 0, so no diameter slope exists
+    cfg = make_config(n=64, kappa=0.0, delta=1.0, kind="random", seed=3, diameter=2.0,
+                      horizon=30.0, dt=0.5, stride=50)
+    with pytest.raises(BlowUpError) as err:
+        simulate(cfg)
+    partial = err.value.trajectory
+    assert len(partial.records) == 1
+    margins = build_manifest(partial)["margins"]
+    assert margins["worst_diameter_slope"] is None
+    assert margins["energy_identity_residual"] == 0.0
+    assert margins["worst_truncation_overshoot"] == 0.0
 
 
 def test_manifest_hash_reproducible():
@@ -142,6 +173,9 @@ def test_sweep_outputs(tmp_path):
                                         "records": len(rung.times)}
         assert manifest["n_steps"] == manifest["counters"]["steps"] == round(0.2 / rung.dt)
         assert manifest["counters"]["records"] == len(rung.records)
+        assert set(manifest["margins"]) == {"max_abs_mean", "worst_diameter_slope",
+                                            "energy_identity_residual",
+                                            "worst_truncation_overshoot"}
     report = json.loads(paths["report"].read_text())
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
