@@ -92,16 +92,21 @@ def _elapsed(args) -> float:
     return time.perf_counter() - args.started
 
 
+def _steps(traj) -> str:
+    """The steps a run took, naming its scheme (``auto`` resolved)."""
+    counters = traj.counters
+    if traj.adaptive:
+        return (f"{counters.steps} adaptive {traj.scheme} steps "
+                f"({counters.rejected_steps} rejected)")
+    return f"{counters.steps} {traj.scheme} steps (dt = {traj.dt:.6g})"
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=_elapsed(args))
-    last, counters = traj.records[-1], traj.counters
-    if cfg.integrator.adaptive:
-        steps = f"{counters.steps} adaptive steps ({counters.rejected_steps} rejected)"
-    else:
-        steps = f"{counters.steps} steps (dt = {traj.dt:.6g})"
-    print(f"completed {steps} to t = {last.t:.6g}")
+    last = traj.records[-1]
+    print(f"completed {_steps(traj)} to t = {last.t:.6g}")
     print(f"final diameter = {last.diameter:.6g}, dist_sq = {last.dist_sq:.6g}")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
@@ -113,7 +118,8 @@ def _cmd_sweep(args, which) -> int:
     ladder = _parse_ladder(args.ladder)
     sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(cfg, ladder)
     paths = write_sweep_outputs(sweep, wall_clock_s=_elapsed(args))
-    print(f"{sweep.parameter} ladder: {list(sweep.ladder)}")
+    print(f"{sweep.parameter} ladder: {list(sweep.ladder)}, stepped together in "
+          f"{_steps(sweep.rungs[0])}")
     print(f"successive differences: {['%.6e' % d for d in sweep.differences]}")
     print(f"decreasing: {sweep.decreasing}, uniform bounds: "
           f"{'ok' if sweep.bounds_ok else 'VIOLATED'}")
@@ -126,6 +132,7 @@ def cmd_relax(args) -> int:
     report, traj = relaxation_experiment(cfg)
     write_run_outputs(traj, wall_clock_s=_elapsed(args))
     write_json(asdict(report), Path(cfg.output.directory) / "relaxation_report.json")
+    print(f"completed {_steps(traj)} to t = {traj.times[-1]:.6g}")
     print(f"initial diameter M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g} "
           f"(domain constant bound 1/C = {1.0 / report.c_p_domain:.8g})")

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .integrate import RK4, RKC, SCHEMES
+from .integrate import AUTO, RK4, RKC, SCHEMES
 from .initial import KINDS
 
 MODELS = ("lattice", "regularized", "singular")
@@ -61,7 +61,9 @@ class IntegratorPolicy:
     ``dt`` is None for automatic selection (scaled by ``safety``) or a fixed
     positive value; ``stride`` is the number of steps of that size between
     diagnostics records.  rkc with an automatic ``dt`` steps adaptively and
-    lands on the same record times.
+    lands on the same record times.  ``scheme = auto`` is resolved per run to
+    rk4 or rkc (:func:`nlkuramoto.run.family_step`): ``adaptive`` takes the
+    scheme as written, a run's ``Trajectory.adaptive`` the resolved one.
     """
 
     scheme: str = RK4
@@ -158,8 +160,9 @@ def _validate(cfg: SimConfig) -> list[str]:
         )
 
     n = cfg.integrator
-    if n.scheme not in SCHEMES:
-        problems.append(f"integrator.scheme: must be one of {SCHEMES}, got {n.scheme!r}")
+    if n.scheme not in (*SCHEMES, AUTO):
+        problems.append(f"integrator.scheme: must be one of {(*SCHEMES, AUTO)}, "
+                        f"got {n.scheme!r}")
     if n.dt is not None and not n.dt > 0.0:
         problems.append(f"integrator.dt: must be positive, got {n.dt}")
     if not 0.0 < n.safety <= 1.0:

@@ -2,8 +2,9 @@
 verification, grid refinement, and the run-level invariant suite.
 
 Sweeps share one grid, one dissipation operator, one fixed step size (the
-configured one, else chosen for the stiffest rung so every rung is stable;
-every rung's config carries it) and one output stride, so trajectories can
+configured one, else chosen for the stiffest rung so every rung is stable),
+one scheme (``auto`` resolved once for the whole ladder; every rung's config
+carries the step and the scheme) and one output stride, so trajectories can
 be compared at identical times.  Each rung's coupling is built once, and all
 rungs step together as one batched system.  The successive differences
 Delta_j are the computable stand-in for the compactness limits the analysis
@@ -26,9 +27,10 @@ from .errors import BlowUpError, ConfigurationError
 from .grid import build_grid, poincare_domain_constant
 from .integrate import Trajectory
 from .kernel import assemble_kernel_matrix
-from .run import Operators, build_operators, family_step, simulate, simulate_family
+from .run import Operators, build_operators, family_step, record_times, simulate, simulate_family
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
+FIT_TRANSIENT = 0.1  # the decay-rate fit skips this fraction of the horizon
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
 MEAN_DRIFT_TOL = 1e-10
 TRUNCATION_TOL = 1e-16
@@ -93,12 +95,14 @@ def _successive_differences(trajs: list[Trajectory]) -> list[float]:
 
 def _rung_configs(base: SimConfig, parameter: str, ladder,
                   operators: list[Operators]) -> list[SimConfig]:
-    """One config per rung, each carrying the family's shared step, so a
-    rung's manifest reproduces that rung alone."""
+    """One config per rung, each carrying the family's shared step and
+    scheme, so a rung's manifest reproduces that rung alone: a fixed step
+    keeps a resolved rkc from stepping adaptively."""
     configs = [replace(base, physics=replace(base.physics, **{parameter: value}))
                for value in ladder]
-    dt, _ = family_step(configs, operators)
-    return [replace(cfg, integrator=replace(cfg.integrator, dt=dt)) for cfg in configs]
+    step = family_step(configs, operators)
+    return [replace(cfg, integrator=replace(cfg.integrator, dt=step.dt, scheme=step.scheme))
+            for cfg in configs]
 
 
 def _sweep(parameter, ladder, configs: list[SimConfig],
@@ -225,7 +229,9 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
 
     Certifies the rate kappa * min_sinc(M) * lambda_star built from the sharp
     discrete constant; the loose constructive domain constant is reported
-    alongside.  Hypothesis violations fail before any computation.
+    alongside.  Hypothesis violations, and a record grid that leaves the
+    rate fit fewer than two records after its transient, fail before any
+    step, all listed in one ConfigurationError.
     """
     problems = []
     if cfg.physics.model != "singular":
@@ -239,10 +245,17 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     m = cfg.initial.effective_diameter
     if m >= math.pi:
         problems.append(f"relax: initial diameter must be below pi, got {m}")
+    ops = build_operators(cfg)
+    times = record_times(cfg, ops)
+    fitted = sum(t >= FIT_TRANSIENT * times[-1] for t in times)
+    if fitted < 2:
+        problems.append(
+            f"relax: the decay-rate fit needs two records at t >= {FIT_TRANSIENT:g} x horizon; "
+            f"integrator.stride = {cfg.integrator.stride} leaves {fitted} there "
+            f"({len(times)} records in all): lower integrator.stride")
     if problems:
         raise ConfigurationError(problems)
 
-    ops = build_operators(cfg)
     lam_star = poincare_sharp_discrete(ops.dissipation)
     c_p_dom = poincare_domain_constant(ops.grid, cfg.physics.s)
     traj = simulate(cfg, ops)
@@ -256,7 +269,8 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
         gamma_hat, residual, rate_ok = 0.0, 0.0, True
     else:
         gamma_hat, residual = fit_decay_rate([r.t for r in traj.records],
-                                             [r.dist_sq for r in traj.records])
+                                             [r.dist_sq for r in traj.records],
+                                             transient_fraction=FIT_TRANSIENT)
         rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
 
     report = RelaxationReport(
@@ -318,12 +332,14 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
                      "energy_residual_rel": residual / e0 if e0 > 0 else 0.0})
         finals.append(traj.final)
         if n == n0:
-            # step-halving row on the coarsest rung, with that rung's operators;
-            # an adaptive run halves the fixed step of its base dt instead
-            if cfg.integrator.adaptive:
-                fixed = replace(cfg, integrator=replace(cfg.integrator, dt=traj.dt))
+            # step-halving row on the coarsest rung, with that rung's operators
+            # and scheme (auto could resolve otherwise at half the step); an
+            # adaptive run halves the fixed step of its base dt instead
+            policy = replace(cfg.integrator, scheme=traj.scheme)
+            if traj.adaptive:
+                fixed = replace(cfg, integrator=replace(policy, dt=traj.dt))
                 residual = energy_identity_residual(simulate(fixed, ops))
-            cfg_half = replace(cfg, integrator=replace(cfg.integrator, dt=traj.dt / 2.0))
+            cfg_half = replace(cfg, integrator=replace(policy, dt=traj.dt / 2.0))
             res_half = energy_identity_residual(simulate(cfg_half, ops))
             dt_halving = {"n": n0, "dt": traj.dt, "residual": residual,
                           "residual_half": res_half,

@@ -6,7 +6,9 @@ every one has a symmetric Jacobian whose spectrum lies inside
 (:func:`stiffness_bound`).  The automatic step size safety / rho keeps the
 scaled step inside the stability region of rk4 and euler.  rkc, a
 second-order Runge-Kutta-Chebyshev method, adds stages as the step grows
-past that limit instead, so its step is set by accuracy, not stability.
+past that limit instead, so its step is set by accuracy, not stability.  A
+config's scheme may also be ``auto``, which each run resolves to rk4 or rkc
+(:func:`nlkuramoto.run.family_step`).
 Dissipation is accumulated along the run by the trapezoidal rule on
 rate-field norms (over the stage abscissae for rkc), so the energy identity
 can be checked without differencing snapshots.
@@ -15,10 +17,10 @@ can be checked without differencing snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ RK4 = "rk4"
 EULER = "euler"
 RKC = "rkc"
 SCHEMES = (RK4, EULER, RKC)
+AUTO = "auto"  # a config's scheme, resolved to rk4 or rkc per run
 
 # RKC2 (Sommeijer, Shampine & Verwer, JCAM 1998): the damping of the
 # Chebyshev stages, and the absolute and relative tolerance of the adaptive
@@ -67,6 +70,12 @@ def auto_step(bound: float, safety: float, free_drift_horizon: float = 1.0) -> f
     if bound == 0.0:
         return safety * free_drift_horizon
     return safety / bound
+
+
+def record_steps(n_steps: int, stride: int) -> Iterator[int]:
+    """The steps k whose end, t = k dt, a run records: 0, every ``stride``-th
+    step and ``n_steps``."""
+    return chain(range(0, n_steps, stride), (n_steps,))
 
 
 @lru_cache(maxsize=None)
@@ -181,11 +190,13 @@ class Trajectory:
     records carry every per-record norm the checks read, so no check needs the
     snapshots.  The cumulative dissipation lives in the records, accumulated
     by the same trapezoidal quadrature the stepper uses.  ``dt`` is the base
-    step, whose multiples give the record times; ``step_counts`` holds the
-    steps taken between consecutive records and ``counters`` the work of the
-    whole run (a family's members share it): ``counters.steps`` is the
-    accepted steps, of a partial run too.  ``status`` is "completed" or
-    "blow-up".
+    step, whose multiples give the record times; ``scheme`` is the scheme the
+    run stepped with (a config's ``auto`` resolved) and ``stiffness`` the
+    member's bound on the spectral radius of its rate's Jacobian (a family's
+    rkc sizes its stages by the largest).  ``step_counts`` holds the steps taken
+    between consecutive records and ``counters`` the work of the whole run (a
+    family's members share it): ``counters.steps`` is the accepted steps, of a
+    partial run too.  ``status`` is "completed" or "blow-up".
     """
 
     config: object
@@ -197,10 +208,17 @@ class Trajectory:
     nu: object
     gauge_reduced: bool
     dt: float
+    scheme: str
+    stiffness: float
     step_counts: list[int]
     counters: StepCounters
     status: str = "completed"
     snapshots: np.ndarray | None = None
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether the run sized its steps by rkc's error estimate."""
+        return replace(self.config.integrator, scheme=self.scheme).adaptive
 
     def physical_values(self, index: int) -> np.ndarray:
         """The physical field at ``times[index]``; needs the snapshots."""
@@ -257,10 +275,12 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
-    marks = range(stride, n_steps, stride)
+    marks = record_steps(n_steps, stride)
+    next(marks)  # t = 0 is recorded before the first step
     snapshots = None
     if keep_snapshots:
-        snapshots = np.empty((len(values), len(marks) + 2, values.shape[1]))
+        records = len(range(0, n_steps, stride)) + 1
+        snapshots = np.empty((len(values), records, values.shape[1]))
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight
@@ -302,7 +322,7 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
         rate = rate_of(values)
         flow = Flow([0.0], values, [[rec] for rec in record(0, 0.0)], [], counters)
         sq = squares(rate)
-        for index, k_rec in enumerate(chain(marks, (n_steps,)), 1):
+        for index, k_rec in enumerate(marks, 1):
             t, t_rec = flow.times[-1], k_rec * dt
             start = counters.steps
             while t < t_rec:

@@ -9,6 +9,7 @@ by the node values as little-endian 64-bit floats.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import struct
 import sys
@@ -89,21 +90,25 @@ def _margins(traj: Trajectory) -> dict:
     """How close a run came to its invariants, read from its records: the
     largest |mean|, the worst diameter slope (D_k+1 - D_k) / (t_k+1 - t_k)
     (None with one record), the energy-identity residual and the worst
-    truncation overshoot norm."""
+    truncation overshoot norm.  A margin that is not finite (a blow-up's
+    squares overflow) is None, as strict JSON has no infinity."""
     records = traj.records
     slopes = [(b.diameter - a.diameter) / (b.t - a.t) for a, b in zip(records, records[1:])]
-    return {
+    margins = {
         "max_abs_mean": max(abs(r.mean) for r in records),
         "worst_diameter_slope": max(slopes, default=None),
         "energy_identity_residual": energy_identity_residual(traj),
         "worst_truncation_overshoot": max(truncation_functionals(traj)),
     }
+    return {key: None if value is None or not math.isfinite(value) else value
+            for key, value in margins.items()}
 
 
 def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
-    """The manifest of a run: its config and hash, platform, termination, step,
-    counters (``records`` counts the record times) and invariant margins, all
-    read from the trajectory."""
+    """The manifest of a run: its config and hash, platform, termination, step
+    with the scheme it took and the stiffness bound rho beside it, counters
+    (``records`` counts the record times) and invariant margins, all read
+    from the trajectory."""
     manifest = {
         "config": asdict(traj.config),
         "config_hash": traj.config.content_hash(),
@@ -112,6 +117,8 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
         "termination": traj.status,
         "n_steps": traj.counters.steps,
         "dt": traj.dt,
+        "scheme": traj.scheme,
+        "stiffness_bound": traj.stiffness,
         "wall_clock_s": wall_clock_s,
         "counters": {**asdict(traj.counters), "records": len(traj.times)},
         "margins": _margins(traj),
@@ -122,8 +129,9 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
 
 
 def write_json(obj, path) -> None:
-    """Write a manifest or report as indented JSON with sorted keys."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write a manifest or report as strict JSON (a NaN or an infinity raises
+    ValueError), indented, with sorted keys."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "",

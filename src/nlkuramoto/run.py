@@ -4,12 +4,12 @@
 callers that need them again after the run pass that bundle to
 :func:`simulate`.  :func:`simulate_family` steps several runs that differ
 only in epsilon or delta as one (R, N) system; a plain run is a family of
-one, and :func:`family_step` picks a family's step.  Continuum models always
-evolve in the zero-mean, zero-frequency gauge: the mean is subtracted from
-the initial field here, and the affine shift mean + nu * t is reapplied when
-physical fields are requested.  The lattice model is gauge-reduced too when
-its frequency is constant, and integrated as-is when per-node frequencies are
-supplied.
+one, and :func:`family_step` picks a family's step and scheme.  Continuum
+models always evolve in the zero-mean, zero-frequency gauge: the mean is
+subtracted from the initial field here, and the affine shift mean + nu * t is
+reapplied when physical fields are requested.  The lattice model is
+gauge-reduced too when its frequency is constant, and integrated as-is when
+per-node frequencies are supplied.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
-from .integrate import Trajectory, auto_step, integrate_flow, stiffness_bound
+from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, record_steps,
+                        stiffness_bound)
 from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
 
 
@@ -107,21 +108,60 @@ def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
     return kappa / (grid.node_count * grid.weight) if cfg.physics.model == "lattice" else kappa
 
 
-def family_step(configs: list[SimConfig], operators: list[Operators]) -> tuple[float, float]:
-    """A family's shared step, the configured one or else the smallest of the
-    members' automatic steps, and the largest of their stiffness bounds.
+# scheme = auto takes rk4 while rk4 needs at most this many rate evaluations
+# (4 per step) and rkc beyond.  At rk4's stable step rkc needs only its
+# minimum of 2 stages, 2 evaluations per step, but a lone run's adaptive rkc
+# sizes its steps by a 1e-7 error test, which took 660-1,250 evaluations in
+# every case below, however few rk4 needed.  Measured rk4 against adaptive
+# rkc, relax config at horizon 0.5 (random data, seed 1, unless marked
+# smooth): s = 0.5, n = 16: 781 vs 811 (smooth 781 vs 667); n = 18: 885 vs
+# 851; n = 20: 993 vs 875 (smooth 993 vs 679); n = 32: 1,625 vs 977; s = 0.95,
+# n = 16: 7,533 vs 1,241.  Sweep base config, eps = 0.2: 1d n = 48 709 vs 751,
+# n = 56 793 vs 753; 2d 12^2 565 vs 805.  Singular, kappa = 0, delta = 0.3,
+# n = 32, random, horizon 0.4, safety 0.5: 197 vs 869.  So rk4 was cheaper up
+# to 709 and rkc from 793 up; where the two are close rk4's fourth order wins.
+RK4_EVALS_MAX = 800
 
-    Sweeps write this step into every rung's config; :func:`simulate_family`
-    shortens it to divide the horizon."""
+
+class FamilyStep(NamedTuple):
+    """A family's shared base step ``dt`` (the configured one or else the
+    smallest of the members' automatic steps), the ``n_steps`` of that size
+    that cover the horizon, each member's stiffness bound, and the scheme the
+    family steps with."""
+
+    dt: float
+    n_steps: int
+    bounds: tuple[float, ...]
+    scheme: str
+
+
+def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyStep:
+    """A family's shared step and scheme.
+
+    ``scheme = auto`` resolves here, and only here: to rk4 when rk4's own
+    count of rate evaluations, 4 n_steps, is at most :data:`RK4_EVALS_MAX`,
+    else to rkc.  Sweeps write ``dt`` and the scheme into every rung's
+    config; :func:`simulate_family` shortens ``dt`` to horizon / n_steps."""
     policy = configs[0].integrator
     kappa = _rate_kappa(configs[0], operators[0].grid)
-    bounds = [stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
-              for cfg, ops in zip(configs, operators, strict=True)]
+    bounds = tuple(stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
+                   for cfg, ops in zip(configs, operators, strict=True))
     dt = policy.dt
     if dt is None:
         dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
                  for bound in bounds)
-    return dt, max(bounds)
+    n_steps = _step_count(policy.horizon, dt)
+    scheme = policy.scheme
+    if scheme == AUTO:
+        scheme = RK4 if 4 * n_steps <= RK4_EVALS_MAX else RKC
+    return FamilyStep(dt, n_steps, bounds, scheme)
+
+
+def record_times(cfg: SimConfig, ops: Operators) -> list[float]:
+    """The times a run of ``cfg`` records at, known before it steps."""
+    n_steps = family_step([cfg], [ops]).n_steps
+    dt = cfg.integrator.horizon / n_steps
+    return [k * dt for k in record_steps(n_steps, cfg.integrator.stride)]
 
 
 def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
@@ -141,9 +181,10 @@ def simulate_family(configs: list[SimConfig],
     """Step configs that differ only in epsilon and delta as one (R, N) system.
 
     ``operators`` holds their bundles if already built.  The members share the
-    grid, ``s``, the initial data, the record times and one step (the family's
-    smallest automatic one, if not configured; adaptive rkc steps follow the
-    worst member's error, and rkc's stages the largest stiffness bound); with
+    grid, ``s``, the initial data, the record times, one scheme (``auto``
+    resolved by :func:`family_step`) and one step (the family's smallest
+    automatic one, if not configured; adaptive rkc steps follow the worst
+    member's error, and rkc's stages the largest stiffness bound); with
     a fixed step each trajectory is bitwise the member's alone (for rkc, when
     the members' step needs as many stages alone, as a sweep's does).  A run
     holds one state per member plus its records, whose norms (the largest
@@ -178,9 +219,9 @@ def simulate_family(configs: list[SimConfig],
     theta_bar = mean_phase(theta0, grid) if gauge else 0.0
     work = theta0 - theta_bar
 
-    policy = cfg.integrator
-    dt, stiffness = family_step(configs, operators)
-    n_steps = _step_count(policy.horizon, dt)
+    step = family_step(configs, operators)
+    policy = replace(cfg.integrator, scheme=step.scheme)
+    n_steps = step.n_steps
     dt = policy.horizon / n_steps
     keep_snapshots = "snapshots" in cfg.output.formats
     if keep_snapshots:
@@ -244,13 +285,14 @@ def simulate_family(configs: list[SimConfig],
         return Trajectory(
             config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
             records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
+            scheme=policy.scheme, stiffness=step.bounds[j],
             step_counts=list(flow.step_counts), counters=flow.counters, status=status,
             snapshots=None if flow.snapshots is None else flow.snapshots[j])
 
     try:
         flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
-            policy.stride, policy.scheme, make_record, stiffness=stiffness,
+            policy.stride, policy.scheme, make_record, stiffness=max(step.bounds),
             adaptive=policy.adaptive, keep_snapshots=keep_snapshots)
     except BlowUpError as exc:
         exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")

@@ -259,3 +259,38 @@ def test_failed_check_exits_1(tmp_path, capsys):
                  "--kind", "constant"])
     assert code == 1
     assert "decreasing: False" in capsys.readouterr().out
+
+
+def test_relax_refuses_a_record_grid_the_rate_fit_cannot_use(tmp_path, capsys):
+    # one stride past the horizon leaves the records at t = 0 and t = T: the
+    # fit after its transient (t >= T / 10) would hold one point.  The run is
+    # refused with its other problems, before any step
+    out = tmp_path / "sparse"
+    assert main(["relax", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--nodes", "64",
+                 "--horizon", "0.5", "--stride", "1000000", "--kappa", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration error:"
+    assert "  relax: needs positive coupling strength" in err
+    assert ("  relax: the decay-rate fit needs two records at t >= 0.1 x horizon; "
+            "integrator.stride = 1000000 leaves 1 there (2 records in all): "
+            "lower integrator.stride") in err
+    assert not out.exists()
+
+
+def test_commands_name_the_scheme_they_stepped_with(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg), "--scheme", "auto"]) == 0
+    assert "completed 90 rk4 steps (dt = 0.00333333) to t = 0.3" in capsys.readouterr().out
+    relax = CONFIGS / "relaxation_quarter_circle.cfg"
+    assert main(["relax", str(relax), "--nodes", "64", "--horizon", "0.5",
+                 "--out", str(tmp_path / "relax")]) == 0
+    assert "adaptive rkc steps (" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "relax" / "manifest.json").read_text())
+    assert manifest["scheme"] == "rkc" and manifest["stiffness_bound"] > 0.0
+    # the sweep base config asks for auto; its ladder needs rkc
+    sweep = CONFIGS / "regularized_sweep_base.cfg"
+    assert main(["sweep-eps", str(sweep), "--ladder", "0.2,0.1", "--nodes", "48",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert ("epsilon ladder: [0.2, 0.1], stepped together in 241 rkc steps (dt = 0.00829876)"
+            in capsys.readouterr().out)

@@ -278,7 +278,7 @@ def test_content_hashes_are_stable():
     assert SimConfig().content_hash() == (
         "f54523261cf6ea1e395550a4c1e180e8c601530f8945be41f940544fe2b1b288")
     assert parse_config(CONFIGS / "regularized_sweep_base.cfg").content_hash() == (
-        "25b1b676639e836a6fcd7830eb7ed4d4d376d177858e0eb4e42dabb92d0dbbf0")
+        "38d660e9d397ef982300399be34af5d71dc9f4540e8681120330f77b792fae12")
     assert parse_config(CONFIGS / "relaxation_quarter_circle.cfg").content_hash() == (
         "23a5d613ed0181488826eca3079b39e1ef7f1e24b436488c60a6fbb75d5fe8b0")
     # nu_file is valid only for the lattice model and epsilon only for the
@@ -412,3 +412,14 @@ def test_a_dataclass_grid_needs_one_extent_per_dimension():
     assert flat.problems() == ["grid.extents: dimension 1 needs 1 interval, got 2"]
     with pytest.raises(ConfigurationError):
         simulate(cfg)
+
+
+def test_scheme_auto_parses_and_round_trips():
+    cfg = parse_config_text("[integrator]\nscheme = AUTO\n")
+    assert cfg.integrator.scheme == "auto" and not cfg.integrator.adaptive
+    assert parse_config_text(cfg.canonical_text()) == cfg
+    assert "scheme = auto" in cfg.canonical_text()
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("[integrator]\nscheme = fastest\n")
+    assert err.value.problems == ["integrator.scheme: must be one of "
+                                  "('rk4', 'euler', 'rkc', 'auto'), got 'fastest'"]

@@ -448,3 +448,32 @@ def test_pointwise_margin_leaves_out_the_t0_row():
     assert ok and below == 0
     assert table[0]["bound"] / table[0]["dist_sq"] == pytest.approx(1.01, rel=1e-15)
     assert margin == table[1]["bound"] / 0.001 > 40.0
+
+
+def test_a_sweep_under_auto_takes_fixed_step_rkc_and_each_rung_equals_its_lone_run():
+    # at the stiffest rung's step rk4 would need 4 x 214 > 800 rate
+    # evaluations: the ladder resolves to rkc once, and its fixed shared step
+    # keeps rkc at 2 stages, 2 evaluations a step
+    base = eps_base(n=32, kind="random", seed=4, diameter=2.0, horizon=1.0, scheme="auto")
+    sweep = sweep_epsilon(base, [0.2, 0.1, 0.05, 0.025])
+    counters = sweep.rungs[0].counters
+    assert counters.steps == 214 and counters.rejected_steps == 0
+    assert counters.rhs_evals == 2 * counters.steps + 1
+    for rung in sweep.rungs:
+        assert rung.scheme == rung.config.integrator.scheme == "rkc" and not rung.adaptive
+        assert rung.config.integrator.dt == sweep.rungs[0].config.integrator.dt
+        alone = simulate(rung.config, build_operators(rung.config))
+        assert alone.scheme == "rkc" and alone.counters == counters
+        assert _bits(rung.records) == _bits(alone.records)
+        assert rung.final.tobytes() == alone.final.tobytes()
+
+
+def test_refinement_under_auto_halves_the_step_of_the_scheme_it_resolved():
+    # 4 x 150 rk4 evaluations resolve to rk4; at half the step 4 x 300 would
+    # resolve to rkc, so the halving row names the scheme
+    base = eps_base(n=8, kind="smooth", diameter=1.0, horizon=0.3, stride=4, dt=0.002,
+                    scheme="auto")
+    report = refinement_study(base, [8, 16])
+    half = replace(base, integrator=replace(base.integrator, scheme="rk4", dt=0.001))
+    assert report.dt_halving["residual_half"] == energy_identity_residual(simulate(half))
+    assert report.dt_halving["ratio"] >= 4.0

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
                         build_grid, build_operators, energy_potential, initial_field, mean_phase,
                         parse_config, rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
@@ -257,8 +258,6 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     # the rate has no shifted rows.  The records equal the public formulas at
     # their snapshots, so that evaluation was at the recorded state under
     # fixed, euler, fixed-step rkc and adaptive rkc stepping alike.
-    from nlkuramoto import run
-
     counts = {"records": 0, "rhs": 0, "record_ffts": 0, "record_rows": 0, "ffts": 0}
     inside = [False]
     real_rfft, real_flow, real_rhs = np.fft.rfft, run.integrate_flow, run.rhs_regularized
@@ -534,3 +533,54 @@ def test_adaptive_rkc_refuses_a_step_shrunk_to_nothing(grid16):
     assert str(err.value) == "step size underflow at t = 0" and err.value.row == 0
     flow = err.value.trajectory
     assert flow.counters.steps == 0 and flow.counters.rejected_steps > 300
+
+
+def _with(cfg, **integrator):
+    return replace(cfg, integrator=replace(cfg.integrator, **integrator))
+
+
+def test_auto_keeps_rk4_on_a_short_barely_stiff_run():
+    # rk4 takes 197 rate evaluations here, adaptive rkc 869
+    cfg = make_config(n=32, kappa=0.0, delta=0.3, kind="random", seed=12, diameter=2.0,
+                      horizon=0.4, scheme="auto")
+    traj = simulate(cfg)
+    assert traj.scheme == "rk4" and not traj.adaptive
+    assert traj.counters.rhs_evals == 4 * traj.counters.steps + 1 == 197
+    rk4 = simulate(_with(cfg, scheme="rk4"))
+    assert _bits(traj.records) == _bits(rk4.records)
+    assert simulate(_with(cfg, scheme="rkc")).counters.rhs_evals > 4 * 197
+
+
+@pytest.mark.parametrize("steps,scheme", [(200, "rk4"), (201, "rkc")])
+def test_auto_takes_rkc_past_800_rk4_rate_evaluations(steps, scheme):
+    # a fixed step: auto resolves on rk4's count 4 x steps, and a resolved
+    # rkc takes fixed steps of 2 stages each, bitwise the run that names it
+    cfg = make_config(n=16, kind="random", seed=1, diameter=1.0, horizon=1.0,
+                      dt=1.0 / steps, stride=50, scheme="auto")
+    ops = build_operators(cfg)
+    plan = run.family_step([cfg], [ops])
+    assert (plan.n_steps, plan.scheme) == (steps, scheme)
+    assert plan.bounds == (stiffness_bound(ops.coupling, ops.dissipation, 1.0, 0.0),)
+    traj = simulate(cfg, ops)
+    assert traj.scheme == scheme and not traj.adaptive
+    per_step = 4 if scheme == "rk4" else 2
+    assert traj.counters.rhs_evals == per_step * traj.counters.steps + 1
+    assert _bits(traj.records) == _bits(simulate(_with(cfg, scheme=scheme), ops).records)
+
+
+def test_auto_with_an_automatic_step_resolves_to_adaptive_rkc():
+    cfg = make_config(n=128, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=7,
+                      safety=0.25, scheme="auto")
+    traj = simulate(cfg)
+    assert traj.scheme == "rkc" and traj.adaptive
+    rkc = simulate(_with(cfg, scheme="rkc"))
+    assert _bits(traj.records) == _bits(rkc.records) and traj.counters == rkc.counters
+    assert traj.counters.rhs_evals < 4 * round(0.37 / traj.dt)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rkc"])
+def test_record_times_are_known_before_the_run(scheme):
+    cfg = make_config(n=32, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=7,
+                      scheme=scheme)
+    ops = build_operators(cfg)
+    assert run.record_times(cfg, ops) == simulate(cfg, ops).times

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkuramoto import (CSV_COLUMNS, BlowUpError, DiagnosticsRecord, build_manifest,
-                        energy_identity_residual, read_diagnostics_csv, read_snapshot, simulate,
-                        sweep_epsilon, truncation_functionals, write_diagnostics_csv,
-                        write_run_outputs, write_snapshot, write_sweep_outputs)
+                        build_operators, energy_identity_residual, read_diagnostics_csv,
+                        read_snapshot, simulate, sweep_epsilon, truncation_functionals,
+                        write_diagnostics_csv, write_json, write_run_outputs, write_snapshot,
+                        write_sweep_outputs)
+from nlkuramoto.cli import main as cli_main
+from nlkuramoto.integrate import stiffness_bound
 
 from conftest import make_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def strict_json(path):
+    """Parse a file as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def awkward_record(t):
@@ -104,8 +117,13 @@ def test_write_run_outputs(tmp_path):
                                     "records": len(traj.records)}
     assert set(manifest["platform"]) == {"python", "numpy", "system", "machine"}
     assert set(manifest) == {"config", "config_hash", "artifact_version", "platform",
-                             "termination", "n_steps", "dt", "wall_clock_s", "counters",
-                             "margins"}
+                             "termination", "n_steps", "dt", "scheme", "stiffness_bound",
+                             "wall_clock_s", "counters", "margins"}
+    # the scheme stepped with, and the bound rho that set the automatic dt
+    ops = build_operators(cfg)
+    rho = stiffness_bound(ops.coupling, ops.dissipation, cfg.physics.kappa, cfg.physics.delta)
+    assert manifest["scheme"] == "rk4" and manifest["stiffness_bound"] == rho > 0.0
+    assert manifest["dt"] <= cfg.integrator.safety / rho
     records = traj.records
     assert manifest["margins"] == {
         "max_abs_mean": max(abs(r.mean) for r in records),
@@ -151,6 +169,28 @@ def test_blow_up_manifest_margins_with_one_record():
     assert margins["worst_truncation_overshoot"] == 0.0
 
 
+def test_a_blow_up_manifest_is_strict_json(tmp_path, capsys):
+    # past the stable step the state's squares overflow before it goes
+    # non-finite, so the overshoot margin is infinite: it is written as null.
+    # rk4 needs 400 rate evaluations here, so scheme = auto keeps rk4
+    out = tmp_path / "blow"
+    assert cli_main(["simulate", str(CONFIGS / "regularized_sweep_base.cfg"), "--nodes", "64",
+                     "--dt", "3", "--horizon", "300", "--delta", "1", "--out", str(out)]) == 3
+    manifest = strict_json(out / "manifest.json")
+    assert manifest["termination"] == "blow-up" and manifest["scheme"] == "rk4"
+    assert manifest["config"]["integrator"]["scheme"] == "auto"
+    assert manifest["margins"]["worst_truncation_overshoot"] is None
+    assert math.isfinite(manifest["margins"]["max_abs_mean"])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json({"margin": value}, tmp_path / "bad.json")
+    write_json({"margin": None}, tmp_path / "good.json")
+    assert strict_json(tmp_path / "good.json") == {"margin": None}
+
+
 def test_manifest_hash_reproducible():
     cfg = make_config(n=16, horizon=0.01)
     a = build_manifest(simulate(cfg))
@@ -176,6 +216,11 @@ def test_sweep_outputs(tmp_path):
         assert set(manifest["margins"]) == {"max_abs_mean", "worst_diameter_slope",
                                             "energy_identity_residual",
                                             "worst_truncation_overshoot"}
+        # each rung's own bound; the stiffest rung's sets the shared step
+        assert manifest["scheme"] == rung.config.integrator.scheme == "rk4"
+        assert manifest["stiffness_bound"] == rung.stiffness
+        assert rung.dt <= base.integrator.safety / rung.stiffness
+    assert sweep.rungs[-1].stiffness == max(rung.stiffness for rung in sweep.rungs)
     report = json.loads(paths["report"].read_text())
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
