@@ -45,15 +45,16 @@ def main() -> int:
     for (na, nb), d in zip(zip(ladder, ladder[1:]), report.coarse_diffs):
         print(f"  n={na:>4} vs n={nb:>4}: {d:.6e}")
     h = report.dt_halving
+    ratio = "n/a" if h["ratio"] is None else f"{h['ratio']:.2f}"
     print(f"\nstep halving at n={h['n']}: residual {h['residual']:.4e} -> "
-          f"{h['residual_half']:.4e} (ratio {h['ratio']:.2f})")
+          f"{h['residual_half']:.4e} (ratio {ratio})")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(asdict(report), outdir / "refinement_report.json")
 
     diffs_ok = all(b < a for a, b in zip(report.coarse_diffs, report.coarse_diffs[1:]))
-    ok = diffs_ok and h["ratio"] >= 4.0
+    ok = diffs_ok and h["residual"] >= 4.0 * h["residual_half"]
     print(f"\noverall: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 

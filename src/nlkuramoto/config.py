@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .integrate import AUTO, RK4, RKC, SCHEMES
+from .integrate import AUTO, RK4, SCHEMES
 from .initial import KINDS
 
 MODELS = ("lattice", "regularized", "singular")
@@ -62,8 +62,8 @@ class IntegratorPolicy:
     positive value; ``stride`` is the number of steps of that size between
     diagnostics records.  rkc with an automatic ``dt`` steps adaptively and
     lands on the same record times.  ``scheme = auto`` is resolved per run to
-    rk4 or rkc (:func:`nlkuramoto.run.family_step`): ``adaptive`` takes the
-    scheme as written, a run's ``Trajectory.adaptive`` the resolved one.
+    rk4 or rkc (:func:`nlkuramoto.run.family_step`), which also decides
+    whether the run steps adaptively (``Trajectory.adaptive``).
     """
 
     scheme: str = RK4
@@ -71,10 +71,6 @@ class IntegratorPolicy:
     safety: float = 0.5
     horizon: float = 1.0
     stride: int = 1
-
-    @property
-    def adaptive(self) -> bool:
-        return self.scheme == RKC and self.dt is None
 
 
 @dataclass(frozen=True)

@@ -96,11 +96,12 @@ def _successive_differences(trajs: list[Trajectory]) -> list[float]:
 def _rung_configs(base: SimConfig, parameter: str, ladder,
                   operators: list[Operators]) -> list[SimConfig]:
     """One config per rung, each carrying the family's shared step and
-    scheme, so a rung's manifest reproduces that rung alone: a fixed step
-    keeps a resolved rkc from stepping adaptively."""
+    scheme, so a rung's manifest reproduces that rung alone: a sweep steps
+    fixed, so auto resolves as at a fixed step and a resolved rkc does not
+    step adaptively."""
     configs = [replace(base, physics=replace(base.physics, **{parameter: value}))
                for value in ladder]
-    step = family_step(configs, operators)
+    step = family_step(configs, operators, fixed=True)
     return [replace(cfg, integrator=replace(cfg.integrator, dt=step.dt, scheme=step.scheme))
             for cfg in configs]
 
@@ -305,8 +306,9 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
     Reports the energy-identity residual per rung, final-state differences
     between consecutive rungs restricted to the coarsest grid, and one
     step-halving row on the coarsest rung (rk4 or rkc stepping with a
-    second-order dissipation quadrature: the residual must drop at least 4x).
-    An adaptive rkc run takes that row in fixed steps of its base dt.
+    second-order dissipation quadrature: the residual must drop at least 4x;
+    its ratio is None when the halved residual is zero).  An adaptive rkc run
+    takes that row in fixed steps of its base dt.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
     if not n_ladder:
@@ -343,7 +345,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
             res_half = energy_identity_residual(simulate(cfg_half, ops))
             dt_halving = {"n": n0, "dt": traj.dt, "residual": residual,
                           "residual_half": res_half,
-                          "ratio": residual / res_half if res_half > 0 else math.inf}
+                          "ratio": residual / res_half if res_half > 0 else None}
 
     dim = base.grid.dimension
     w_coarse = build_grid(dim, n0, base.grid.extents).weight

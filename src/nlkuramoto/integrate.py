@@ -17,7 +17,7 @@ can be checked without differencing snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple
@@ -78,6 +78,18 @@ def record_steps(n_steps: int, stride: int) -> Iterator[int]:
     return chain(range(0, n_steps, stride), (n_steps,))
 
 
+def record_count(n_steps: int, stride: int) -> int:
+    """How many records :func:`record_steps` gives."""
+    return len(range(0, n_steps, stride)) + 1
+
+
+def rkc_stage_count(dt: float, stiffness: float) -> int:
+    """The stages rkc takes for a step dt at stiffness rho: the fewest s >= 2
+    with s^2 >= 1 + 1.54 dt rho, so that the damped stability interval,
+    about 0.65 s^2, covers [-dt rho, 0]."""
+    return max(2, math.ceil(math.sqrt(1.0 + 1.54 * dt * stiffness)))
+
+
 @lru_cache(maxsize=None)
 def _rkc_coefficients(s: int):
     """(mu, nu, mu~, gamma~, c) of the s-stage RKC2 method, indexed by stage.
@@ -106,10 +118,7 @@ def _rkc_coefficients(s: int):
 
 
 def _rkc_stages(values, rhs, dt, k1, stiffness, stage_rates):
-    # s stages with s^2 >= 1 + 1.54 dt rho: the damped stability interval,
-    # about 0.65 s^2, then covers [-dt rho, 0]
-    s = max(2, math.ceil(math.sqrt(1.0 + 1.54 * dt * stiffness)))
-    mu, nu, mu_t, gamma_t, c = _rkc_coefficients(s)
+    mu, nu, mu_t, gamma_t, c = _rkc_coefficients(rkc_stage_count(dt, stiffness))
     older, old = values, values + (mu_t[1] * dt) * k1
     for j in range(2, len(c)):
         rate = rhs(old)
@@ -191,7 +200,8 @@ class Trajectory:
     snapshots.  The cumulative dissipation lives in the records, accumulated
     by the same trapezoidal quadrature the stepper uses.  ``dt`` is the base
     step, whose multiples give the record times; ``scheme`` is the scheme the
-    run stepped with (a config's ``auto`` resolved) and ``stiffness`` the
+    run stepped with (a config's ``auto`` resolved), ``adaptive`` whether rkc
+    sized its steps by its error estimate, and ``stiffness`` the
     member's bound on the spectral radius of its rate's Jacobian (a family's
     rkc sizes its stages by the largest).  ``step_counts`` holds the steps taken
     between consecutive records and ``counters`` the work of the whole run (a
@@ -209,16 +219,12 @@ class Trajectory:
     gauge_reduced: bool
     dt: float
     scheme: str
+    adaptive: bool
     stiffness: float
     step_counts: list[int]
     counters: StepCounters
     status: str = "completed"
     snapshots: np.ndarray | None = None
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether the run sized its steps by rkc's error estimate."""
-        return replace(self.config.integrator, scheme=self.scheme).adaptive
 
     def physical_values(self, index: int) -> np.ndarray:
         """The physical field at ``times[index]``; needs the snapshots."""
@@ -279,8 +285,7 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     next(marks)  # t = 0 is recorded before the first step
     snapshots = None
     if keep_snapshots:
-        records = len(range(0, n_steps, stride)) + 1
-        snapshots = np.empty((len(values), records, values.shape[1]))
+        snapshots = np.empty((len(values), record_count(n_steps, stride), values.shape[1]))
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight

@@ -28,8 +28,8 @@ from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
-from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, record_steps,
-                        stiffness_bound)
+from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, record_count,
+                        record_steps, rkc_stage_count, stiffness_bound)
 from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
 
 
@@ -93,7 +93,7 @@ def _check_record_buffer(policy: IntegratorPolicy, members: int, n_steps: int, n
     """Refuse a run that keeps snapshots when its buffer, members x record
     times x nodes doubles, exceeds physical memory: it would fail to allocate,
     or fill pages until the system kills the run."""
-    size = members * (len(range(policy.stride, n_steps, policy.stride)) + 2) * nodes * 8
+    size = members * record_count(n_steps, policy.stride) * nodes * 8
     if size > physical_memory():
         raise ConfigurationError(
             f"the snapshot buffer needs {size / 2 ** 30:.3g} GiB, more than the machine's "
@@ -108,53 +108,69 @@ def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
     return kappa / (grid.node_count * grid.weight) if cfg.physics.model == "lattice" else kappa
 
 
-# scheme = auto takes rk4 while rk4 needs at most this many rate evaluations
-# (4 per step) and rkc beyond.  At rk4's stable step rkc needs only its
-# minimum of 2 stages, 2 evaluations per step, but a lone run's adaptive rkc
-# sizes its steps by a 1e-7 error test, which took 660-1,250 evaluations in
-# every case below, however few rk4 needed.  Measured rk4 against adaptive
-# rkc, relax config at horizon 0.5 (random data, seed 1, unless marked
-# smooth): s = 0.5, n = 16: 781 vs 811 (smooth 781 vs 667); n = 18: 885 vs
-# 851; n = 20: 993 vs 875 (smooth 993 vs 679); n = 32: 1,625 vs 977; s = 0.95,
-# n = 16: 7,533 vs 1,241.  Sweep base config, eps = 0.2: 1d n = 48 709 vs 751,
-# n = 56 793 vs 753; 2d 12^2 565 vs 805.  Singular, kappa = 0, delta = 0.3,
-# n = 32, random, horizon 0.4, safety 0.5: 197 vs 869.  So rk4 was cheaper up
-# to 709 and rkc from 793 up; where the two are close rk4's fourth order wins.
+# scheme = auto with an automatic dt takes rk4 while rk4 needs at most this
+# many rate evaluations (4 per step) and adaptive rkc beyond.  A lone run's
+# adaptive rkc sizes its steps by a 1e-7 error test, which took 660-1,250
+# evaluations in every case below, however few rk4 needed.  Measured rk4
+# against adaptive rkc, relax config at horizon 0.5 (random data, seed 1,
+# unless marked smooth): s = 0.5, n = 16: 781 vs 811 (smooth 781 vs 667);
+# n = 18: 885 vs 851; n = 20: 993 vs 875 (smooth 993 vs 679); n = 32: 1,625
+# vs 977; s = 0.95, n = 16: 7,533 vs 1,241.  Sweep base config, eps = 0.2:
+# 1d n = 48 709 vs 751, n = 56 793 vs 753; 2d 12^2 565 vs 805.  Singular,
+# kappa = 0, delta = 0.3, n = 32, random, horizon 0.4, safety 0.5: 197 vs
+# 869.  So rk4 was cheaper up to 709 and rkc from 793 up; where the two are
+# close rk4's fourth order wins.
 RK4_EVALS_MAX = 800
 
 
 class FamilyStep(NamedTuple):
     """A family's shared base step ``dt`` (the configured one or else the
     smallest of the members' automatic steps), the ``n_steps`` of that size
-    that cover the horizon, each member's stiffness bound, and the scheme the
-    family steps with."""
+    that cover the horizon, each member's stiffness bound, the scheme the
+    family steps with, and whether rkc sizes the steps adaptively."""
 
     dt: float
     n_steps: int
     bounds: tuple[float, ...]
     scheme: str
+    adaptive: bool
 
 
-def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyStep:
+def family_step(configs: list[SimConfig], operators: list[Operators], *,
+                fixed: bool = False) -> FamilyStep:
     """A family's shared step and scheme.
 
-    ``scheme = auto`` resolves here, and only here: to rk4 when rk4's own
-    count of rate evaluations, 4 n_steps, is at most :data:`RK4_EVALS_MAX`,
-    else to rkc.  Sweeps write ``dt`` and the scheme into every rung's
-    config; :func:`simulate_family` shortens ``dt`` to horizon / n_steps."""
+    The steps are fixed when ``dt`` is configured or ``fixed`` is set (a
+    sweep fixes its automatic step); else rkc steps adaptively.  ``scheme =
+    auto`` resolves here, and only here.  At a fixed step, to rkc when rkc
+    takes its minimum of 2 stages at that step and the largest stiffness
+    bound, half of rk4's 4 rate evaluations a step, else to rk4: past 2
+    stages the step is near or past rk4's stability limit, and auto leaves
+    whether such a step is stable as rk4 has it.  With an automatic step, to
+    rk4 when rk4's own count of rate evaluations, 4 n_steps, is at most
+    :data:`RK4_EVALS_MAX`, else to adaptive rkc.  Sweeps write ``dt`` and the
+    scheme into every rung's config; :func:`simulate_family` shortens ``dt``
+    to horizon / n_steps."""
     policy = configs[0].integrator
     kappa = _rate_kappa(configs[0], operators[0].grid)
     bounds = tuple(stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
                    for cfg, ops in zip(configs, operators, strict=True))
     dt = policy.dt
+    fixed = fixed or dt is not None
     if dt is None:
         dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
                  for bound in bounds)
     n_steps = _step_count(policy.horizon, dt)
     scheme = policy.scheme
-    if scheme == AUTO:
+    if scheme == AUTO and fixed:
+        # sweep base config, 1d 128 and 2d 24^2, 41 to 735 steps: rkc halved
+        # the evaluations and took 35-40% less time, and the successive
+        # differences moved by at most 4.9e-4 relative (eps), 6.2e-6 (delta)
+        two_stages = rkc_stage_count(policy.horizon / n_steps, max(bounds)) == 2
+        scheme = RKC if two_stages else RK4
+    elif scheme == AUTO:
         scheme = RK4 if 4 * n_steps <= RK4_EVALS_MAX else RKC
-    return FamilyStep(dt, n_steps, bounds, scheme)
+    return FamilyStep(dt, n_steps, bounds, scheme, scheme == RKC and not fixed)
 
 
 def record_times(cfg: SimConfig, ops: Operators) -> list[float]:
@@ -220,7 +236,7 @@ def simulate_family(configs: list[SimConfig],
     work = theta0 - theta_bar
 
     step = family_step(configs, operators)
-    policy = replace(cfg.integrator, scheme=step.scheme)
+    policy = cfg.integrator
     n_steps = step.n_steps
     dt = policy.horizon / n_steps
     keep_snapshots = "snapshots" in cfg.output.formats
@@ -285,15 +301,15 @@ def simulate_family(configs: list[SimConfig],
         return Trajectory(
             config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
             records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
-            scheme=policy.scheme, stiffness=step.bounds[j],
+            scheme=step.scheme, adaptive=step.adaptive, stiffness=step.bounds[j],
             step_counts=list(flow.step_counts), counters=flow.counters, status=status,
             snapshots=None if flow.snapshots is None else flow.snapshots[j])
 
     try:
         flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
-            policy.stride, policy.scheme, make_record, stiffness=max(step.bounds),
-            adaptive=policy.adaptive, keep_snapshots=keep_snapshots)
+            policy.stride, step.scheme, make_record, stiffness=max(step.bounds),
+            adaptive=step.adaptive, keep_snapshots=keep_snapshots)
     except BlowUpError as exc:
         exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")
         raise

@@ -416,7 +416,7 @@ def test_a_dataclass_grid_needs_one_extent_per_dimension():
 
 def test_scheme_auto_parses_and_round_trips():
     cfg = parse_config_text("[integrator]\nscheme = AUTO\n")
-    assert cfg.integrator.scheme == "auto" and not cfg.integrator.adaptive
+    assert cfg.integrator.scheme == "auto"
     assert parse_config_text(cfg.canonical_text()) == cfg
     assert "scheme = auto" in cfg.canonical_text()
     with pytest.raises(ConfigurationError) as err:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import asdict, astuple, replace
 
@@ -10,7 +11,7 @@ from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
                         assemble_kernel_matrix, build_operators, energy_identity_residual,
                         initial_field, refinement_study, relaxation_experiment,
                         restrict_to_coarse, run_invariant_suite, simulate,
-                        sweep_delta, sweep_epsilon)
+                        sweep_delta, sweep_epsilon, write_json)
 from nlkuramoto.diagnostics import DiagnosticsRecord
 from nlkuramoto.experiments import pointwise_relaxation
 from nlkuramoto.integrate import auto_step, stiffness_bound
@@ -450,14 +451,16 @@ def test_pointwise_margin_leaves_out_the_t0_row():
     assert margin == table[1]["bound"] / 0.001 > 40.0
 
 
-def test_a_sweep_under_auto_takes_fixed_step_rkc_and_each_rung_equals_its_lone_run():
-    # at the stiffest rung's step rk4 would need 4 x 214 > 800 rate
-    # evaluations: the ladder resolves to rkc once, and its fixed shared step
-    # keeps rkc at 2 stages, 2 evaluations a step
-    base = eps_base(n=32, kind="random", seed=4, diameter=2.0, horizon=1.0, scheme="auto")
+@pytest.mark.parametrize("horizon,steps", [(1.0, 214), (0.25, 54)])
+def test_a_sweep_under_auto_takes_fixed_step_rkc_and_each_rung_equals_its_lone_run(horizon,
+                                                                                    steps):
+    # a sweep fixes the stiffest rung's automatic step, h rho = safety, where
+    # rkc takes its minimum of 2 stages, 2 rate evaluations a step against
+    # rk4's 4, however few steps: the ladder resolves to rkc once
+    base = eps_base(n=32, kind="random", seed=4, diameter=2.0, horizon=horizon, scheme="auto")
     sweep = sweep_epsilon(base, [0.2, 0.1, 0.05, 0.025])
     counters = sweep.rungs[0].counters
-    assert counters.steps == 214 and counters.rejected_steps == 0
+    assert counters.steps == steps and counters.rejected_steps == 0
     assert counters.rhs_evals == 2 * counters.steps + 1
     for rung in sweep.rungs:
         assert rung.scheme == rung.config.integrator.scheme == "rkc" and not rung.adaptive
@@ -469,11 +472,23 @@ def test_a_sweep_under_auto_takes_fixed_step_rkc_and_each_rung_equals_its_lone_r
 
 
 def test_refinement_under_auto_halves_the_step_of_the_scheme_it_resolved():
-    # 4 x 150 rk4 evaluations resolve to rk4; at half the step 4 x 300 would
-    # resolve to rkc, so the halving row names the scheme
-    base = eps_base(n=8, kind="smooth", diameter=1.0, horizon=0.3, stride=4, dt=0.002,
-                    scheme="auto")
-    report = refinement_study(base, [8, 16])
-    half = replace(base, integrator=replace(base.integrator, scheme="rk4", dt=0.001))
+    # at h rho = 2.4 rkc would need 3 stages, so the fixed step resolves to
+    # rk4; at half the step rkc's 2 stages would resolve to rkc, so the
+    # halving row names the scheme
+    ops = build_operators(eps_base(n=8))
+    rho = stiffness_bound(ops.coupling, ops.dissipation, 1.0, 0.1)
+    base = eps_base(n=8, horizon=20 * 2.4 / rho, stride=4, dt=2.4 / rho, scheme="auto")
+    report = refinement_study(base, [8])
+    half = replace(base, integrator=replace(base.integrator, scheme="rk4", dt=1.2 / rho))
     assert report.dt_halving["residual_half"] == energy_identity_residual(simulate(half))
     assert report.dt_halving["ratio"] >= 4.0
+
+
+def test_a_refinement_report_of_zero_residuals_is_strict_json(tmp_path):
+    # constant data: every residual is exactly zero, so the halving ratio is
+    # undefined and written as null (write_json refuses NaN and infinity)
+    report = refinement_study(make_config(n=8, kind="constant", value=0.2, horizon=0.2), [8, 16])
+    assert report.dt_halving["residual_half"] == 0.0 and report.dt_halving["ratio"] is None
+    write_json(asdict(report), tmp_path / "refinement_report.json")
+    parsed = json.loads((tmp_path / "refinement_report.json").read_text())
+    assert parsed["dt_halving"]["ratio"] is None

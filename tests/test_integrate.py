@@ -11,7 +11,7 @@ from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_k
                         build_grid, build_operators, energy_potential, initial_field, mean_phase,
                         parse_config, rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
                         sweep_epsilon)
-from nlkuramoto.integrate import auto_step, integrate_flow, stiffness_bound
+from nlkuramoto.integrate import auto_step, integrate_flow, rkc_stage_count, stiffness_bound
 
 import oracles
 from conftest import make_config
@@ -298,7 +298,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     assert counts["record_ffts"] == counts["records"]
     assert counts["record_rows"] == (2 if delta > 0.0 else 3) * counts["records"]
     assert counts["ffts"] == counts["records"] + counts["rhs"]
-    assert traj.counters.rejected_steps > 0 or not cfg.integrator.adaptive
+    assert traj.counters.rejected_steps > 0 or not traj.adaptive
     _, coupling, dissipation = build_operators(cfg)
     for snap, rec in zip(traj.snapshots, traj.records):
         assert rec.e_pot == energy_potential(snap, coupling, cfg.physics.kappa)
@@ -553,17 +553,36 @@ def test_auto_keeps_rk4_on_a_short_barely_stiff_run():
 
 @pytest.mark.parametrize("steps,scheme", [(200, "rk4"), (201, "rkc")])
 def test_auto_takes_rkc_past_800_rk4_rate_evaluations(steps, scheme):
-    # a fixed step: auto resolves on rk4's count 4 x steps, and a resolved
-    # rkc takes fixed steps of 2 stages each, bitwise the run that names it
-    cfg = make_config(n=16, kind="random", seed=1, diameter=1.0, horizon=1.0,
-                      dt=1.0 / steps, stride=50, scheme="auto")
+    # an automatic step: auto resolves on rk4's count 4 x steps, and a
+    # resolved rkc steps adaptively, bitwise the run that names it
+    cfg = make_config(n=16, kind="random", seed=1, diameter=1.0, stride=50, scheme="auto")
     ops = build_operators(cfg)
+    bound = stiffness_bound(ops.coupling, ops.dissipation, 1.0, 0.0)
+    dt = auto_step(bound, cfg.integrator.safety)
+    cfg = _with(cfg, horizon=(steps - 0.5) * dt)
     plan = run.family_step([cfg], [ops])
-    assert (plan.n_steps, plan.scheme) == (steps, scheme)
-    assert plan.bounds == (stiffness_bound(ops.coupling, ops.dissipation, 1.0, 0.0),)
+    assert plan == (dt, steps, (bound,), scheme, scheme == "rkc")
+    traj = simulate(cfg, ops)
+    assert traj.scheme == scheme and traj.adaptive == plan.adaptive
+    named = simulate(_with(cfg, scheme=scheme), ops)
+    assert _bits(traj.records) == _bits(named.records) and traj.counters == named.counters
+
+
+@pytest.mark.parametrize("h_rho,stages,scheme", [(1.9, 2, "rkc"), (2.5, 3, "rk4")])
+def test_auto_at_a_fixed_step_takes_rkc_where_it_needs_2_stages(h_rho, stages, scheme):
+    # a configured step: rkc where it takes its minimum of 2 stages, 2 rate
+    # evaluations a step against rk4's 4, and rk4 past that, where the step
+    # nears rk4's stability limit (h rho ~ 2.79); never adaptive
+    cfg = make_config(n=16, kind="random", seed=1, diameter=1.0, stride=10, scheme="auto")
+    ops = build_operators(cfg)
+    bound = stiffness_bound(ops.coupling, ops.dissipation, 1.0, 0.0)
+    cfg = _with(cfg, dt=h_rho / bound, horizon=40 * h_rho / bound)
+    plan = run.family_step([cfg], [ops])
+    assert plan.n_steps == 40 and (plan.scheme, plan.adaptive) == (scheme, False)
+    assert rkc_stage_count(cfg.integrator.horizon / 40, bound) == stages
     traj = simulate(cfg, ops)
     assert traj.scheme == scheme and not traj.adaptive
-    per_step = 4 if scheme == "rk4" else 2
+    per_step = 2 if scheme == "rkc" else 4
     assert traj.counters.rhs_evals == per_step * traj.counters.steps + 1
     assert _bits(traj.records) == _bits(simulate(_with(cfg, scheme=scheme), ops).records)
 
