@@ -164,7 +164,7 @@ def family_step(configs: list[SimConfig], operators: list[Operators], *,
     scheme = policy.scheme
     if scheme == AUTO and fixed:
         # sweep base config, 1d 128 and 2d 24^2, 41 to 735 steps: rkc halved
-        # the evaluations and took 35-40% less time, and the successive
+        # the evaluations and took 35-45% less time, and the successive
         # differences moved by at most 4.9e-4 relative (eps), 6.2e-6 (delta)
         two_stages = rkc_stage_count(policy.horizon / n_steps, max(bounds)) == 2
         scheme = RKC if two_stages else RK4
