@@ -15,8 +15,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nlkuramoto import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig,
-                        PhysicsConfig, SimConfig, psi, relaxation_experiment, simulate,
-                        write_json, write_run_outputs)
+                        PhysicsConfig, SimConfig, psi, read_snapshot, relaxation_experiment,
+                        simulate, write_json, write_run_outputs)
 
 
 def config(outdir, n, safety, stride, diameter=math.pi / 2, kind="smooth",
@@ -53,13 +53,14 @@ def main() -> int:
           f"(margin {report.pointwise_margin:.4g})")
 
     # two-oscillator cross-check: gap' = -2 W12 sin(gap) has a closed form,
-    # compared at every record time, so the run keeps its snapshots
+    # compared at every record time, so the run writes its snapshot files
     pair = config(outdir / "pair", 2, safety=0.02, stride=10, kind="two_cluster",
-                  formats=("csv", "manifest", "snapshots"))
+                  formats=("snapshots",))
     traj2 = simulate(pair)
     w12 = float(psi(0.5, 1, 0.5)) * traj2.grid.weight
     worst = 0.0
-    for t, snap in zip(traj2.times[1:], traj2.snapshots[1:]):
+    for path in sorted((outdir / "pair").glob("snapshot_*.bin"))[1:]:
+        _, _, t, snap = read_snapshot(path)
         exact = 2.0 * math.atan(math.tan(-math.pi / 4) * math.exp(-2.0 * w12 * t))
         got = snap[0] - snap[1]
         worst = max(worst, abs(got - exact) / abs(exact))

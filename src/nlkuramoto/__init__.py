@@ -15,8 +15,8 @@ from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bou
 from .dynamics import bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
                      ParameterError, SingularityError)
-from .experiments import (refinement_study, relaxation_experiment, restrict_to_coarse,
-                          run_invariant_suite, sweep_delta, sweep_epsilon)
+from .experiments import (refinement_study, relaxation_experiment, run_invariant_suite,
+                          sweep_delta, sweep_epsilon)
 from .grid import build_grid, poincare_domain_constant
 from .initial import initial_field
 from .integrate import step

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -98,9 +99,12 @@ def _rung_configs(base: SimConfig, parameter: str, ladder,
     """One config per rung, each carrying the family's shared step and
     scheme, so a rung's manifest reproduces that rung alone: a sweep steps
     fixed, so auto resolves as at a fixed step and a resolved rkc does not
-    step adaptively."""
-    configs = [replace(base, physics=replace(base.physics, **{parameter: value}))
-               for value in ladder]
+    step adaptively.  Rung j writes to ``rung_<j>/`` of the base's output
+    directory."""
+    configs = [replace(base, physics=replace(base.physics, **{parameter: value}),
+                       output=replace(base.output,
+                                      directory=str(Path(base.output.directory) / f"rung_{j}")))
+               for j, value in enumerate(ladder)]
     step = family_step(configs, operators, fixed=True)
     return [replace(cfg, integrator=replace(cfg.integrator, dt=step.dt, scheme=step.scheme))
             for cfg in configs]
@@ -308,7 +312,8 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
     step-halving row on the coarsest rung (rk4 or rkc stepping with a
     second-order dissipation quadrature: the residual must drop at least 4x;
     its ratio is None when the halved residual is zero).  An adaptive rkc run
-    takes that row in fixed steps of its base dt.
+    takes that row in fixed steps of its base dt.  The study writes no
+    outputs, so its runs write no snapshots.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
     if not n_ladder:
@@ -320,6 +325,8 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
             raise ConfigurationError(
                 [f"refinement ladder: {n} is not a multiple of the coarsest {n_ladder[0]}"])
 
+    formats = tuple(f for f in base.output.formats if f != "snapshots")
+    base = replace(base, output=replace(base.output, formats=formats))
     n0 = n_ladder[0]
     rows = []
     finals = []

@@ -192,21 +192,20 @@ class Trajectory:
 
     ``final`` is the read-only evolved (gauge-reduced, for continuum models)
     field at the last time reached: ``times[-1]`` for a completed run, the last
-    finite state for a blow-up.  ``snapshots`` is None unless the config's
-    output formats name ``snapshots``; then it is one read-only (len(times), N)
-    array whose row k is the evolved field at ``times[k]``, and
-    :meth:`physical_values` restores the affine shift mean + nu * t.  The
-    records carry every per-record norm the checks read, so no check needs the
-    snapshots.  The cumulative dissipation lives in the records, accumulated
-    by the same trapezoidal quadrature the stepper uses.  ``dt`` is the base
-    step, whose multiples give the record times; ``scheme`` is the scheme the
-    run stepped with (a config's ``auto`` resolved), ``adaptive`` whether rkc
-    sized its steps by its error estimate, and ``stiffness`` the
-    member's bound on the spectral radius of its rate's Jacobian (a family's
-    rkc sizes its stages by the largest).  ``step_counts`` holds the steps taken
-    between consecutive records and ``counters`` the work of the whole run (a
-    family's members share it): ``counters.steps`` is the accepted steps, of a
-    partial run too.  ``status`` is "completed" or "blow-up".
+    finite state for a blow-up.  The records carry every per-record norm the
+    checks read, so no check needs the states of the history; a run whose
+    output formats name ``snapshots`` writes those as it records them
+    (:func:`nlkuramoto.run.simulate_family`).  The cumulative dissipation
+    lives in the records, accumulated by the same trapezoidal quadrature the
+    stepper uses.  ``dt`` is the base step, whose multiples give the record
+    times; ``scheme`` is the scheme the run stepped with (a config's ``auto``
+    resolved), ``adaptive`` whether rkc sized its steps by its error
+    estimate, and ``stiffness`` the member's bound on the spectral radius of
+    its rate's Jacobian (a family's rkc sizes its stages by the largest).
+    ``step_counts`` holds the steps taken between consecutive records and
+    ``counters`` the work of the whole run (a family's members share it):
+    ``counters.steps`` is the accepted steps, of a partial run too.
+    ``status`` is "completed" or "blow-up".
     """
 
     config: object
@@ -214,8 +213,6 @@ class Trajectory:
     times: list[float]
     final: np.ndarray
     records: list[DiagnosticsRecord]
-    theta_bar: float
-    nu: object
     gauge_reduced: bool
     dt: float
     scheme: str
@@ -224,17 +221,6 @@ class Trajectory:
     step_counts: list[int]
     counters: StepCounters
     status: str = "completed"
-    snapshots: np.ndarray | None = None
-
-    def physical_values(self, index: int) -> np.ndarray:
-        """The physical field at ``times[index]``; needs the snapshots."""
-        if self.snapshots is None:
-            raise ParameterError("the trajectory kept no snapshots: add 'snapshots' to "
-                                 "output.formats")
-        snap = self.snapshots[index]
-        if not self.gauge_reduced:
-            return snap.copy()
-        return snap + self.theta_bar + float(self.nu) * self.times[index]
 
 
 RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
@@ -242,22 +228,19 @@ RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
 
 class Flow(NamedTuple):
     """Times, the current (R, N) state and per-member records, the steps taken
-    between records, and the run's counters.  ``final`` is read-only;
-    ``snapshots``, when kept, is one read-only (R, len(times), N) array,
-    member j's states at the record times in ``snapshots[j]``, else None."""
+    between records, and the run's counters.  ``final`` is read-only."""
 
     times: list[float]
     final: np.ndarray
     records: list[list[DiagnosticsRecord]]
     step_counts: list[int]
     counters: StepCounters
-    snapshots: np.ndarray | None = None
 
 
 def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], np.ndarray],
                    dt: float, n_steps: int, stride: int, scheme: str,
                    make_record: RecordFn, *, stiffness: float = 0.0,
-                   adaptive: bool = False, keep_snapshots: bool = False) -> Flow:
+                   adaptive: bool = False) -> Flow:
     """Step an (R, N) family of states together, recording at t = k dt for
     every ``stride``-th k and at k = ``n_steps``.
 
@@ -270,22 +253,17 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     rows.  Every record follows a rate evaluation at the state it records,
     the last one made (under every scheme, after rejected tries too), so
     ``make_record`` may reuse what that evaluation computed.
-    Only the current (R, N) state is held, returned as ``final``; with
-    ``keep_snapshots`` the recorded states also fill one (R, K, N) buffer, K
-    the number of record times.  On blow-up, raises BlowUpError naming the
-    member (``row``) and the node of its largest |rate| at the last finite
-    state (``node``), with ``t`` the last good time and as ``trajectory`` the
-    partial Flow, whose ``final`` is that state and whose snapshots, if kept,
-    are the rows recorded.
+    Only the current (R, N) state is held, returned as ``final``.  On
+    blow-up, raises BlowUpError naming the member (``row``) and the node of
+    its largest |rate| at the last finite state (``node``), with ``t`` the
+    last good time and as ``trajectory`` the partial Flow, whose ``final`` is
+    that state.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
     marks = record_steps(n_steps, stride)
     next(marks)  # t = 0 is recorded before the first step
-    snapshots = None
-    if keep_snapshots:
-        snapshots = np.empty((len(values), record_count(n_steps, stride), values.shape[1]))
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight
@@ -297,20 +275,10 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     def squares(rates):
         return [norm_w * float(r @ r) for r in rates]
 
-    def record(index, t):
-        if snapshots is not None:
-            snapshots[:, index] = values
-        return make_record(values, t, diss)
-
     def recorded() -> Flow:
-        """The flow at the current state, its snapshots cut to the rows
-        recorded; both read-only."""
+        """The flow at the current state, read-only."""
         values.setflags(write=False)
-        if snapshots is None:
-            return flow._replace(final=values)
-        view = snapshots[:, :len(flow.times)]
-        view.setflags(write=False)
-        return flow._replace(final=values, snapshots=view)
+        return flow._replace(final=values)
 
     def blow_up(message, t, row) -> BlowUpError:
         """The error of member ``row`` at the current state, reached at t:
@@ -325,9 +293,10 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # check in step() is the guard, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
-        flow = Flow([0.0], values, [[rec] for rec in record(0, 0.0)], [], counters)
+        flow = Flow([0.0], values, [[rec] for rec in make_record(values, 0.0, diss)], [],
+                    counters)
         sq = squares(rate)
-        for index, k_rec in enumerate(marks, 1):
+        for k_rec in marks:
             t, t_rec = flow.times[-1], k_rec * dt
             start = counters.steps
             while t < t_rec:
@@ -365,6 +334,6 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
                 t = t_rec if last else t + h_try if adaptive else counters.steps * dt
             flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
-            for j, rec in enumerate(record(index, t_rec)):
+            for j, rec in enumerate(make_record(values, t_rec, diss)):
                 flow.records[j].append(rec)
     return recorded()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import shutil
 import struct
 import sys
 from dataclasses import asdict
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticsRecord, energy_identity_residual, truncation_functionals
+from .errors import ConfigurationError
 from .integrate import Trajectory
 
 CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
@@ -65,6 +67,26 @@ def write_snapshot(path, dim: int, n: int, t: float, values: np.ndarray) -> None
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_HEADER.pack(dim, n, float(t)))
         fh.write(data.tobytes())
+
+
+def snapshot_directories(configs, records: int, nodes: int) -> list[Path]:
+    """Make the output directories of a family's snapshot files, after
+    refusing with ConfigurationError files, members x records x (header +
+    nodes doubles), larger than the free space where the first member writes:
+    they would fill the disk and stop the run part way."""
+    policy = configs[0].integrator
+    directories = [Path(cfg.output.directory) for cfg in configs]
+    size = len(directories) * records * (_SNAPSHOT_HEADER.size + 8 * nodes)
+    existing = next(path for path in (directories[0], *directories[0].parents) if path.exists())
+    free = shutil.disk_usage(existing).free
+    if size > free:
+        raise ConfigurationError(
+            f"the snapshot files need {size:,} bytes, more than the {free:,} bytes free for "
+            f"{directories[0]}: raise integrator.stride ({policy.stride}), shorten "
+            f"integrator.horizon ({policy.horizon}) or drop 'snapshots' from output.formats")
+    for directory in directories:
+        directory.mkdir(parents=True, exist_ok=True)
+    return directories
 
 
 def read_snapshot(path):
@@ -134,15 +156,13 @@ def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "",
-                      directory=None) -> dict:
-    """Write a trajectory's outputs per its config's output block.
-
-    ``directory`` defaults to the config's output directory.  Returns the
-    mapping of artifact names to paths.  Snapshots store the physical field
-    (gauge shift reapplied).
-    """
-    outdir = Path(directory or traj.config.output.directory)
+def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
+    """Write a trajectory's outputs to its config's output directory, per the
+    config's output formats, and return the mapping of artifact names to
+    paths.  The run itself wrote the snapshots, as it recorded them
+    (:func:`nlkuramoto.run.simulate_family`); ``snapshots`` names their
+    directory."""
+    outdir = Path(traj.config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     formats = traj.config.output.formats
     paths = {}
@@ -152,9 +172,6 @@ def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = 
         write_diagnostics_csv(traj.records, csv_path)
         paths["csv"] = csv_path
     if "snapshots" in formats:
-        for k, t in enumerate(traj.times):
-            snap_path = outdir / f"snapshot_{k:06d}.bin"
-            write_snapshot(snap_path, traj.grid.dim, traj.grid.n, t, traj.physical_values(k))
         paths["snapshots"] = outdir
     if "manifest" in formats:
         man_path = outdir / "manifest.json"
@@ -164,13 +181,14 @@ def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = 
 
 
 def write_sweep_outputs(sweep, wall_clock_s: float = 0.0) -> dict:
-    """Write each rung's outputs to ``rung_<j>/`` of the sweep's output
-    directory, per the output formats, plus the top-level sweep report (always)."""
-    outdir = Path(sweep.rungs[0].config.output.directory)
-    paths = {f"rung_{j}": outdir / f"rung_{j}" for j in range(len(sweep.rungs))}
-    for rung, rung_dir in zip(sweep.rungs, paths.values()):
-        write_run_outputs(rung, wall_clock_s, directory=rung_dir)
-    report_path = outdir / "sweep_report.json"
+    """Write each rung's outputs to its config's directory, ``rung_<j>/`` of
+    the sweep's output directory, per the output formats, plus the sweep
+    report (always) in the sweep's directory."""
+    paths = {}
+    for j, rung in enumerate(sweep.rungs):
+        write_run_outputs(rung, wall_clock_s)
+        paths[f"rung_{j}"] = Path(rung.config.output.directory)
+    report_path = paths["rung_0"].parent / "sweep_report.json"
     write_json(sweep.report(), report_path)
     paths["report"] = report_path
     return paths

@@ -3,11 +3,12 @@
 :func:`build_operators` builds a run's grid and kernel operators once;
 callers that need them again after the run pass that bundle to
 :func:`simulate`.  :func:`simulate_family` steps several runs that differ
-only in epsilon or delta as one (R, N) system; a plain run is a family of
-one, and :func:`family_step` picks a family's step and scheme.  Continuum
+only in epsilon, delta or output directory as one (R, N) system; a plain run
+is a family of one, and :func:`family_step` picks a family's step and
+scheme.  Continuum
 models always evolve in the zero-mean, zero-frequency gauge: the mean is
 subtracted from the initial field here, and the affine shift mean + nu * t is
-reapplied when physical fields are requested.  The lattice model is
+reapplied to the snapshot files a run writes.  The lattice model is
 gauge-reduced too when its frequency is constant, and integrated as-is when
 per-node frequencies are supplied.
 """
@@ -15,13 +16,13 @@ per-node frequencies are supplied.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import IntegratorPolicy, SimConfig
+from .config import SimConfig
 from .diagnostics import (DiagnosticsRecord, _cosine_double_sum, _cosine_fields, _dual_bound,
                           _kinetic_from_seminorm, diameter, dist_sq_to_mean, mean_phase)
 from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_singular
@@ -31,6 +32,7 @@ from .initial import initial_field
 from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, record_count,
                         record_steps, rkc_stage_count, stiffness_bound)
 from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
+from .output import snapshot_directories, write_snapshot
 
 
 class Operators(NamedTuple):
@@ -68,38 +70,23 @@ def _check_operators(ops: Operators, cfg: SimConfig) -> None:
 
 
 def load_frequency(cfg: SimConfig, grid: Grid):
-    """Constant frequency, or the per-node array from physics.nu_file."""
+    """Constant frequency, or the per-node array from physics.nu_file: one
+    finite number per node, else ConfigurationError."""
     if cfg.physics.nu_file is None:
         return float(cfg.physics.nu)
-    values = np.loadtxt(cfg.physics.nu_file, dtype=float).reshape(-1)
-    if values.shape[0] != grid.node_count:
-        raise ConfigurationError([
-            f"physics.nu_file: {values.shape[0]} frequencies for a grid with "
-            f"{grid.node_count} nodes"
-        ])
+    try:
+        values = np.loadtxt(cfg.physics.nu_file, dtype=float).reshape(-1)
+    except (OSError, ValueError) as exc:  # unreadable, or not numbers
+        raise ConfigurationError([f"physics.nu_file: {exc}"]) from None
+    finite = int(np.isfinite(values).sum())
+    if not values.shape[0] == finite == grid.node_count:
+        raise ConfigurationError([f"physics.nu_file: {values.shape[0]} values, {finite} finite, "
+                                  f"for a grid with {grid.node_count} nodes"])
     return values
 
 
 def _step_count(horizon: float, dt: float) -> int:
     return max(1, int(math.ceil(horizon / dt - 1e-12)))
-
-
-def physical_memory() -> int:
-    """The machine's physical memory in bytes."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _check_record_buffer(policy: IntegratorPolicy, members: int, n_steps: int, nodes: int) -> None:
-    """Refuse a run that keeps snapshots when its buffer, members x record
-    times x nodes doubles, exceeds physical memory: it would fail to allocate,
-    or fill pages until the system kills the run."""
-    size = members * record_count(n_steps, policy.stride) * nodes * 8
-    if size > physical_memory():
-        raise ConfigurationError(
-            f"the snapshot buffer needs {size / 2 ** 30:.3g} GiB, more than the machine's "
-            f"{physical_memory() / 2 ** 30:.3g} GiB of physical memory: raise integrator.stride "
-            f"({policy.stride}), shorten integrator.horizon ({policy.horizon}) or drop "
-            f"'snapshots' from output.formats")
 
 
 def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
@@ -194,7 +181,8 @@ def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
 
 def simulate_family(configs: list[SimConfig],
                     operators: list[Operators] | None = None) -> list[Trajectory]:
-    """Step configs that differ only in epsilon and delta as one (R, N) system.
+    """Step configs that differ only in epsilon, delta and the output
+    directory as one (R, N) system.
 
     ``operators`` holds their bundles if already built.  The members share the
     grid, ``s``, the initial data, the record times, one scheme (``auto``
@@ -205,18 +193,22 @@ def simulate_family(configs: list[SimConfig],
     the members' step needs as many stages alone, as a sweep's does).  A run
     holds one state per member plus its records, whose norms (the largest
     |u|, the overshoots above the t = 0 max and below its min, the L2 distance
-    to the next member) serve every check; it keeps the snapshots only when
-    ``output.formats`` names them, and a snapshot buffer larger than physical
-    memory then raises ConfigurationError before any step.  A BlowUpError
-    carries the partial trajectory of the member that went non-finite first
-    (``row``).
+    to the next member) serve every check.  When ``output.formats`` names
+    ``snapshots``, each record also writes member j's physical field (the
+    gauge shift reapplied) to ``snapshot_<k>.bin`` in its config's output
+    directory; snapshot files larger than the free disk space raise
+    ConfigurationError before any step.  A BlowUpError carries the partial
+    trajectory of the member that went non-finite first (``row``), whose
+    snapshot files stop at its last record.
     """
     cfg = configs[0]
     for other in configs:
         other.validate()
         if replace(other, physics=replace(other.physics, epsilon=cfg.physics.epsilon,
-                                          delta=cfg.physics.delta)) != cfg:
-            raise ParameterError("a family's configs may differ only in epsilon and delta")
+                                          delta=cfg.physics.delta),
+                   output=replace(other.output, directory=cfg.output.directory)) != cfg:
+            raise ParameterError("a family's configs may differ only in epsilon, delta and "
+                                 "the output directory")
     if operators is None:
         operators = [build_operators(other) for other in configs]
     for ops, other in zip(operators, configs, strict=True):
@@ -239,9 +231,11 @@ def simulate_family(configs: list[SimConfig],
     policy = cfg.integrator
     n_steps = step.n_steps
     dt = policy.horizon / n_steps
-    keep_snapshots = "snapshots" in cfg.output.formats
-    if keep_snapshots:
-        _check_record_buffer(policy, len(configs), n_steps, grid.node_count)
+    directories = []
+    if "snapshots" in cfg.output.formats:
+        directories = snapshot_directories(configs, record_count(n_steps, policy.stride),
+                                           grid.node_count)
+    written = count()  # the index of the next snapshot file
 
     # the last rate evaluation's stack: integrate_flow records a state right after one
     kept = RateStack()
@@ -265,6 +259,11 @@ def simulate_family(configs: list[SimConfig],
         return w * float(positive @ positive)
 
     def make_record(values, t, dissipated) -> list[DiagnosticsRecord]:
+        if directories:
+            k = next(written)
+            for v, directory in zip(values, directories):
+                write_snapshot(directory / f"snapshot_{k:06d}.bin", grid.dim, grid.n, t,
+                               v + theta_bar + float(nu) * t if gauge else v)
         # the rate evaluation at this state already applied the coupling to
         # (1 - cos u, sin u), and the dissipation to u when it dissipates, so
         # the record transforms only its doubled-angle rows (and u when the
@@ -300,16 +299,15 @@ def simulate_family(configs: list[SimConfig],
     def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
             config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
-            records=flow.records[j], theta_bar=theta_bar, nu=nu, gauge_reduced=gauge, dt=dt,
-            scheme=step.scheme, adaptive=step.adaptive, stiffness=step.bounds[j],
-            step_counts=list(flow.step_counts), counters=flow.counters, status=status,
-            snapshots=None if flow.snapshots is None else flow.snapshots[j])
+            records=flow.records[j], gauge_reduced=gauge, dt=dt, scheme=step.scheme,
+            adaptive=step.adaptive, stiffness=step.bounds[j], step_counts=list(flow.step_counts),
+            counters=flow.counters, status=status)
 
     try:
         flow = integrate_flow(
             np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
             policy.stride, step.scheme, make_record, stiffness=max(step.bounds),
-            adaptive=step.adaptive, keep_snapshots=keep_snapshots)
+            adaptive=step.adaptive)
     except BlowUpError as exc:
         exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")
         raise

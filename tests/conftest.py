@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,64 @@ with warnings.catch_warnings():
     except ImportError:  # libcst is an optional dependency of hypothesis
         pass
 
+import nlkuramoto.integrate as integrate
+import nlkuramoto.run as run
 from nlkuramoto import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig,
                         PhysicsConfig, SimConfig, assemble_kernel_matrix, build_grid)
+
+REPO_OUT = Path(__file__).resolve().parents[1] / "out"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_outputs_in_the_checkout():
+    # a test that writes files gives them a tmp_path directory; the configs'
+    # default, out/, would land in the checkout
+    existed = REPO_OUT.exists()
+    yield
+    if not existed and REPO_OUT.exists():
+        pytest.fail(f"the tests wrote {REPO_OUT}: give each run that writes a tmp_path directory")
+
+
+class RecordedStates(list):
+    """One entry per run stepped inside :func:`recorded_states`: the copies,
+    in record order, of the (R, N) states the run recorded."""
+
+    def of(self, run_index=-1) -> np.ndarray:
+        """That run's states as one (R, K, N) array: member j's at the K
+        record times in ``[j]``."""
+        return np.stack(self[run_index], axis=1)
+
+
+@contextmanager
+def recorded_states():
+    """Copy the state at each record of every run stepped inside the block.
+
+    Wraps ``run.integrate_flow``'s ``make_record`` argument, as the
+    benchmark's tracer does, so a run's states can be compared bitwise
+    without writing snapshot files; a blow-up's copies stop at its last
+    record.  Usable where a function-scoped fixture is not (hypothesis).
+    """
+    states = RecordedStates()
+    real = run.integrate_flow
+    signature = inspect.signature(integrate.integrate_flow)  # real may be a test's wrapper
+
+    def copying_flow(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        make_record, copies = bound.arguments["make_record"], []
+        states.append(copies)
+
+        def copying(values, *rest):
+            copies.append(np.array(values))
+            return make_record(values, *rest)
+
+        bound.arguments["make_record"] = copying
+        return real(*bound.args, **bound.kwargs)
+
+    run.integrate_flow = copying_flow
+    try:
+        yield states
+    finally:
+        run.integrate_flow = real
 
 
 def make_config(*, dim=1, n=64, extents=None, model="singular", s=0.5,

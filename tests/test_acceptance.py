@@ -22,7 +22,7 @@ from nlkuramoto import (build_grid, energy_identity_residual,
 from nlkuramoto.cli import main as cli_main
 
 import oracles
-from conftest import make_config
+from conftest import make_config, recorded_states
 
 HALF_PI = math.pi / 2
 
@@ -200,13 +200,15 @@ def test_criterion_6_exponential_relaxation(relaxation_runs):
         pair_ok = True
         if scheme == "rk4":
             # (c) two-oscillator closed form to 1e-6 relative
+            # (the states it recorded, copied as the run took them)
             cfg2 = make_config(n=2, model="singular", kind="two_cluster", diameter=HALF_PI,
-                               horizon=2.0, safety=0.02, stride=10,
-                               formats=("csv", "manifest", "snapshots"))
-            traj2 = simulate(cfg2)
+                               horizon=2.0, safety=0.02, stride=10)
+            with recorded_states() as states:
+                traj2 = simulate(cfg2)
             w12 = oracles.kernel_value(0.5, 1, 0.5) * traj2.grid.weight
             worst_rel = 0.0
-            for t, snap in zip(traj2.times[1:], traj2.snapshots[1:]):
+            (snapshots,) = states.of()
+            for t, snap in zip(traj2.times[1:], snapshots[1:], strict=True):
                 exact = oracles.two_oscillator_gap(-HALF_PI, 2.0 * w12, t)
                 sim = snap[0] - snap[1]
                 worst_rel = max(worst_rel, abs(sim - exact) / abs(exact))

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from fnmatch import fnmatch
 from functools import partial
 from pathlib import Path
@@ -72,6 +73,25 @@ def test_simulate_writes_each_format_alone(tmp_path, capsys, fmt):
     assert names and all(fnmatch(name, pattern) for name in names)
 
 
+@pytest.mark.parametrize("content,problem", [
+    ("1 2 x", "could not convert string 'x'"),
+    (None, "Is a directory"),
+    ("nan 0 0 0", "4 values, 3 finite, for a grid with 4 nodes"),
+], ids=["malformed", "directory", "non-finite"])
+def test_a_bad_frequency_file_exits_2(tmp_path, capsys, content, problem):
+    nu_path = tmp_path / "nu"
+    if content is None:
+        nu_path.mkdir()
+    else:
+        nu_path.write_text(content + "\n")
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg), "--model", "lattice", "--nodes", "4",
+                 "--set", f"physics.nu_file={nu_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:\n  physics.nu_file: ") and problem in err
+    assert not (tmp_path / "run_out").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "\n[physics]\ns = 1.2\n")
     assert main(["simulate", str(cfg)]) == 2
@@ -116,10 +136,12 @@ def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys):
                  "--dt", "0.089"])
     assert code == 3
     assert "rung 0 (value 0.4) blew up" in capsys.readouterr().err
-    manifest = json.loads((tmp_path / "run_out" / "manifest.json").read_text())
+    # the partial outputs go to the rung's own directory
+    manifest = json.loads((tmp_path / "run_out" / "rung_0" / "manifest.json").read_text())
     assert manifest["termination"] == "blow-up"
     assert manifest["config"]["physics"]["delta"] == 0.4
-    assert len((tmp_path / "run_out" / "diagnostics.csv").read_text().splitlines()) > 2
+    assert len((tmp_path / "run_out" / "rung_0" / "diagnostics.csv").read_text()
+               .splitlines()) > 2
 
 
 def test_verify_passes_and_is_bitwise_deterministic(tmp_path, capsys):
@@ -194,18 +216,28 @@ def test_relax_skips_rows_below_the_rounding_floor(tmp_path, capsys):
     assert f"{report['rows_below_floor']} rows below the rounding floor" in capsys.readouterr().out
 
 
-def test_a_snapshot_buffer_larger_than_memory_is_refused(tmp_path, capsys, monkeypatch):
-    # one record row of 24 doubles already exceeds the pretended 64 bytes
-    monkeypatch.setattr(run, "physical_memory", lambda: 64)
+def test_snapshot_files_larger_than_the_free_disk_space_are_refused(tmp_path, capsys,
+                                                                     monkeypatch):
+    # one snapshot file of 24 doubles already exceeds the pretended 64 bytes free
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=64))
     cfg = write_cfg(tmp_path, BASE)
-    assert main(["simulate", str(cfg), "--set", "output.formats=csv manifest snapshots"]) == 2
+    steps = []
+    with monkeypatch.context() as patch:
+        patch.setattr(run, "integrate_flow", lambda *args, **kwargs: steps.append(args))
+        assert main(["simulate", str(cfg), "--set",
+                     "output.formats=csv manifest snapshots"]) == 2
     err = capsys.readouterr().err
-    assert "snapshot buffer needs" in err
     assert "integrator.stride (4)" in err and "integrator.horizon (0.3)" in err
     assert "drop 'snapshots' from output.formats" in err
+    assert steps == [] and not list(tmp_path.rglob("snapshot_*.bin"))
     assert not (tmp_path / "run_out").exists()
-    # without the snapshots format a run holds no buffer, and nothing is refused
+    # without the snapshots format nothing is refused; the run's record count
+    # gives the size the refusal named
     assert main(["simulate", str(cfg)]) == 0
+    counters = json.loads((tmp_path / "run_out" / "manifest.json").read_text())["counters"]
+    size = counters["records"] * (24 + 8 * 24)
+    assert f"the snapshot files need {size:,} bytes, more than the 64 bytes free" in err
 
 
 def test_relax_manifest_records_wall_clock(tmp_path, capsys):

@@ -17,7 +17,7 @@ from nlkuramoto.experiments import _successive_differences
 from nlkuramoto.run import simulate_family
 
 import oracles
-from conftest import make_config
+from conftest import make_config, recorded_states
 
 
 def random_field(grid, scale, seed):
@@ -186,19 +186,21 @@ def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa,
     cfg = make_config(dim=dim, n=n, extents=[(0.0, length) for length in lengths[:dim]],
                       model="singular" if eps is None else "regularized", s=s, epsilon=eps,
                       kappa=kappa, delta=delta, kind="random", seed=seed, diameter=diameter,
-                      horizon=0.02, stride=3, formats=("csv", "manifest", "snapshots"))
-    traj = simulate(cfg)
+                      horizon=0.02, stride=3)
+    with recorded_states() as states:
+        traj = simulate(cfg)
+    (snapshots,) = states.of()
     from nlkuramoto import build_operators
     _, coupling, dissipation = build_operators(cfg)
     m0 = traj.records[0].diameter
-    for snap, rec in zip(traj.snapshots, traj.records):
+    for snap, rec in zip(snapshots, traj.records, strict=True):
         assert rec.e_pot == energy_potential(snap, coupling, kappa)
         assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
         assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
         assert rec.dual_bound == dual_bound_value(snap, coupling, dissipation,
                                                   kappa, delta, m0)
     rows = {c.name: c for c in uniform_bound_report(traj)}
-    expect = max(sin2_seminorm(snap, coupling) for snap in traj.snapshots)
+    expect = max(sin2_seminorm(snap, coupling) for snap in snapshots)
     assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
 
 
@@ -324,9 +326,6 @@ def test_fit_decay_rate_floor_truncation():
     assert gamma == pytest.approx(20.0, rel=1e-6)
 
 
-SNAPSHOTS = ("csv", "manifest", "snapshots")
-
-
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
@@ -355,19 +354,19 @@ def test_record_norms_equal_the_snapshot_passes(dim, n, scheme, ladder):
     # under adaptive rkc (automatic dt)
     configs = [make_config(dim=dim, n=n, model="regularized", epsilon=eps, delta=0.1,
                            kind="random", seed=6, diameter=2.0, horizon=0.05, stride=2,
-                           scheme=scheme, formats=SNAPSHOTS) for eps in ladder]
-    trajs = simulate_family(configs)
+                           scheme=scheme) for eps in ladder]
+    with recorded_states() as states:
+        trajs = simulate_family(configs)
+    snapshots = states.of()
     assert all(traj.adaptive == (scheme == "rkc") for traj in trajs)
     w = trajs[0].grid.weight
-    _assert_norms_match_the_snapshot_passes([t.records for t in trajs],
-                                            [t.snapshots for t in trajs], w)
-    for traj in trajs:
-        hi, lo = oracles.overshoot_series(traj.snapshots, w)
+    _assert_norms_match_the_snapshot_passes([t.records for t in trajs], snapshots, w)
+    for traj, snaps in zip(trajs, snapshots, strict=True):
+        hi, lo = oracles.overshoot_series(snaps, w)
         assert truncation_functionals(traj) == (max(hi), max(lo))
-        assert np.array_equal(traj.final, traj.snapshots[-1])
+        assert np.array_equal(traj.final, snaps[-1])
     assert _successive_differences(trajs) == [
-        max(oracles.distance_series(a.snapshots, b.snapshots, w))
-        for a, b in zip(trajs, trajs[1:])]
+        max(oracles.distance_series(a, b, w)) for a, b in zip(snapshots, snapshots[1:])]
 
 
 def test_record_norms_of_a_blow_up_partial_equal_the_snapshot_passes(monkeypatch):
@@ -386,13 +385,13 @@ def test_record_norms_of_a_blow_up_partial_equal_the_snapshot_passes(monkeypatch
 
     monkeypatch.setattr(run, "integrate_flow", capturing)
     configs = [make_config(n=24, kappa=0.05, delta=delta, kind="random", seed=3, horizon=60.0,
-                           stride=10, dt=0.089, formats=SNAPSHOTS) for delta in (0.4, 0.2, 0.1)]
-    with pytest.raises(BlowUpError) as err:
+                           stride=10, dt=0.089) for delta in (0.4, 0.2, 0.1)]
+    with recorded_states() as states, pytest.raises(BlowUpError) as err:
         simulate_family(configs)
     (flow,) = flows
     partial = err.value.trajectory
     assert partial.status == "blow-up" and len(partial.records) == len(flow.times) > 2
-    _assert_norms_match_the_snapshot_passes(flow.records, flow.snapshots, partial.grid.weight)
+    _assert_norms_match_the_snapshot_passes(flow.records, states.of(), partial.grid.weight)
     assert max(truncation_functionals(partial)) > 0.0
     assert np.all(np.isfinite(flow.final)) and partial.final is not None
 

@@ -9,15 +9,14 @@ import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
                         assemble_kernel_matrix, build_operators, energy_identity_residual,
-                        initial_field, refinement_study, relaxation_experiment,
-                        restrict_to_coarse, run_invariant_suite, simulate,
-                        sweep_delta, sweep_epsilon, write_json)
+                        initial_field, read_snapshot, refinement_study, relaxation_experiment,
+                        run_invariant_suite, simulate, sweep_delta, sweep_epsilon, write_json)
 from nlkuramoto.diagnostics import DiagnosticsRecord
-from nlkuramoto.experiments import pointwise_relaxation
+from nlkuramoto.experiments import pointwise_relaxation, restrict_to_coarse
 from nlkuramoto.integrate import auto_step, stiffness_bound
 
 import oracles
-from conftest import make_config
+from conftest import make_config, recorded_states
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +134,8 @@ def _bits(records):
 @pytest.mark.parametrize("parameter,dim,n", [("epsilon", 1, 24), ("epsilon", 2, 8),
                                              ("delta", 1, 24), ("delta", 2, 8)])
 def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
-    # the rungs step together, yet each one's records and snapshots are
-    # bitwise those of the rung simulated alone with its own operators
+    # the rungs step together, yet each one's records and recorded states
+    # are bitwise those of the rung simulated alone with its own operators
     families = []
 
     def recording(configs, operators):
@@ -144,34 +143,38 @@ def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
         return families[-1]
 
     monkeypatch.setattr(experiments, "simulate_family", recording)
-    data = dict(dim=dim, n=n, extents=[(0.0, 1.0)] * dim, kind="random", seed=4, diameter=2.0,
-                formats=("csv", "manifest", "snapshots"))
-    if parameter == "epsilon":
-        sweep = sweep_epsilon(eps_base(**data), [0.2, 0.1, 0.05])
-    else:
-        sweep = sweep_delta(delta_base(**data), [0.4, 0.2, 0.1])
+    data = dict(dim=dim, n=n, extents=[(0.0, 1.0)] * dim, kind="random", seed=4, diameter=2.0)
+    with recorded_states() as states:
+        if parameter == "epsilon":
+            sweep = sweep_epsilon(eps_base(**data), [0.2, 0.1, 0.05])
+        else:
+            sweep = sweep_delta(delta_base(**data), [0.4, 0.2, 0.1])
+        alones = [simulate(rung.config, build_operators(rung.config)) for rung in sweep.rungs]
     (trajs,) = families
-    for rung, traj in zip(sweep.rungs, trajs, strict=True):
-        alone = simulate(rung.config, build_operators(rung.config))
+    family = states.of(0)
+    for j, (rung, traj, alone) in enumerate(zip(sweep.rungs, trajs, alones, strict=True)):
         assert traj.times == alone.times and len(alone.records) > 2
         assert _bits(rung.records) == _bits(traj.records) == _bits(alone.records)
-        for a, b in zip(traj.snapshots, alone.snapshots, strict=True):
-            assert a.tobytes() == b.tobytes()
+        assert family[j].tobytes() == states.of(j + 1)[0].tobytes()
 
 
-def test_sweep_blow_up_names_the_unstable_rung():
+def test_sweep_blow_up_names_the_unstable_rung(tmp_path):
     # dt = 0.089, 12x past the stable step, destabilizes at kappa = 0.05 the
     # damping of delta = 0.4 (the stiffest rung) but not of 0.1
     base = delta_base(kappa=0.05, kind="random", seed=3, horizon=60.0, stride=10, dt=0.089,
-                      formats=("csv", "manifest", "snapshots"))
+                      formats=("csv", "manifest", "snapshots"), directory=str(tmp_path))
     with pytest.raises(BlowUpError) as err:
         sweep_delta(base, [0.4, 0.1])
     assert str(err.value).startswith("rung 0 (value 0.4) blew up: non-finite state at t = ")
     partial = err.value.trajectory
     assert partial.status == "blow-up" and partial.config.physics.delta == 0.4
-    # one record at t = 0 and one after every 10th step taken
-    assert 1 < len(partial.records) == len(partial.snapshots) == partial.counters.steps // 10 + 1
-    assert partial.snapshots.shape == (len(partial.times), 24)
+    assert partial.config.output.directory == str(tmp_path / "rung_0")
+    # one record at t = 0 and one after every 10th step taken, and each
+    # rung's snapshot file of every record taken
+    assert 1 < len(partial.records) == partial.counters.steps // 10 + 1
+    for rung_dir in ("rung_0", "rung_1"):
+        files = sorted((tmp_path / rung_dir).glob("snapshot_*.bin"))
+        assert [read_snapshot(f)[2] for f in files] == partial.times
     assert partial.times[-1] <= err.value.t < 60.0
 
 
@@ -270,13 +273,15 @@ def test_relaxation_constant_data_trivially_satisfied():
 
 def test_relaxation_two_oscillators_match_closed_form():
     cfg = make_config(n=2, kind="two_cluster", diameter=math.pi / 2, horizon=2.0,
-                      safety=0.02, stride=10, formats=("csv", "manifest", "snapshots"))
-    report, traj = relaxation_experiment(cfg)
+                      safety=0.02, stride=10)
+    with recorded_states() as states:
+        report, traj = relaxation_experiment(cfg)
     assert report.satisfied
     w12 = oracles.kernel_value(0.5, 1, 0.5) * traj.grid.weight
     a = 2.0 * w12  # gap rate: gap' = -2 kappa W12 sin(gap), kappa = 1
     gap0 = -math.pi / 2
-    for t, snap in zip(traj.times[1:], traj.snapshots[1:]):
+    (snapshots,) = states.of()
+    for t, snap in zip(traj.times[1:], snapshots[1:], strict=True):
         sim_gap = snap[0] - snap[1]
         exact = oracles.two_oscillator_gap(gap0, a, t)
         assert abs(sim_gap - exact) <= 1e-6 * abs(exact)
@@ -364,6 +369,18 @@ def test_refinement_ladder_validation():
 def test_refinement_refuses_an_empty_ladder():
     with pytest.raises(ConfigurationError, match="at least one grid size"):
         refinement_study(make_config(n=8), [])
+
+
+def test_refinement_writes_no_snapshots(tmp_path):
+    # the study writes no outputs: with a snapshots base, its rungs and both
+    # halving runs would otherwise overwrite one directory's files with
+    # fields of different sizes
+    base = make_config(n=8, model="regularized", epsilon=0.2, delta=0.1, kind="smooth",
+                       diameter=1.0, horizon=0.1, stride=4, directory=str(tmp_path / "out"),
+                       formats=("csv", "manifest", "snapshots"))
+    report = refinement_study(base, [8, 16])
+    assert len(report.rows) == 2 and report.dt_halving["n"] == 8
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

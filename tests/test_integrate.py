@@ -9,12 +9,12 @@ import pytest
 import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
                         build_grid, build_operators, energy_potential, initial_field, mean_phase,
-                        parse_config, rhs_singular, seminorm_sq, simulate, sin2_seminorm, step,
-                        sweep_epsilon)
+                        parse_config, read_snapshot, rhs_singular, seminorm_sq, simulate,
+                        sin2_seminorm, step, sweep_epsilon)
 from nlkuramoto.integrate import auto_step, integrate_flow, rkc_stage_count, stiffness_bound
 
 import oracles
-from conftest import make_config
+from conftest import make_config, recorded_states
 
 
 def test_select_dt_free_drift(grid16, singular16):
@@ -98,12 +98,13 @@ def test_rk4_order_via_step_halving(grid16, singular16):
 
 
 def test_simulate_constant_field_is_equilibrium():
-    cfg = make_config(n=16, kind="constant", value=1.2, horizon=0.5, stride=4,
-                      formats=("csv", "manifest", "snapshots"))
-    traj = simulate(cfg)
+    cfg = make_config(n=16, kind="constant", value=1.2, horizon=0.5, stride=4)
+    with recorded_states() as states:
+        traj = simulate(cfg)
     assert traj.status == "completed"
-    for snap in traj.snapshots:
-        assert np.all(snap == traj.snapshots[0])
+    (snapshots,) = states.of()
+    for snap in snapshots:
+        assert np.all(snap == snapshots[0])
     assert traj.records[-1].dissipation_cum == 0.0
 
 
@@ -115,31 +116,34 @@ def test_simulate_pure_dissipation_l2_contracts():
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
-def test_simulate_trajectory_contract():
+def test_simulate_trajectory_contract(tmp_path):
     cfg = make_config(n=16, nu=0.7, horizon=0.25, stride=3, diameter=1.0,
-                      formats=("csv", "manifest", "snapshots"))
-    traj = simulate(cfg)
+                      formats=("csv", "manifest", "snapshots"), directory=str(tmp_path))
+    with recorded_states() as states:
+        traj = simulate(cfg)
     times = np.array(traj.times)
     assert np.all(np.diff(times) > 0)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.25, rel=1e-12)
-    # one read-only (record times, nodes) array
-    assert traj.snapshots.shape == (len(traj.times), 16) and traj.snapshots.dtype == float
-    with pytest.raises(ValueError):
-        traj.snapshots[-1, 0] = 0.0
-    # the final state is the last snapshot, read-only too
-    assert np.array_equal(traj.final, traj.snapshots[-1])
+    # one recorded state and one snapshot file per record time
+    (snapshots,) = states.of()
+    files = sorted(tmp_path.glob("snapshot_*.bin"))
+    assert snapshots.shape == (len(traj.times), 16) and len(files) == len(traj.times)
+    # the final state is the last recorded one, and read-only
+    assert np.array_equal(traj.final, snapshots[-1])
     with pytest.raises(ValueError):
         traj.final[0] = 0.0
-    # first snapshot is the gauge-reduced initial data; the physical field
-    # restores the original profile
+    # the first state is the gauge-reduced initial data; the files hold the
+    # physical field, which restores the original profile
     theta0 = initial_field("smooth", traj.grid, diameter=1.0)
     bar = mean_phase(theta0, traj.grid)
-    assert np.allclose(traj.snapshots[0], theta0 - bar, atol=1e-15)
-    assert np.allclose(traj.physical_values(0), theta0, atol=1e-14)
-    # gauge bookkeeping: physical field at T includes nu * T
-    assert traj.gauge_reduced and traj.nu == 0.7
-    drift = traj.physical_values(-1).mean() - traj.physical_values(0).mean()
+    assert np.allclose(snapshots[0], theta0 - bar, atol=1e-15)
+    first, last = read_snapshot(files[0]), read_snapshot(files[-1])
+    assert first[2] == 0.0 and last[2] == traj.times[-1]
+    assert np.allclose(first[3], theta0, atol=1e-14)
+    # gauge bookkeeping: the physical field at T includes nu * T
+    assert traj.gauge_reduced
+    drift = last[3].mean() - first[3].mean()
     assert drift == pytest.approx(0.7 * 0.25, abs=1e-10)
 
 
@@ -147,11 +151,12 @@ def test_simulate_extrema_contract_pointwise_in_time():
     # along a bounded-diameter flow the running max never rises and the
     # running min never falls (up to time-discretization slack)
     cfg = make_config(n=48, model="regularized", epsilon=0.1, delta=0.1, kind="random",
-                      seed=17, diameter=2.8, horizon=1.0, stride=3,
-                      formats=("csv", "manifest", "snapshots"))
-    traj = simulate(cfg)
-    tops = [float(s.max()) for s in traj.snapshots]
-    bottoms = [float(s.min()) for s in traj.snapshots]
+                      seed=17, diameter=2.8, horizon=1.0, stride=3)
+    with recorded_states() as states:
+        traj = simulate(cfg)
+    (snapshots,) = states.of()
+    tops = [float(s.max()) for s in snapshots]
+    bottoms = [float(s.min()) for s in snapshots]
     for (ta, tb), (a, b) in zip(zip(traj.times, traj.times[1:]), zip(tops, tops[1:])):
         assert b <= a + 1e-9 * (tb - ta)
     for (ta, tb), (a, b) in zip(zip(traj.times, traj.times[1:]), zip(bottoms, bottoms[1:])):
@@ -180,7 +185,7 @@ def test_simulate_lattice_with_per_node_frequencies(tmp_path):
                       diameter=1.0, horizon=0.2, stride=2)
     traj = simulate(cfg)
     assert not traj.gauge_reduced
-    assert np.array_equal(traj.nu, nu)
+    assert np.array_equal(run.load_frequency(cfg, traj.grid), nu)
     # the raw mean drifts at the average frequency
     drift = traj.records[-1].mean - traj.records[0].mean
     expect = float(traj.grid.weight * nu.sum() / traj.grid.measure) * traj.times[-1]
@@ -203,10 +208,11 @@ def test_lattice_records_use_the_coupling_of_its_rate():
     # on a domain of length 2 the lattice couples at kappa / |domain| = 0.5, so
     # its records, energies and dual bound included, are the singular run's at 0.5
     common = dict(n=32, extents=((0.0, 2.0),), kind="random", seed=3, diameter=2.0,
-                  horizon=0.2, stride=4, formats=("csv", "manifest", "snapshots"))
-    lattice = simulate(make_config(model="lattice", kappa=1.0, **common))
-    singular = simulate(make_config(model="singular", kappa=0.5, **common))
-    assert np.array_equal(lattice.snapshots, singular.snapshots)
+                  horizon=0.2, stride=4)
+    with recorded_states() as states:
+        lattice = simulate(make_config(model="lattice", kappa=1.0, **common))
+        singular = simulate(make_config(model="singular", kappa=0.5, **common))
+    assert np.array_equal(states.of(0), states.of(1))
     assert [astuple(r) for r in lattice.records] == [astuple(r) for r in singular.records]
 
 
@@ -260,6 +266,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     # fixed, euler, fixed-step rkc and adaptive rkc stepping alike.
     counts = {"records": 0, "rhs": 0, "record_ffts": 0, "record_rows": 0, "ffts": 0}
     inside = [False]
+    snapshots = []  # the lone member's state at each record
     real_rfft, real_flow, real_rhs = np.fft.rfft, run.integrate_flow, run.rhs_regularized
 
     def rfft(x, *args, **kwargs):
@@ -278,6 +285,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
 
         def counted(*record_args):
             counts["records"] += 1
+            snapshots.append(record_args[0][0].copy())
             inside[0] = True
             try:
                 return make_record(*record_args)
@@ -290,7 +298,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     monkeypatch.setattr(run, "integrate_flow", flow)
     cfg = make_config(dim=dim, n=n, model="regularized", epsilon=0.1, delta=delta,
                       kind="random", seed=5, diameter=2.0, scheme=scheme, dt=dt,
-                      horizon=0.05, formats=("csv", "manifest", "snapshots"))
+                      horizon=0.05)
     traj = simulate(cfg)
     monkeypatch.undo()
     assert counts["records"] == len(traj.times) == len(traj.records) > 1
@@ -300,7 +308,7 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     assert counts["ffts"] == counts["records"] + counts["rhs"]
     assert traj.counters.rejected_steps > 0 or not traj.adaptive
     _, coupling, dissipation = build_operators(cfg)
-    for snap, rec in zip(traj.snapshots, traj.records):
+    for snap, rec in zip(snapshots, traj.records, strict=True):
         assert rec.e_pot == energy_potential(snap, coupling, cfg.physics.kappa)
         assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
         assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
@@ -331,12 +339,11 @@ def test_simulate_matches_independent_euler():
     assert np.abs(traj.final - expect).max() <= 1e-6
 
 
-def test_a_run_without_the_snapshots_format_holds_one_state_per_member():
-    # 1,010 records of 512 nodes: a snapshot buffer would take K N 8 B = 4.1 MB,
-    # while the run holds one state and its records
-    cfg = make_config(n=512, kind="random", seed=1, diameter=2.0, horizon=0.15)
+def _traced_peak(cfg):
+    """The trajectory of ``cfg`` and the tracemalloc peak of its simulate
+    call, after a short run that puts lazy imports and the operators' caches
+    in place."""
     ops = build_operators(cfg)
-    # a short run first, so lazy imports and the operators' caches are in place
     simulate(replace(cfg, integrator=replace(cfg.integrator, horizon=0.001)), ops)
     tracemalloc.start()
     try:
@@ -344,25 +351,44 @@ def test_a_run_without_the_snapshots_format_holds_one_state_per_member():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traj.snapshots is None and len(traj.times) >= 1000
-    assert traj.final.shape == (512,)
-    with pytest.raises(ParameterError):
-        traj.physical_values(0)
+    return traj, peak
+
+
+def test_a_run_without_the_snapshots_format_holds_one_state_per_member():
+    # 1,010 records of 512 nodes: the history would take K N 8 B = 4.1 MB,
+    # while the run holds one state and its records
+    cfg = make_config(n=512, kind="random", seed=1, diameter=2.0, horizon=0.15)
+    traj, peak = _traced_peak(cfg)
+    assert len(traj.times) >= 1000 and traj.final.shape == (512,)
     assert peak < len(traj.times) * 512 * 8 / 4
 
 
-def test_simulate_blow_up_keeps_partial_trajectory():
+def test_a_snapshots_run_writes_its_history_and_holds_one_state_per_member(tmp_path):
+    # the same run writes each record's field to its file as it is taken: its
+    # peak stays that of one state, not of the 4.1 MB history it writes
+    cfg = make_config(n=512, kind="random", seed=1, diameter=2.0, horizon=0.15,
+                      formats=("csv", "manifest", "snapshots"), directory=str(tmp_path))
+    traj, peak = _traced_peak(cfg)
+    assert len(traj.times) >= 1000
+    assert len(list(tmp_path.glob("snapshot_*.bin"))) == len(traj.times)
+    assert peak < len(traj.times) * 512 * 8 / 4
+
+
+def test_simulate_blow_up_keeps_partial_trajectory(tmp_path):
     # force instability: fixed dt far beyond the dissipation stability limit
     cfg = make_config(n=64, model="singular", kappa=0.0, delta=1.0, kind="random",
                       seed=3, diameter=2.0, horizon=30.0, dt=0.5, stride=1,
-                      formats=("csv", "manifest", "snapshots"))
+                      formats=("csv", "manifest", "snapshots"), directory=str(tmp_path))
     with pytest.raises(BlowUpError) as err:
         simulate(cfg)
     partial = err.value.trajectory
     assert partial is not None and partial.status == "blow-up"
     assert 1 <= len(partial.records) < 61
-    assert partial.snapshots.shape == (len(partial.times), 64)
-    assert np.all(np.isfinite(partial.snapshots)) and np.all(np.isfinite(partial.final))
+    # one snapshot file per record taken, each finite
+    files = sorted(tmp_path.glob("snapshot_*.bin"))
+    assert [read_snapshot(f)[2] for f in files] == partial.times
+    assert all(np.all(np.isfinite(read_snapshot(f)[3])) for f in files)
+    assert np.all(np.isfinite(partial.final))
     assert all(b > a for a, b in zip(partial.times, partial.times[1:]))
     assert err.value.t is not None and 0.0 <= err.value.t < 30.0
 
@@ -394,16 +420,15 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
     theta0[:, 5] = 2.0
     with pytest.raises(BlowUpError) as err:
         integrate_flow(theta0, grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
-                       lambda values, t, dissipated: [t] * len(values), keep_snapshots=True)
+                       lambda values, t, dissipated: [t] * len(values))
     assert err.value.row == row and err.value.node == 5
     assert str(err.value) == "non-finite state at t = 1e+10 (step 1 of 50, node 5)"
-    times, final, records, step_counts, counters, snapshots = err.value.trajectory
+    times, final, records, step_counts, counters = err.value.trajectory
     assert np.array_equal(final, theta0)
-    assert times == [0.0] and err.value.t == 0.0 and step_counts == []
-    assert [len(s) for s in snapshots] == [len(r) for r in records] == [1, 1, 1]
-    assert snapshots.shape == (3, len(times), 16) and np.all(snapshots == theta0[:, None])
     with pytest.raises(ValueError):
-        snapshots[0, 0, 0] = 0.0  # read-only
+        final[0, 0] = 0.0  # read-only
+    assert times == [0.0] and err.value.t == 0.0 and step_counts == []
+    assert records == [[0.0]] * 3
     assert counters.steps == 0
 
 
@@ -411,11 +436,11 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
 # rkc: second-order Runge-Kutta-Chebyshev
 # ---------------------------------------------------------------------------
 
-def _bits(records, snapshots=()):
-    # every record field and every snapshot, as raw bytes; all but the
+def _bits(records, states=()):
+    # every record field and every given state, as raw bytes; all but the
     # distance to the next member, which a lone run does not have
     return (np.array([astuple(replace(r, dist_to_next=0.0)) for r in records]).tobytes()
-            + b"".join(s.tobytes() for s in snapshots))
+            + b"".join(s.tobytes() for s in states))
 
 
 @pytest.mark.parametrize("adaptive", [False, True])

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkuramoto import (CSV_COLUMNS, BlowUpError, DiagnosticsRecord, build_manifest,
-                        build_operators, energy_identity_residual, read_diagnostics_csv,
-                        read_snapshot, simulate, sweep_epsilon, truncation_functionals,
-                        write_diagnostics_csv, write_json, write_run_outputs, write_snapshot,
-                        write_sweep_outputs)
+                        build_operators, energy_identity_residual, initial_field, mean_phase,
+                        read_diagnostics_csv, read_snapshot, simulate, sweep_epsilon,
+                        truncation_functionals, write_diagnostics_csv, write_json,
+                        write_run_outputs, write_snapshot, write_sweep_outputs)
 from nlkuramoto.cli import main as cli_main
 from nlkuramoto.integrate import stiffness_bound
 
-from conftest import make_config
+from conftest import make_config, recorded_states
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -100,12 +100,13 @@ def test_write_run_outputs(tmp_path):
     cfg = make_config(n=16, horizon=0.2, stride=2, nu=0.5,
                       formats=("csv", "manifest", "snapshots"),
                       directory=str(tmp_path / "run"))
-    traj = simulate(cfg)
+    with recorded_states() as states:
+        traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=0.12)
     assert paths["csv"].exists()
     assert paths["manifest"].exists()
     snaps = sorted(paths["snapshots"].glob("snapshot_*.bin"))
-    assert len(snaps) == len(traj.snapshots)
+    assert len(snaps) == len(traj.times)
 
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["config_hash"] == cfg.content_hash()
@@ -144,7 +145,8 @@ def test_write_run_outputs(tmp_path):
     # snapshots store the physical field: gauge shift and drift reapplied
     _, _, t_last, values = read_snapshot(snaps[-1])
     assert t_last == traj.times[-1]
-    assert np.array_equal(values, traj.physical_values(len(traj.snapshots) - 1))
+    theta_bar = mean_phase(initial_field("smooth", traj.grid, diameter=1.0), traj.grid)
+    assert np.array_equal(values, states.of()[0, -1] + theta_bar + 0.5 * t_last)
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,7 +207,10 @@ def test_sweep_outputs(tmp_path):
     sweep = sweep_epsilon(base, [0.2, 0.1, 0.05, 0.025])
     paths = write_sweep_outputs(sweep)
     for j, rung in enumerate(sweep.rungs):
+        # each rung's config carries its own directory
         rung_dir = paths[f"rung_{j}"]
+        assert rung_dir == tmp_path / "sweep" / f"rung_{j}"
+        assert rung.config.output.directory == str(rung_dir)
         assert (rung_dir / "diagnostics.csv").exists()
         manifest = json.loads((rung_dir / "manifest.json").read_text())
         # the rungs step as one batched system and share its counters
@@ -222,6 +227,7 @@ def test_sweep_outputs(tmp_path):
         assert rung.dt <= base.integrator.safety / rung.stiffness
     assert sweep.rungs[-1].stiffness == max(rung.stiffness for rung in sweep.rungs)
     report = json.loads(paths["report"].read_text())
+    assert paths["report"] == tmp_path / "sweep" / "sweep_report.json"
     assert report["parameter"] == "epsilon"
     assert len(report["rungs"]) == 4
     assert len(report["successive_differences"]) == 3
@@ -237,10 +243,12 @@ def test_sweep_rungs_write_what_their_lone_runs_write(tmp_path):
     sweep = sweep_epsilon(base, [0.2, 0.1])
     paths = write_sweep_outputs(sweep, wall_clock_s=0.5)
     for j, rung in enumerate(sweep.rungs):
-        alone = tmp_path / f"alone_{j}"
-        write_run_outputs(simulate(rung.config), wall_clock_s=0.5, directory=alone)
-        names = sorted(path.name for path in paths[f"rung_{j}"].iterdir())
+        # the rung's files moved aside, its config run alone writes them anew
+        swept = paths[f"rung_{j}"].rename(tmp_path / f"swept_{j}")
+        write_run_outputs(simulate(rung.config), wall_clock_s=0.5)
+        alone = paths[f"rung_{j}"]
+        names = sorted(path.name for path in swept.iterdir())
         assert names == sorted(path.name for path in alone.iterdir())
         assert sum(name.startswith("snapshot_") for name in names) == len(rung.times) > 2
         for name in names:
-            assert (paths[f"rung_{j}"] / name).read_bytes() == (alone / name).read_bytes()
+            assert (swept / name).read_bytes() == (alone / name).read_bytes()
