@@ -17,11 +17,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import apply_overrides, parse_config
-from .diagnostics import poincare_sharp_discrete
+from .diagnostics import FIT_FLOOR, poincare_sharp_discrete
 from .errors import BlowUpError, ConfigurationError, IterationError
 from .experiments import relaxation_experiment, run_invariant_suite, sweep_delta, sweep_epsilon
 from .grid import poincare_domain_constant
-from .output import write_json, write_run_outputs, write_sweep_outputs
+from .output import existing_directory, write_json, write_run_outputs, write_sweep_outputs
 from .run import build_operators, simulate
 
 EXIT_OK = 0
@@ -77,7 +77,9 @@ def _load_config(args):
         overrides[(section.strip(), key.strip())] = value.strip()
     if args.allow_large_diameter:
         overrides[("initial", "allow_large_diameter")] = "true"
-    return apply_overrides(cfg, overrides) if overrides else cfg
+    cfg = apply_overrides(cfg, overrides) if overrides else cfg
+    existing_directory(cfg.output.directory)
+    return cfg
 
 
 def _parse_ladder(raw: str) -> list[float]:
@@ -136,12 +138,17 @@ def cmd_relax(args) -> int:
     print(f"initial diameter M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g} "
           f"(domain constant bound 1/C = {1.0 / report.c_p_domain:.8g})")
-    print(f"certified rate = {report.certified_rate:.6g}, fitted rate = {report.gamma_hat:.6g}")
+    fitted = "n/a" if report.gamma_hat is None else f"{report.gamma_hat:.6g}"
+    print(f"certified rate = {report.certified_rate:.6g}, fitted rate = {fitted}")
     print(f"pointwise bound: {'ok' if report.pointwise_ok else 'VIOLATED'}"
           f" (margin {report.pointwise_margin:.4g})")
     if report.rows_below_floor:
         print(f"  {report.rows_below_floor} rows below the rounding floor not compared")
-    print(f"rate bound: {'ok' if report.rate_ok else 'VIOLATED'}")
+    verdict = "ok" if report.rate_ok else "VIOLATED"
+    if report.gamma_hat is None:
+        t = next(r.t for r in traj.records if r.dist_sq <= FIT_FLOOR)
+        verdict = f"not measurable (dist_sq fell under the {FIT_FLOOR:g} fit floor by t = {t:.6g})"
+    print(f"rate bound: {verdict}")
     return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED
 
 

@@ -328,29 +328,34 @@ def _strang_preconditioner(matrix: KernelOperator):
     return precondition
 
 
-def fit_decay_rate(times, dist_sq, transient_fraction: float = 0.1,
-                   floor: float = 1e-28) -> tuple[float, float]:
+FIT_TRANSIENT = 0.1  # a decay-rate fit skips this fraction of its series' time span
+FIT_FLOOR = 1e-28  # and stops at the first squared distance at or below this
+
+
+def fit_window(times) -> np.ndarray:
+    """The mask of the times a decay-rate fit reads: t >= FIT_TRANSIENT x the last."""
+    t = np.asarray(times, dtype=float)
+    return t >= FIT_TRANSIENT * t[-1] if t.size else np.zeros(0, dtype=bool)
+
+
+def fit_decay_rate(times, dist_sq) -> tuple[float, float]:
     """Least-squares decay exponent of a squared-distance series.
 
-    Fits -log(dist_sq) against t over the window after the initial transient
-    (first ``transient_fraction`` of the horizon), truncating at the first
-    value at or below ``floor``.  Returns the fitted rate and the RMS residual
-    of the linear fit.
+    Fits -log(dist_sq) against t over the :func:`fit_window` of the series cut
+    at its first value at or below FIT_FLOOR.  Returns the fitted rate and the
+    RMS residual of the linear fit.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(dist_sq, dtype=float)
     if t.shape != d.shape or t.ndim != 1 or t.size < 2:
         raise ParameterError("need matching 1d series with at least two points")
 
-    below = np.nonzero(d <= floor)[0]
-    if below.size:
-        t, d = t[: below[0]], d[: below[0]]
-    keep = t >= transient_fraction * t[-1] if t.size else np.array([], dtype=bool)
+    above = np.logical_and.accumulate(d > FIT_FLOOR)  # before the first value at the floor
+    t, d = t[above], d[above]
+    keep = fit_window(t)
     t, d = t[keep], d[keep]
     if t.size < 2:
         raise ParameterError("fit window has fewer than two usable points")
-    if np.any(d <= 0.0):
-        raise ParameterError("fit window contains nonpositive values")
 
     y = -np.log(d)
     slope, intercept = np.polyfit(t, y, 1)

@@ -16,22 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import (BoundCheck, energy_identity_residual, fit_decay_rate, min_sinc,
-                          poincare_sharp_discrete, truncation_functionals,
-                          uniform_bound_report)
-from .errors import BlowUpError, ConfigurationError
+from .diagnostics import (FIT_FLOOR, FIT_TRANSIENT, BoundCheck, energy_identity_residual,
+                          fit_decay_rate, fit_window, min_sinc, poincare_sharp_discrete,
+                          truncation_functionals, uniform_bound_report)
+from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import build_grid, poincare_domain_constant
 from .integrate import Trajectory
 from .kernel import assemble_kernel_matrix
-from .run import Operators, build_operators, family_step, record_times, simulate, simulate_family
+from .run import Operators, build_operators, family_step, simulate, simulate_family
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
-FIT_TRANSIENT = 0.1  # the decay-rate fit skips this fraction of the horizon
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
 MEAN_DRIFT_TOL = 1e-10
 TRUNCATION_TOL = 1e-16
@@ -82,7 +82,7 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
         problems.append(f"{name}: need at least two rungs, got {len(ladder)}")
     if any(v <= 0.0 for v in ladder):
         problems.append(f"{name}: rung values must be positive")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+    if any(b >= a for a, b in pairwise(ladder)):
         problems.append(f"{name}: ladder must be strictly decreasing")
     if problems:
         raise ConfigurationError(problems)
@@ -121,7 +121,7 @@ def _sweep(parameter, ladder, configs: list[SimConfig],
                           node=exc.node) from exc
     bound_checks = [uniform_bound_report(traj) for traj in trajs]
     diffs = _successive_differences(trajs)
-    decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
+    decreasing = all(b < a for a, b in pairwise(diffs))
     bounds_ok = all(c.satisfied is not False for checks in bound_checks for c in checks)
     return SweepResult(parameter=parameter, ladder=ladder, rungs=trajs,
                        bound_checks=bound_checks, differences=diffs, decreasing=decreasing,
@@ -180,15 +180,16 @@ def sweep_delta(base: SimConfig, ladder) -> SweepResult:
 
 @dataclass(frozen=True)
 class RelaxationReport:
-    """Outcome of a relaxation run against its certified exponential rate."""
+    """Outcome of a relaxation run against its certified exponential rate;
+    no fitted rate (None) when dist_sq fell under the fit floor too soon."""
 
     initial_diameter: float
     c_m: float
     lambda_star: float
     c_p_domain: float
     certified_rate: float
-    gamma_hat: float
-    fit_residual: float
+    gamma_hat: float | None
+    fit_residual: float | None
     pointwise_ok: bool
     pointwise_margin: float
     rows_below_floor: int
@@ -251,8 +252,8 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     if m >= math.pi:
         problems.append(f"relax: initial diameter must be below pi, got {m}")
     ops = build_operators(cfg)
-    times = record_times(cfg, ops)
-    fitted = sum(t >= FIT_TRANSIENT * times[-1] for t in times)
+    times = family_step([cfg], [ops]).times
+    fitted = int(fit_window(times).sum())
     if fitted < 2:
         problems.append(
             f"relax: the decay-rate fit needs two records at t >= {FIT_TRANSIENT:g} x horizon; "
@@ -269,14 +270,14 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     rate, table, pointwise_ok, margin, below = pointwise_relaxation(
         traj.records, cfg.physics.kappa, lam_star, ops.grid.measure)
 
-    if traj.records[0].dist_sq <= 1e-28:
-        # Already at the mean: nothing decays, the bound holds trivially.
-        gamma_hat, residual, rate_ok = 0.0, 0.0, True
-    else:
-        gamma_hat, residual = fit_decay_rate([r.t for r in traj.records],
-                                             [r.dist_sq for r in traj.records],
-                                             transient_fraction=FIT_TRANSIENT)
-        rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
+    gamma_hat, residual, rate_ok = 0.0, 0.0, True  # already at the mean: nothing decays
+    if traj.records[0].dist_sq > FIT_FLOOR:
+        try:
+            gamma_hat, residual = fit_decay_rate([r.t for r in traj.records],
+                                                 [r.dist_sq for r in traj.records])
+            rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
+        except ParameterError:  # dist_sq fell under the floor before two fitted records
+            gamma_hat, residual, rate_ok = None, None, False
 
     report = RelaxationReport(
         initial_diameter=m0, c_m=min_sinc(m0), lambda_star=lam_star, c_p_domain=c_p_dom,
@@ -318,7 +319,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
     n_ladder = tuple(int(n) for n in n_ladder)
     if not n_ladder:
         raise ConfigurationError(["refinement ladder: need at least one grid size"])
-    if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
+    if any(b <= a for a, b in pairwise(n_ladder)):
         raise ConfigurationError(["refinement ladder must be strictly increasing"])
     for n in n_ladder[1:]:
         if n % n_ladder[0]:
@@ -372,10 +373,6 @@ class CheckOutcome:
     detail: str = ""
 
 
-def _pairwise(records):
-    return zip(records, records[1:])
-
-
 def run_invariant_suite(cfg: SimConfig):
     """Simulate a config and check every invariant that applies to it.
 
@@ -403,7 +400,7 @@ def run_invariant_suite(cfg: SimConfig):
     if contracting:
         ok = traj.records[-1].diameter <= m0 + 1e-12
         worst_slope = 0.0
-        for a, b in _pairwise(traj.records):
+        for a, b in pairwise(traj.records):
             growth = b.diameter - a.diameter - DIAMETER_SLOPE_TOL * (b.t - a.t)
             worst_slope = max(worst_slope, growth)
         ok = ok and worst_slope <= 1e-12
@@ -422,7 +419,7 @@ def run_invariant_suite(cfg: SimConfig):
         e0 = traj.records[0].e_pot + traj.records[0].e_kin
         slack = 1e-9 * (e0 + 1.0)
         ok = all(b.e_pot + b.e_kin <= a.e_pot + a.e_kin + slack
-                 for a, b in _pairwise(traj.records))
+                 for a, b in pairwise(traj.records))
         checks.append(CheckOutcome("energy-monotone", ok,
                                    f"E(0) = {e0:.6g}, energy-identity residual "
                                    f"{energy_identity_residual(traj):.3e}"))
@@ -445,9 +442,9 @@ def run_invariant_suite(cfg: SimConfig):
         l2 = [math.sqrt(r.dist_sq) for r in traj.records]
         linf = [r.linf for r in traj.records]
         ok = all(b <= a + CONTRACTION_STEP_TOL * m
-                 for (a, b), m in zip(_pairwise(l2), steps_between))
+                 for (a, b), m in zip(pairwise(l2), steps_between))
         ok = ok and all(b <= a + CONTRACTION_STEP_TOL * m
-                        for (a, b), m in zip(_pairwise(linf), steps_between))
+                        for (a, b), m in zip(pairwise(linf), steps_between))
         checks.append(CheckOutcome("semigroup-contraction", ok,
                                    f"L2 {l2[0]:.6g} -> {l2[-1]:.6g}, "
                                    f"Linf {linf[0]:.6g} -> {linf[-1]:.6g}"))

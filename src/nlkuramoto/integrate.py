@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,17 +69,6 @@ def auto_step(bound: float, safety: float, free_drift_horizon: float = 1.0) -> f
     if bound == 0.0:
         return safety * free_drift_horizon
     return safety / bound
-
-
-def record_steps(n_steps: int, stride: int) -> Iterator[int]:
-    """The steps k whose end, t = k dt, a run records: 0, every ``stride``-th
-    step and ``n_steps``."""
-    return chain(range(0, n_steps, stride), (n_steps,))
-
-
-def record_count(n_steps: int, stride: int) -> int:
-    """How many records :func:`record_steps` gives."""
-    return len(range(0, n_steps, stride)) + 1
 
 
 def rkc_stage_count(dt: float, stiffness: float) -> int:
@@ -238,32 +226,31 @@ class Flow(NamedTuple):
 
 
 def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], np.ndarray],
-                   dt: float, n_steps: int, stride: int, scheme: str,
+                   dt: float, n_steps: int, times: np.ndarray, scheme: str,
                    make_record: RecordFn, *, stiffness: float = 0.0,
                    adaptive: bool = False) -> Flow:
-    """Step an (R, N) family of states together, recording at t = k dt for
-    every ``stride``-th k and at k = ``n_steps``.
+    """Step an (R, N) family of states together, recording at each of
+    ``times``: 0, then multiples of ``dt`` up to ``n_steps`` dt
+    (:func:`nlkuramoto.run.family_step` gives them).
 
-    Fixed steps are ``dt`` long.  With ``adaptive`` (rkc only) the steps
-    start at ``dt`` and are sized by the SSV98 error estimate, the family's
-    worst member deciding, and clipped to land on each record time.
-    ``stiffness`` bounds the spectral radius of the rate's Jacobian; rkc
-    sizes its stages by it.  ``make_record(values, t, dissipated)`` returns
-    one record per member, and each member's dissipation sums its own rate
-    rows.  Every record follows a rate evaluation at the state it records,
-    the last one made (under every scheme, after rejected tries too), so
-    ``make_record`` may reuse what that evaluation computed.
-    Only the current (R, N) state is held, returned as ``final``.  On
-    blow-up, raises BlowUpError naming the member (``row``) and the node of
-    its largest |rate| at the last finite state (``node``), with ``t`` the
-    last good time and as ``trajectory`` the partial Flow, whose ``final`` is
-    that state.
+    Fixed steps are ``dt`` long, the k-th ending at k dt.  With ``adaptive``
+    (rkc only) the steps start at ``dt`` and are sized by the SSV98 error
+    estimate, the family's worst member deciding, and clipped to land on each
+    record time.  ``stiffness`` bounds the spectral radius of the rate's
+    Jacobian; rkc sizes its stages by it.  ``make_record(values, t,
+    dissipated)`` returns one record per member, and each member's
+    dissipation sums its own rate rows.  Every record follows a rate
+    evaluation at the state it records, the last one made (under every
+    scheme, after rejected tries too), so ``make_record`` may reuse what that
+    evaluation computed.  Only the current (R, N) state is held, returned as
+    ``final``.  On blow-up, raises BlowUpError naming the member (``row``) and
+    the node of its largest |rate| at the last finite state (``node``), with
+    ``t`` the last good time and as ``trajectory`` the partial Flow, whose
+    ``final`` is that state.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
-    marks = record_steps(n_steps, stride)
-    next(marks)  # t = 0 is recorded before the first step
     counters = StepCounters()
     diss = [0.0] * len(values)
     norm_w = grid.weight
@@ -296,8 +283,8 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
         flow = Flow([0.0], values, [[rec] for rec in make_record(values, 0.0, diss)], [],
                     counters)
         sq = squares(rate)
-        for k_rec in marks:
-            t, t_rec = flow.times[-1], k_rec * dt
+        for t_rec in map(float, times[1:]):  # t = 0 is recorded before the first step
+            t = flow.times[-1]
             start = counters.steps
             while t < t_rec:
                 # an adaptive step within 10% of the record time stretches to

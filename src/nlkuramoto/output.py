@@ -69,16 +69,28 @@ def write_snapshot(path, dim: int, n: int, t: float, values: np.ndarray) -> None
         fh.write(data.tobytes())
 
 
+def existing_directory(directory) -> Path:
+    """The nearest existing one of an output directory and its parents;
+    ConfigurationError if that is a file, as nothing could be written there."""
+    path = Path(directory)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        where = "is a file" if existing == path else f"lies under {existing}, a file"
+        raise ConfigurationError([f"output.directory: {path} {where}"])
+    return existing
+
+
 def snapshot_directories(configs, records: int, nodes: int) -> list[Path]:
-    """Make the output directories of a family's snapshot files, after
-    refusing with ConfigurationError files, members x records x (header +
-    nodes doubles), larger than the free space where the first member writes:
-    they would fill the disk and stop the run part way."""
+    """Make the output directories of a family's snapshot files.  Raises
+    ConfigurationError first if one is a file (:func:`existing_directory`) or
+    if the files, members x records x (header + nodes doubles), exceed the
+    free space where the first member writes: they would fill the disk and
+    stop the run part way."""
     policy = configs[0].integrator
     directories = [Path(cfg.output.directory) for cfg in configs]
     size = len(directories) * records * (_SNAPSHOT_HEADER.size + 8 * nodes)
-    existing = next(path for path in (directories[0], *directories[0].parents) if path.exists())
-    free = shutil.disk_usage(existing).free
+    existing = [existing_directory(d) for d in directories]
+    free = shutil.disk_usage(existing[0]).free
     if size > free:
         raise ConfigurationError(
             f"the snapshot files need {size:,} bytes, more than the {free:,} bytes free for "

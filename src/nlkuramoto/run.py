@@ -29,8 +29,8 @@ from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
-from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, record_count,
-                        record_steps, rkc_stage_count, stiffness_bound)
+from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, rkc_stage_count,
+                        stiffness_bound)
 from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
 from .output import snapshot_directories, write_snapshot
 
@@ -85,10 +85,6 @@ def load_frequency(cfg: SimConfig, grid: Grid):
     return values
 
 
-def _step_count(horizon: float, dt: float) -> int:
-    return max(1, int(math.ceil(horizon / dt - 1e-12)))
-
-
 def _rate_kappa(cfg: SimConfig, grid: Grid) -> float:
     """kappa as the rate applies it, kappa / (N w) = kappa / |domain| for the lattice."""
     kappa = cfg.physics.kappa
@@ -113,11 +109,13 @@ RK4_EVALS_MAX = 800
 class FamilyStep(NamedTuple):
     """A family's shared base step ``dt`` (the configured one or else the
     smallest of the members' automatic steps), the ``n_steps`` of that size
-    that cover the horizon, each member's stiffness bound, the scheme the
-    family steps with, and whether rkc sizes the steps adaptively."""
+    that cover the horizon, the record ``times``, each member's stiffness
+    bound, the scheme the family steps with, and whether rkc sizes the steps
+    adaptively."""
 
     dt: float
     n_steps: int
+    times: np.ndarray
     bounds: tuple[float, ...]
     scheme: str
     adaptive: bool
@@ -137,7 +135,8 @@ def family_step(configs: list[SimConfig], operators: list[Operators], *,
     rk4 when rk4's own count of rate evaluations, 4 n_steps, is at most
     :data:`RK4_EVALS_MAX`, else to adaptive rkc.  Sweeps write ``dt`` and the
     scheme into every rung's config; :func:`simulate_family` shortens ``dt``
-    to horizon / n_steps."""
+    to h = horizon / n_steps.  The record times, here and only here, are k h
+    for every ``stride``-th k and k = n_steps, known before any step."""
     policy = configs[0].integrator
     kappa = _rate_kappa(configs[0], operators[0].grid)
     bounds = tuple(stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
@@ -147,24 +146,19 @@ def family_step(configs: list[SimConfig], operators: list[Operators], *,
     if dt is None:
         dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
                  for bound in bounds)
-    n_steps = _step_count(policy.horizon, dt)
+    n_steps = max(1, math.ceil(policy.horizon / dt - 1e-12))
+    h = policy.horizon / n_steps
+    times = np.append(np.arange(0, n_steps, policy.stride), n_steps) * h
     scheme = policy.scheme
     if scheme == AUTO and fixed:
         # sweep base config, 1d 128 and 2d 24^2, 41 to 735 steps: rkc halved
         # the evaluations and took 35-45% less time, and the successive
         # differences moved by at most 4.9e-4 relative (eps), 6.2e-6 (delta)
-        two_stages = rkc_stage_count(policy.horizon / n_steps, max(bounds)) == 2
+        two_stages = rkc_stage_count(h, max(bounds)) == 2
         scheme = RKC if two_stages else RK4
     elif scheme == AUTO:
         scheme = RK4 if 4 * n_steps <= RK4_EVALS_MAX else RKC
-    return FamilyStep(dt, n_steps, bounds, scheme, scheme == RKC and not fixed)
-
-
-def record_times(cfg: SimConfig, ops: Operators) -> list[float]:
-    """The times a run of ``cfg`` records at, known before it steps."""
-    n_steps = family_step([cfg], [ops]).n_steps
-    dt = cfg.integrator.horizon / n_steps
-    return [k * dt for k in record_steps(n_steps, cfg.integrator.stride)]
+    return FamilyStep(dt, n_steps, times, bounds, scheme, scheme == RKC and not fixed)
 
 
 def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
@@ -228,13 +222,10 @@ def simulate_family(configs: list[SimConfig],
     work = theta0 - theta_bar
 
     step = family_step(configs, operators)
-    policy = cfg.integrator
-    n_steps = step.n_steps
-    dt = policy.horizon / n_steps
+    dt = cfg.integrator.horizon / step.n_steps
     directories = []
     if "snapshots" in cfg.output.formats:
-        directories = snapshot_directories(configs, record_count(n_steps, policy.stride),
-                                           grid.node_count)
+        directories = snapshot_directories(configs, len(step.times), grid.node_count)
     written = count()  # the index of the next snapshot file
 
     # the last rate evaluation's stack: integrate_flow records a state right after one
@@ -305,8 +296,8 @@ def simulate_family(configs: list[SimConfig],
 
     try:
         flow = integrate_flow(
-            np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, n_steps,
-            policy.stride, step.scheme, make_record, stiffness=max(step.bounds),
+            np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, step.n_steps,
+            step.times, step.scheme, make_record, stiffness=max(step.bounds),
             adaptive=step.adaptive)
     except BlowUpError as exc:
         exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")

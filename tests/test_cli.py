@@ -216,6 +216,49 @@ def test_relax_skips_rows_below_the_rounding_floor(tmp_path, capsys):
     assert f"{report['rows_below_floor']} rows below the rounding floor" in capsys.readouterr().out
 
 
+def test_relax_reports_a_rate_the_fit_floor_leaves_unmeasurable(tmp_path, capsys):
+    # at kappa = 200 every record after t = 0 reads dist_sq ~ 5e-61: the grid
+    # leaves the fit three records at t >= horizon / 10, but none above its
+    # 1e-28 floor.  The rate is not measurable, the outputs are written and
+    # relax exits 1
+    out = tmp_path / "floor"
+    assert main(["relax", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--kappa", "200",
+                 "--nodes", "16", "--horizon", "0.2", "--scheme", "rk4", "--stride", "5187",
+                 "--out", str(out)]) == 1
+    assert ("rate bound: not measurable (dist_sq fell under the 1e-28 fit floor by "
+            "t = 0.0666667)") in capsys.readouterr().out
+    text = (out / "relaxation_report.json").read_text()
+    report = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in strict JSON"))
+    assert report["gamma_hat"] is None and report["fit_residual"] is None
+    assert report["rate_ok"] is False and report["satisfied"] is False
+    assert [row["t"] for row in report["table"]] == [0.0, 0.2 / 3, 0.4 / 3, 0.2]
+    assert all(0.0 < row["dist_sq"] < 1e-28 for row in report["table"][1:])
+    assert (out / "diagnostics.csv").exists() and (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", ()), ("relax", ()), ("verify", ()), ("poincare", ()),
+    ("sweep-delta", ("--ladder", "0.4,0.2")),
+    ("sweep-eps", ("--ladder", "0.2,0.1", "--set", "physics.model=regularized",
+                   "--set", "physics.epsilon=0.2", "--set", "physics.delta=0.1"))])
+def test_an_output_directory_that_is_a_file_exits_2_before_any_step(tmp_path, capsys,
+                                                                    monkeypatch, command,
+                                                                    extra, under):
+    cfg = write_cfg(tmp_path, BASE)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    steps = []
+    monkeypatch.setattr(run, "integrate_flow", lambda *args, **kwargs: steps.append(args))
+    assert main([command, str(cfg), "--out", str(out), *extra,
+                 "--set", "output.formats=csv manifest snapshots"]) == 2
+    where = f"lies under {blocker}, a file" if under else "is a file"
+    assert capsys.readouterr().err.splitlines() == ["configuration error:",
+                                                    f"  output.directory: {out} {where}"]
+    assert steps == [] and blocker.read_text() == "kept\n"
+
+
 def test_snapshot_files_larger_than_the_free_disk_space_are_refused(tmp_path, capsys,
                                                                      monkeypatch):
     # one snapshot file of 24 doubles already exceeds the pretended 64 bytes free

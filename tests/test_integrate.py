@@ -419,7 +419,7 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
     theta0 = np.ones((3, 16))
     theta0[:, 5] = 2.0
     with pytest.raises(BlowUpError) as err:
-        integrate_flow(theta0, grid16, lambda v: rates * v, 1e10, 50, 1, "euler",
+        integrate_flow(theta0, grid16, lambda v: rates * v, 1e10, 50, np.arange(51) * 1e10, "euler",
                        lambda values, t, dissipated: [t] * len(values))
     assert err.value.row == row and err.value.node == 5
     assert str(err.value) == "non-finite state at t = 1e+10 (step 1 of 50, node 5)"
@@ -447,8 +447,9 @@ def _bits(records, states=()):
 def test_rkc_blow_up_names_the_member(grid16, adaptive):
     rates = np.array([0.0, 10.0, 1e300])[:, None]
     with pytest.raises(BlowUpError) as err:
-        integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50, 1, "rkc",
-                       lambda values, t, dissipated: [t] * len(values), adaptive=adaptive)
+        integrate_flow(np.ones((3, 16)), grid16, lambda v: rates * v, 1e10, 50,
+                       np.arange(51) * 1e10, "rkc", lambda values, t, dissipated: [t] * len(values),
+                       adaptive=adaptive)
     assert err.value.row == 2
     assert str(err.value).startswith("non-finite state at t = ")
 
@@ -495,7 +496,7 @@ def test_rkc_runs_are_deterministic():
     assert a.counters == b.counters and a.step_counts == b.step_counts
 
 
-def test_adaptive_rkc_lands_on_the_rk4_record_times():
+def test_adaptive_rkc_lands_on_the_rk4_record_grid():
     cfg = make_config(n=128, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=7,
                       safety=0.25)
     rk4 = simulate(cfg)
@@ -553,7 +554,7 @@ def test_adaptive_rkc_refuses_a_step_shrunk_to_nothing(grid16):
         return np.full_like(v, np.nan if len(calls) > 1 and len(calls) % 2 else 0.0)
 
     with pytest.raises(BlowUpError) as err:
-        integrate_flow(np.ones((2, 16)), grid16, rhs, 0.1, 10, 1, "rkc",
+        integrate_flow(np.ones((2, 16)), grid16, rhs, 0.1, 10, np.arange(11) * 0.1, "rkc",
                        lambda values, t, dissipated: [t] * len(values), adaptive=True)
     assert str(err.value) == "step size underflow at t = 0" and err.value.row == 0
     flow = err.value.trajectory
@@ -586,7 +587,8 @@ def test_auto_takes_rkc_past_800_rk4_rate_evaluations(steps, scheme):
     dt = auto_step(bound, cfg.integrator.safety)
     cfg = _with(cfg, horizon=(steps - 0.5) * dt)
     plan = run.family_step([cfg], [ops])
-    assert plan == (dt, steps, (bound,), scheme, scheme == "rkc")
+    assert (plan.dt, plan.n_steps, plan.bounds, plan.scheme, plan.adaptive) == (
+        dt, steps, (bound,), scheme, scheme == "rkc")
     traj = simulate(cfg, ops)
     assert traj.scheme == scheme and traj.adaptive == plan.adaptive
     named = simulate(_with(cfg, scheme=scheme), ops)
@@ -622,9 +624,26 @@ def test_auto_with_an_automatic_step_resolves_to_adaptive_rkc():
     assert traj.counters.rhs_evals < 4 * round(0.37 / traj.dt)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "rkc"])
-def test_record_times_are_known_before_the_run(scheme):
-    cfg = make_config(n=32, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=7,
-                      scheme=scheme)
+_SCHEMES = {"rk4": ("rk4", None), "euler": ("euler", None), "rkc-fixed": ("rkc", 0.004),
+            "rkc": ("rkc", None)}
+
+
+@pytest.mark.parametrize("scheme,dt,stride", [
+    *(pytest.param(*plan, 7, id=name) for name, plan in _SCHEMES.items()),
+    *(pytest.param(*plan, 1000, id=f"{name}-2-records") for name, plan in _SCHEMES.items())])
+def test_family_step_gives_the_record_grid_before_the_run(scheme, dt, stride):
+    # family_step gives the record times k h, h = horizon / n_steps, for every
+    # stride-th k and k = n_steps, before any step: fixed steps end on them
+    # and adaptive rkc lands on them; a stride that does not divide n_steps
+    # leaves a shorter last interval
+    cfg = make_config(n=32, kind="random", seed=3, diameter=2.0, horizon=0.37, stride=stride,
+                      scheme=scheme, dt=dt)
     ops = build_operators(cfg)
-    assert run.record_times(cfg, ops) == simulate(cfg, ops).times
+    plan = run.family_step([cfg], [ops])
+    assert plan.n_steps % stride and plan.adaptive == (scheme == "rkc" and dt is None)
+    h = 0.37 / plan.n_steps
+    expected = [k * h for k in (*range(0, plan.n_steps, stride), plan.n_steps)]
+    assert plan.times.dtype == np.float64 and plan.times.tolist() == expected
+    assert len(expected) == (plan.n_steps // stride + 2 if stride == 7 else 2)
+    traj = simulate(cfg, ops)
+    assert traj.times == expected and [r.t for r in traj.records] == expected

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (CSV_COLUMNS, BlowUpError, DiagnosticsRecord, build_manifest,
-                        build_operators, energy_identity_residual, initial_field, mean_phase,
-                        read_diagnostics_csv, read_snapshot, simulate, sweep_epsilon,
-                        truncation_functionals, write_diagnostics_csv, write_json,
-                        write_run_outputs, write_snapshot, write_sweep_outputs)
+from nlkuramoto import (CSV_COLUMNS, BlowUpError, ConfigurationError, DiagnosticsRecord,
+                        build_manifest, build_operators, energy_identity_residual,
+                        initial_field, mean_phase, read_diagnostics_csv, read_snapshot, simulate,
+                        sweep_epsilon, truncation_functionals, write_diagnostics_csv,
+                        write_json, write_run_outputs, write_snapshot, write_sweep_outputs)
 from nlkuramoto.cli import main as cli_main
 from nlkuramoto.integrate import stiffness_bound
 
@@ -147,6 +147,19 @@ def test_write_run_outputs(tmp_path):
     assert t_last == traj.times[-1]
     theta_bar = mean_phase(initial_field("smooth", traj.grid, diameter=1.0), traj.grid)
     assert np.array_equal(values, states.of()[0, -1] + theta_bar + 0.5 * t_last)
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_a_snapshot_run_refuses_an_output_directory_that_is_a_file(tmp_path, sub):
+    # refused before any step with the path named, not left to mkdir
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    cfg = make_config(n=16, horizon=0.2, formats=("snapshots",), directory=str(out))
+    with recorded_states() as states, pytest.raises(ConfigurationError) as err:
+        simulate(cfg)
+    where = f"lies under {blocker}, a file" if sub else "is a file"
+    assert err.value.problems == [f"output.directory: {out} {where}"] and states == []
 
 
 @settings(max_examples=200, deadline=None)
