@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 
 from .config import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig, PhysicsConfig,
                      SimConfig, apply_overrides, parse_config, parse_config_text)
-from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, dual_bound_value,
-                          energy_identity_residual, energy_kinetic, energy_potential,
+from .diagnostics import (DiagnosticsRecord, diameter, dist_sq_to_mean, energy_identity_residual,
                           fit_decay_rate, mean_phase, min_sinc, poincare_sharp_discrete,
-                          seminorm_sq, sin2_seminorm, truncation_functionals,
-                          uniform_bound_report)
-from .dynamics import bilinear_form, rhs_lattice, rhs_regularized, rhs_singular
+                          truncation_functionals, uniform_bound_report)
+from .dynamics import rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
                      ParameterError, SingularityError)
 from .experiments import (refinement_study, relaxation_experiment, run_invariant_suite,

@@ -227,8 +227,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
-        traj = exc.trajectory
-        if traj is not None:  # the partial run's outputs
+        for traj in exc.trajectories:  # the partial outputs of the run, or of every rung
             write_run_outputs(traj, wall_clock_s=_elapsed(args), notes=str(exc))
             print(f"partial outputs written to {Path(traj.config.output.directory).resolve()}",
                   file=sys.stderr)

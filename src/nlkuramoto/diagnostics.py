@@ -1,6 +1,6 @@
 """Observables tracked along trajectories.
 
-Diameter, mean phase, potential and dissipative energies, Gagliardo-type
+Diameter, mean phase, the cosine double sums behind a record's energies and
 seminorms, uniform-bound checks, the computable dual-norm bound, the sharp
 discrete Poincare constant, and decay-rate fits.  All functions are pure and
 operate on immutable inputs.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _field, _versine, bilinear_form
+from .dynamics import _field, _versine
 from .errors import IterationError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
@@ -73,11 +73,6 @@ def dist_sq_to_mean(theta, grid: Grid) -> float:
     return float(grid.weight * (centered @ centered))
 
 
-def seminorm_sq(theta, matrix: KernelOperator) -> float:
-    """Squared Gagliardo-type seminorm sum_{ij} W_ij w (u_i - u_j)^2."""
-    return 2.0 * bilinear_form(theta, theta, matrix)
-
-
 def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
     """Rows a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), angle = scale (u - u_0)."""
     values = _field(theta, matrix.grid)
@@ -98,30 +93,8 @@ def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -
     return float(max(0.0, factor * matrix.grid.weight * total))
 
 
-def sin2_seminorm(theta, matrix: KernelOperator) -> float:
-    """Weighted double sum of sin^2 of phase differences.
-
-    Uses sin^2 z = (1 - cos 2z) / 2, the cosine double sum at doubled angles.
-    """
-    fields = _cosine_fields(theta, matrix, 2.0)
-    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5)
-
-
-def energy_potential(theta, matrix: KernelOperator, kappa: float) -> float:
-    """(kappa/2) sum_{ij} W_ij w (1 - cos(u_i - u_j)); zero iff constant."""
-    fields = _cosine_fields(theta, matrix, 1.0)
-    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5 * kappa)
-
-
 def _kinetic_from_seminorm(seminorm: float, delta: float) -> float:
     return 0.0 if delta == 0.0 else 0.25 * delta * seminorm
-
-
-def energy_kinetic(theta, dissipation: KernelOperator, delta: float) -> float:
-    """(delta/4) times the squared seminorm taken with the singular matrix."""
-    if not dissipation.is_singular:
-        raise ParameterError("the dissipative energy uses the singular kernel matrix")
-    return _kinetic_from_seminorm(seminorm_sq(theta, dissipation), delta)
 
 
 def min_sinc(m: float) -> float:
@@ -133,22 +106,8 @@ def min_sinc(m: float) -> float:
     return math.sin(m) / m
 
 
-def dual_bound_value(theta, coupling: KernelOperator, dissipation: KernelOperator,
-                     kappa: float, delta: float, m: float) -> float:
-    """Computable upper bound for the dual norm of the rate field.
-
-    (kappa/2) * sqrt(sin^2-seminorm with the coupling matrix)
-    + (delta/2) * sqrt(squared seminorm with the singular matrix).
-    Requires the diameter bound m below pi.
-    """
-    if m >= math.pi:
-        raise ParameterError(f"diameter bound must be below pi, got {m}")
-    sin2 = sin2_seminorm(theta, coupling) if kappa != 0.0 else 0.0
-    return _dual_bound(sin2, seminorm_sq(theta, dissipation), kappa, delta)
-
-
 def _dual_bound(sin2: float, seminorm: float, kappa: float, delta: float) -> float:
-    """dual_bound_value from the sin^2 seminorm (coupling) and seminorm_sq (singular)."""
+    """(kappa/2) sqrt(sin2) + (delta/2) sqrt(seminorm), the rate field's dual-norm bound."""
     value = 0.0
     if kappa != 0.0:
         value += 0.5 * kappa * math.sqrt(sin2)
@@ -238,8 +197,10 @@ def uniform_bound_report(trajectory) -> list[BoundCheck]:
     return rows
 
 
-def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
-                            max_iter: int = 5000) -> float:
+LOBPCG_TOL = 1e-11  # the relative residual at which lambda_star is solved
+
+
+def poincare_sharp_discrete(matrix: KernelOperator, max_iter: int = 5000) -> float:
     """Sharp discrete Poincare constant lambda_star.
 
     The smallest ratio seminorm_sq(u) / ||u||_L2^2 over mean-zero fields: the
@@ -254,7 +215,7 @@ def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
     directions in one stacked apply.  The start is the lowest cosine mode
     along the longest axis plus seeded uniform noise of relative size 1e-6,
     which keeps every symmetry class present.  The solve stops once
-    ||B x - lam x|| <= max(tol * lam, 50 eps ||B||), the second term the
+    ||B x - lam x|| <= max(LOBPCG_TOL * lam, 50 eps ||B||), the second term the
     rounding floor of the apply with ||B|| <= 4 max(row sums); IterationError
     reports it after ``max_iter`` iterations.
     """
@@ -281,7 +242,7 @@ def poincare_sharp_discrete(matrix: KernelOperator, tol: float = 1e-11,
         lam = float(x @ bx)
         residual_vec = bx - lam * x
         residual = float(np.linalg.norm(residual_vec))
-        if residual <= max(tol * lam, floor):
+        if residual <= max(LOBPCG_TOL * lam, floor):
             return lam
         if iteration == max_iter:
             raise IterationError(f"LOBPCG did not converge in {max_iter} iterations (residual "

@@ -1,4 +1,4 @@
-"""Right-hand sides of the phase evolutions and the nonlocal Dirichlet form.
+"""Right-hand sides of the phase evolutions.
 
 Kernel operators already carry the inner quadrature weight, so right-hand
 side values are per-node rates shaped like the pointwise equation;
@@ -147,19 +147,6 @@ def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu, *,
     return nu + (kappa / (nn * kernel.grid.weight)) * sine
 
 
-def bilinear_form(u, v, matrix: KernelOperator) -> float:
-    """Symmetric Dirichlet form (1/2) sum_{ij} W_ij w (u_i-u_j)(v_i-v_j).
-
-    Nonnegative on the diagonal; exactly zero when either argument is
-    constant, since both are taken about their first value (the form sees
-    differences only).
-    """
-    uv = _field(u, matrix.grid)
-    vv = _field(v, matrix.grid)
-    uv = uv - uv.flat[0]
-    vv = vv - vv.flat[0]
-    return _form_value(uv, vv, matrix.apply(vv), matrix)
-
-
 def _form_value(u: np.ndarray, v: np.ndarray, wv: np.ndarray, matrix: KernelOperator) -> float:
+    """The Dirichlet form (1/2) sum_{ij} W_ij w (u_i - u_j)(v_i - v_j), given wv = W v."""
     return float(matrix.grid.weight * ((matrix.row_sums * u) @ v - u @ wv))

@@ -37,16 +37,18 @@ class SingularityError(ValueError):
 class BlowUpError(RuntimeError):
     """Non-finite state produced by a time step.
 
-    When raised from a full simulation, ``trajectory`` holds the partial
-    trajectory up to the last good state and ``t`` the time it was reached.
-    ``row`` is the first member of a family of states that went non-finite,
-    and ``node`` the node of that member's largest |rate| at the last finite
+    When raised from a full simulation, ``trajectories`` holds every
+    member's partial trajectory up to the last good state, ``trajectory``
+    that of member ``row``, and ``t`` the time it was reached.  ``row`` is
+    the first member of a family of states that went non-finite, and
+    ``node`` the node of that member's largest |rate| at the last finite
     state.
     """
 
     def __init__(self, message, trajectory=None, t=None, row=None, node=None):
         super().__init__(message)
         self.trajectory = trajectory
+        self.trajectories = []
         self.t = t
         self.row = row
         self.node = node

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig
+from .config import PhysicsConfig, SimConfig
 from .diagnostics import (FIT_FLOOR, FIT_TRANSIENT, BoundCheck, energy_identity_residual,
                           fit_decay_rate, fit_window, min_sinc, poincare_sharp_discrete,
                           truncation_functionals, uniform_bound_report)
@@ -97,17 +97,19 @@ def _successive_differences(trajs: list[Trajectory]) -> list[float]:
 def _rung_configs(base: SimConfig, parameter: str, ladder,
                   operators: list[Operators]) -> list[SimConfig]:
     """One config per rung, each carrying the family's shared step and
-    scheme, so a rung's manifest reproduces that rung alone: a sweep steps
-    fixed, so auto resolves as at a fixed step and a resolved rkc does not
-    step adaptively.  Rung j writes to ``rung_<j>/`` of the base's output
-    directory."""
-    configs = [replace(base, physics=replace(base.physics, **{parameter: value}),
-                       output=replace(base.output,
-                                      directory=str(Path(base.output.directory) / f"rung_{j}")))
-               for j, value in enumerate(ladder)]
-    step = family_step(configs, operators, fixed=True)
-    return [replace(cfg, integrator=replace(cfg.integrator, dt=step.dt, scheme=step.scheme))
-            for cfg in configs]
+    scheme, so a rung's manifest reproduces that rung alone.  The step is
+    written in first, so :func:`family_step` resolves auto as at a fixed step
+    and a resolved rkc does not step adaptively.  Rung j writes to
+    ``rung_<j>/`` of the base's output directory."""
+    def rungs(**integrator) -> list[SimConfig]:
+        return [replace(base, physics=replace(base.physics, **{parameter: value}),
+                        integrator=replace(base.integrator, **integrator),
+                        output=replace(base.output,
+                                       directory=str(Path(base.output.directory) / f"rung_{j}")))
+                for j, value in enumerate(ladder)]
+
+    dt = family_step(rungs(), operators).dt
+    return rungs(dt=dt, scheme=family_step(rungs(dt=dt), operators).scheme)
 
 
 def _sweep(parameter, ladder, configs: list[SimConfig],
@@ -115,10 +117,9 @@ def _sweep(parameter, ladder, configs: list[SimConfig],
     """Step every rung together and check each one's uniform bounds."""
     try:
         trajs = simulate_family(configs, operators)
-    except BlowUpError as exc:
-        raise BlowUpError(f"rung {exc.row} (value {ladder[exc.row]}) blew up: {exc}",
-                          trajectory=exc.trajectory, t=exc.t, row=exc.row,
-                          node=exc.node) from exc
+    except BlowUpError as exc:  # every rung's partial trajectory rides along
+        exc.args = (f"rung {exc.row} (value {ladder[exc.row]}) blew up: {exc}",)
+        raise
     bound_checks = [uniform_bound_report(traj) for traj in trajs]
     diffs = _successive_differences(trajs)
     decreasing = all(b < a for a, b in pairwise(diffs))
@@ -198,6 +199,22 @@ class RelaxationReport:
     table: list[dict]
 
 
+def relaxation_problems(physics: PhysicsConfig, diameter: float) -> list[str]:
+    """The hypotheses of the exponential relaxation that these physics and
+    this initial diameter break, one message each: the singular model,
+    delta = 0, kappa > 0 and a diameter below pi."""
+    problems = []
+    if physics.model != "singular":
+        problems.append("needs the singular model")
+    if physics.delta != 0.0:
+        problems.append("needs delta = 0 (undamped dynamics)")
+    if physics.kappa <= 0.0:
+        problems.append("needs positive coupling strength")
+    if diameter >= math.pi:
+        problems.append(f"initial diameter must be below pi, got {diameter}")
+    return problems
+
+
 def pointwise_relaxation(records, kappa: float, lam_star: float, measure: float):
     """Check dist_sq(t) <= dist_sq(0) * exp(-rate t) * (1 + RELAXATION_TOL) at every record.
 
@@ -239,18 +256,10 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     rate fit fewer than two records after its transient, fail before any
     step, all listed in one ConfigurationError.
     """
-    problems = []
-    if cfg.physics.model != "singular":
-        problems.append("relax: needs the singular model")
-    if cfg.physics.delta != 0.0:
-        problems.append("relax: needs delta = 0 (undamped dynamics)")
-    if cfg.physics.kappa <= 0.0:
-        problems.append("relax: needs positive coupling strength")
+    problems = [f"relax: {problem}"
+                for problem in relaxation_problems(cfg.physics, cfg.initial.effective_diameter)]
     if cfg.physics.nu_file is not None:
         problems.append("relax: needs a constant natural frequency")
-    m = cfg.initial.effective_diameter
-    if m >= math.pi:
-        problems.append(f"relax: initial diameter must be below pi, got {m}")
     ops = build_operators(cfg)
     times = family_step([cfg], [ops]).times
     fitted = int(fit_window(times).sum())
@@ -382,9 +391,8 @@ def run_invariant_suite(cfg: SimConfig):
     cfg.validate()
     ops = build_operators(cfg)
     traj = simulate(cfg, ops)
-    kappa, delta = cfg.physics.kappa, cfg.physics.delta
-    model = cfg.physics.model
-    continuum = model != "lattice"
+    kappa = cfg.physics.kappa
+    continuum = cfg.physics.model != "lattice"
     m0 = traj.records[0].diameter
     checks = []
 
@@ -452,9 +460,7 @@ def run_invariant_suite(cfg: SimConfig):
         checks.append(CheckOutcome("semigroup-contraction", None,
                                    "applies to kappa = 0 continuum runs"))
 
-    relax_applies = (model == "singular" and delta == 0.0 and kappa > 0.0
-                     and 0.0 < m0 < math.pi)
-    if relax_applies:
+    if m0 > 0.0 and not relaxation_problems(cfg.physics, m0):
         rate, _, ok, _, below = pointwise_relaxation(
             traj.records, kappa, poincare_sharp_discrete(ops.dissipation), ops.grid.measure)
         floor = f", {below} rows below the rounding floor" if below else ""

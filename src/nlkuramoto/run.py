@@ -121,12 +121,11 @@ class FamilyStep(NamedTuple):
     adaptive: bool
 
 
-def family_step(configs: list[SimConfig], operators: list[Operators], *,
-                fixed: bool = False) -> FamilyStep:
+def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyStep:
     """A family's shared step and scheme.
 
-    The steps are fixed when ``dt`` is configured or ``fixed`` is set (a
-    sweep fixes its automatic step); else rkc steps adaptively.  ``scheme =
+    The steps are fixed when ``dt`` is configured (a sweep configures its
+    automatic step in every rung); else rkc steps adaptively.  ``scheme =
     auto`` resolves here, and only here.  At a fixed step, to rkc when rkc
     takes its minimum of 2 stages at that step and the largest stiffness
     bound, half of rk4's 4 rate evaluations a step, else to rk4: past 2
@@ -142,7 +141,7 @@ def family_step(configs: list[SimConfig], operators: list[Operators], *,
     bounds = tuple(stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
                    for cfg, ops in zip(configs, operators, strict=True))
     dt = policy.dt
-    fixed = fixed or dt is not None
+    fixed = dt is not None
     if dt is None:
         dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
                  for bound in bounds)
@@ -191,9 +190,10 @@ def simulate_family(configs: list[SimConfig],
     ``snapshots``, each record also writes member j's physical field (the
     gauge shift reapplied) to ``snapshot_<k>.bin`` in its config's output
     directory; snapshot files larger than the free disk space raise
-    ConfigurationError before any step.  A BlowUpError carries the partial
-    trajectory of the member that went non-finite first (``row``), whose
-    snapshot files stop at its last record.
+    ConfigurationError before any step.  A BlowUpError carries every
+    member's partial trajectory, their snapshot files stopping at the last
+    record, and as ``trajectory`` that of the member that went non-finite
+    first (``row``).
     """
     cfg = configs[0]
     for other in configs:
@@ -300,6 +300,7 @@ def simulate_family(configs: list[SimConfig],
             step.times, step.scheme, make_record, stiffness=max(step.bounds),
             adaptive=step.adaptive)
     except BlowUpError as exc:
-        exc.trajectory = trajectory(exc.row, exc.trajectory, "blow-up")
+        exc.trajectories = [trajectory(j, exc.trajectory, "blow-up") for j in range(len(configs))]
+        exc.trajectory = exc.trajectories[exc.row]
         raise
     return [trajectory(j, flow, "completed") for j in range(len(configs))]

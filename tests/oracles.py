@@ -3,7 +3,8 @@
 Everything here is written as plain double loops (or an explicit N x N
 difference table for the slow-but-vectorized cases) on top of the math
 module, deliberately avoiding the mat-vec identities the package uses, so a
-match is evidence and not a tautology.
+match is evidence and not a tautology.  The exception is the last section:
+the record formulas one field at a time, which the records must match bitwise.
 """
 
 from __future__ import annotations
@@ -11,6 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nlkuramoto import build_grid
+from nlkuramoto.diagnostics import (_cosine_double_sum, _cosine_fields, _dual_bound,
+                                    _kinetic_from_seminorm)
+from nlkuramoto.dynamics import _field, _form_value
+from nlkuramoto.errors import ParameterError
 
 
 def dist(p, q) -> float:
@@ -48,8 +55,6 @@ class DenseOperator:
     is_singular = True
 
     def __init__(self, weights, grid=None):
-        from nlkuramoto import build_grid
-
         self.weights = np.asarray(weights, dtype=float)
         nn = self.weights.shape[0]
         self.grid = build_grid(1, nn, [(0.0, float(nn))]) if grid is None else grid
@@ -216,3 +221,62 @@ def distance_series(snapshots_a, snapshots_b, weight) -> list[float]:
 def linf_series(snapshots) -> list[float]:
     """Largest |u| of each row."""
     return [float(np.abs(s).max()) for s in snapshots]
+
+
+# The record formulas one field at a time, on the package's own helpers, as a
+# record evaluates them for every member at once: a record must match each
+# bitwise, and the loops above check them.
+
+def bilinear_form(u, v, matrix) -> float:
+    """Symmetric Dirichlet form (1/2) sum_{ij} W_ij w (u_i-u_j)(v_i-v_j).
+
+    Nonnegative on the diagonal; exactly zero when either argument is
+    constant, since both are taken about their first value (the form sees
+    differences only).
+    """
+    uv = _field(u, matrix.grid)
+    vv = _field(v, matrix.grid)
+    uv = uv - uv.flat[0]
+    vv = vv - vv.flat[0]
+    return _form_value(uv, vv, matrix.apply(vv), matrix)
+
+
+def seminorm_sq(theta, matrix) -> float:
+    """Squared Gagliardo-type seminorm sum_{ij} W_ij w (u_i - u_j)^2."""
+    return 2.0 * bilinear_form(theta, theta, matrix)
+
+
+def sin2_seminorm(theta, matrix) -> float:
+    """Weighted double sum of sin^2 of phase differences.
+
+    Uses sin^2 z = (1 - cos 2z) / 2, the cosine double sum at doubled angles.
+    """
+    fields = _cosine_fields(theta, matrix, 2.0)
+    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5)
+
+
+def energy_potential(theta, matrix, kappa: float) -> float:
+    """(kappa/2) sum_{ij} W_ij w (1 - cos(u_i - u_j)); zero iff constant."""
+    fields = _cosine_fields(theta, matrix, 1.0)
+    return _cosine_double_sum(fields, matrix.apply(fields), matrix, 0.5 * kappa)
+
+
+def energy_kinetic(theta, dissipation, delta: float) -> float:
+    """(delta/4) times the squared seminorm taken with the singular matrix."""
+    if not dissipation.is_singular:
+        raise ParameterError("the dissipative energy uses the singular kernel matrix")
+    return _kinetic_from_seminorm(seminorm_sq(theta, dissipation), delta)
+
+
+def dual_bound_value(theta, coupling, dissipation, kappa: float, delta: float,
+                     m: float) -> float:
+    """Computable upper bound for the dual norm of the rate field.
+
+    (kappa/2) * sqrt(sin^2-seminorm with the coupling matrix)
+    + (delta/2) * sqrt(squared seminorm with the singular matrix).
+    Requires the diameter bound m below pi.
+    """
+    if m >= math.pi:
+        raise ParameterError(f"diameter bound must be below pi, got {m}")
+    sin2 = sin2_seminorm(theta, coupling) if kappa != 0.0 else 0.0
+    return _dual_bound(sin2, seminorm_sq(theta, dissipation), kappa, delta)

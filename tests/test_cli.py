@@ -99,6 +99,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "physics.s" in err and "(0, 1)" in err
 
 
+@pytest.mark.parametrize("flags,problem", [
+    (["--set", "foo"], "--set expects SECTION.KEY=VALUE, got 'foo'"),
+    (["--kind", "spiral"], "initial.kind: must be one of ('constant', 'smooth', 'random', "
+                           "'two_cluster'), got 'spiral'"),
+    (["--set", "output.formats=csv,pdf"], "output.formats: unknown format 'pdf', "
+                                          "choose from ('csv', 'manifest', 'snapshots')"),
+    (["--set", "grid.extent=1 0"], "grid.extent: degenerate interval (1.0, 0.0)"),
+], ids=["set-without-key", "unknown-kind", "unknown-format", "degenerate-extent"])
+def test_each_refusal_exits_2_with_its_message(tmp_path, capsys, flags, problem):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error:\n  {problem}\n"
+    assert not (tmp_path / "run_out").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 
@@ -142,6 +157,33 @@ def test_sweep_blow_up_exits_3_with_the_rung_partial_outputs(tmp_path, capsys):
     assert manifest["config"]["physics"]["delta"] == 0.4
     assert len((tmp_path / "run_out" / "rung_0" / "diagnostics.csv").read_text()
                .splitlines()) > 2
+
+
+def test_a_sweep_blow_up_writes_every_rung_partial_outputs(tmp_path, capsys):
+    # rung 0 (delta = 0.4) blows up at step 425; rung 1 stepped beside it to
+    # the same last record, so it too gets its partial CSV and manifest
+    out = tmp_path / "sweep"
+    code = main(["sweep-delta", str(CONFIGS / "relaxation_quarter_circle.cfg"),
+                 "--ladder", "0.4,0.1", "--kappa", "0.05", "--kind", "random", "--seed", "3",
+                 "--diameter", "2.0", "--nodes", "24", "--horizon", "60", "--stride", "10",
+                 "--dt", "0.089", "--scheme", "rk4",
+                 "--set", "output.formats=csv,manifest,snapshots", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    message = ("rung 0 (value 0.4) blew up: non-finite state at t = 37.7778 "
+               "(step 425 of 675, node 11)")
+    assert err == (f"numerical blow-up: {message}\n"
+                   f"partial outputs written to {(out / 'rung_0').resolve()}\n"
+                   f"partial outputs written to {(out / 'rung_1').resolve()}\n")
+    for j, delta in enumerate((0.4, 0.1)):
+        rung = out / f"rung_{j}"
+        manifest = json.loads((rung / "manifest.json").read_text())
+        assert manifest["termination"] == "blow-up" and manifest["notes"] == message
+        assert manifest["config"]["physics"]["delta"] == delta
+        assert manifest["n_steps"] == 424 and manifest["counters"]["records"] == 43
+        assert len((rung / "diagnostics.csv").read_text().splitlines()) == 1 + 43
+        assert len(list(rung.glob("snapshot_*.bin"))) == 43
+    assert not (out / "sweep_report.json").exists()
 
 
 def test_verify_passes_and_is_bitwise_deterministic(tmp_path, capsys):

@@ -438,6 +438,26 @@ def test_invariant_suite_lattice_run():
     assert ok and {c.name: c for c in checks}["energy-monotone"].passed is True
 
 
+def test_invariant_suite_skips_every_row_under_per_node_frequencies(tmp_path):
+    nu_path = tmp_path / "nu.txt"
+    nu_path.write_text("\n".join(repr(0.1 * math.sin(k)) for k in range(32)) + "\n")
+    cfg = make_config(n=32, model="lattice", nu_file=str(nu_path), kind="smooth",
+                      diameter=1.0, horizon=0.3)
+    traj, checks, ok = run_invariant_suite(cfg)
+    assert ok and not traj.gauge_reduced
+    reason = "needs initial diameter below pi (or kappa = 0) and a constant frequency"
+    assert [(c.name, c.passed, c.detail) for c in checks] == [
+        ("mean-conservation", None, "per-node frequencies drift the mean"),
+        ("diameter-monotone", None, reason),
+        ("truncation-decay", None, reason),
+        ("energy-monotone", None, "per-node frequencies break the energy identity"),
+        ("uniform-bounds", None, "its rows read kappa, not the lattice's kappa / |domain|"),
+        ("semigroup-contraction", None, "applies to kappa = 0 continuum runs"),
+        ("relaxation-pointwise", None,
+         "applies to undamped singular runs with 0 < diameter < pi"),
+    ]
+
+
 def _relax_record(t, mean, diameter, dist_sq):
     return DiagnosticsRecord(t=t, mean=mean, diameter=diameter, e_pot=0.0, e_kin=0.0,
                              seminorm_sq=0.0, dist_sq=dist_sq, dissipation_cum=0.0,

@@ -8,13 +8,13 @@ import pytest
 
 import nlkuramoto.run as run
 from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
-                        build_grid, build_operators, energy_potential, initial_field, mean_phase,
-                        parse_config, read_snapshot, rhs_singular, seminorm_sq, simulate,
-                        sin2_seminorm, step, sweep_epsilon)
+                        build_grid, build_operators, initial_field, mean_phase, parse_config,
+                        read_snapshot, rhs_singular, simulate, step, sweep_epsilon)
 from nlkuramoto.integrate import auto_step, integrate_flow, rkc_stage_count, stiffness_bound
 
 import oracles
 from conftest import make_config, recorded_states
+from oracles import energy_potential, seminorm_sq, sin2_seminorm
 
 
 def test_select_dt_free_drift(grid16, singular16):
