@@ -176,6 +176,10 @@ def test_sweep_blow_up_names_the_unstable_rung(tmp_path):
         files = sorted((tmp_path / rung_dir).glob("snapshot_*.bin"))
         assert [read_snapshot(f)[2] for f in files] == partial.times
     assert partial.times[-1] <= err.value.t < 60.0
+    # every rung's partial trajectory rides along, up to the same last record
+    rungs = err.value.trajectories
+    assert rungs[0] is partial and [r.config.physics.delta for r in rungs] == [0.4, 0.1]
+    assert rungs[1].status == "blow-up" and rungs[1].times == partial.times
 
 
 @pytest.mark.parametrize("parameter", ["epsilon", "delta"])
