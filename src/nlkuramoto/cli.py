@@ -154,7 +154,6 @@ def cmd_relax(args) -> int:
 
 def cmd_poincare(args) -> int:
     cfg = _load_config(args)
-    cfg.validate()
     dissipation = build_operators(cfg).dissipation
     c_dom = poincare_domain_constant(dissipation.grid, cfg.physics.s)
     lam_star = poincare_sharp_discrete(dissipation)

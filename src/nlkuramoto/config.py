@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
+from .grid import grid_problems
 from .integrate import AUTO, RK4, SCHEMES
 from .initial import KINDS
 
@@ -102,23 +103,29 @@ class SimConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
+def relaxation_problems(physics: PhysicsConfig, diameter: float) -> list[str]:
+    """The hypotheses of the exponential relaxation that these physics and
+    this initial diameter break, one message each: the singular model,
+    delta = 0, kappa > 0 and a diameter below pi."""
+    problems = []
+    if physics.model != "singular":
+        problems.append("needs the singular model")
+    if physics.delta != 0.0:
+        problems.append("needs delta = 0 (undamped dynamics)")
+    if not physics.kappa > 0.0:
+        problems.append("needs positive coupling strength")
+    if diameter >= math.pi:
+        problems.append(f"initial diameter must be below pi, got {diameter}")
+    return problems
+
+
 def _validate(cfg: SimConfig) -> list[str]:
     # NaN passes every comparison below, so non-finite numbers are refused first
     problems = [f"{part.name}.{key}: must be finite, got {value}"
                 for part in fields(cfg) for key, value in vars(getattr(cfg, part.name)).items()
                 if isinstance(value, float) and not math.isfinite(value)]
     g, p, i = cfg.grid, cfg.physics, cfg.initial
-
-    if g.dimension not in (1, 2):
-        problems.append(f"grid.dimension: must be 1 or 2, got {g.dimension}")
-    if g.nodes < 2:
-        problems.append(f"grid.nodes: must be at least 2, got {g.nodes}")
-    if g.dimension in (1, 2) and len(g.extents) != g.dimension:
-        problems.append(f"grid.extents: dimension {g.dimension} needs {g.dimension} "
-                        f"interval{'s' if g.dimension > 1 else ''}, got {len(g.extents)}")
-    for k, (a, b) in enumerate(g.extents):
-        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
-            problems.append(f"grid.extent{'' if k == 0 else k + 1}: degenerate interval ({a}, {b})")
+    problems.extend(grid_problems(g.dimension, g.nodes, g.extents))
 
     if p.model not in MODELS:
         problems.append(f"physics.model: must be one of {MODELS}, got {p.model!r}")
@@ -147,7 +154,7 @@ def _validate(cfg: SimConfig) -> list[str]:
         problems.append(f"initial.diameter: must be nonnegative, got {i.diameter}")
     if i.kind == "random" and i.seed is None:
         problems.append("initial.seed: random initial data requires a seed")
-    relaxation_regime = (p.model == "singular" and p.delta == 0.0 and p.kappa > 0.0)
+    relaxation_regime = not relaxation_problems(p, 0.0)
     if relaxation_regime and i.effective_diameter >= math.pi and not i.allow_large_diameter:
         problems.append(
             "initial.diameter: must be < pi when relaxation checks are enabled -- the "
@@ -195,7 +202,8 @@ class _Kind(NamedTuple):
     none: str | None = None
 
 
-def _number(x) -> str:
+def format_number(x) -> str:
+    """Shortest decimal representation that round-trips the double."""
     return repr(float(x))
 
 
@@ -216,9 +224,9 @@ def _pair(raw: str) -> tuple[float, float]:
 
 
 _TEXT = _Kind(lambda raw: raw, str)
-_NUMBER = _Kind(float, _number, "a number")
+_NUMBER = _Kind(float, format_number, "a number")
 _INTEGER = _Kind(int, str, "an integer")
-_PAIR = _Kind(_pair, lambda ab: f"{_number(ab[0])} {_number(ab[1])}", "two numbers 'a b'")
+_PAIR = _Kind(_pair, lambda ab: " ".join(map(format_number, ab)), "two numbers 'a b'")
 
 # Every key of every section, in the order the canonical text lists them:
 # reordering this table changes every content hash.
@@ -230,7 +238,7 @@ _SCHEMA = {
         "diameter": _NUMBER, "kind": _TEXT, "seed": _INTEGER, "value": _NUMBER,
     },
     "integrator": {
-        "dt": _Kind(lambda raw: None if raw.lower() == "auto" else float(raw), _number,
+        "dt": _Kind(lambda raw: None if raw.lower() == "auto" else float(raw), format_number,
                     "a number", none="auto"),
         "horizon": _NUMBER, "safety": _NUMBER, "scheme": _Kind(str.lower, str),
         "stride": _INTEGER,

@@ -198,9 +198,10 @@ def uniform_bound_report(trajectory) -> list[BoundCheck]:
 
 
 LOBPCG_TOL = 1e-11  # the relative residual at which lambda_star is solved
+LOBPCG_MAX_ITER = 5000  # and the iterations it may take
 
 
-def poincare_sharp_discrete(matrix: KernelOperator, max_iter: int = 5000) -> float:
+def poincare_sharp_discrete(matrix: KernelOperator) -> float:
     """Sharp discrete Poincare constant lambda_star.
 
     The smallest ratio seminorm_sq(u) / ||u||_L2^2 over mean-zero fields: the
@@ -217,7 +218,7 @@ def poincare_sharp_discrete(matrix: KernelOperator, max_iter: int = 5000) -> flo
     which keeps every symmetry class present.  The solve stops once
     ||B x - lam x|| <= max(LOBPCG_TOL * lam, 50 eps ||B||), the second term the
     rounding floor of the apply with ||B|| <= 4 max(row sums); IterationError
-    reports it after ``max_iter`` iterations.
+    reports it after LOBPCG_MAX_ITER iterations.
     """
     grid = matrix.grid
     two_rows = 2.0 * matrix.row_sums
@@ -238,14 +239,14 @@ def poincare_sharp_discrete(matrix: KernelOperator, max_iter: int = 5000) -> flo
     bx = apply_b(x)
     floor = 50.0 * np.finfo(float).eps * 4.0 * float(matrix.row_sums.max())
     directions = np.empty((0, grid.node_count))
-    for iteration in range(max_iter + 1):
+    for iteration in range(LOBPCG_MAX_ITER + 1):
         lam = float(x @ bx)
         residual_vec = bx - lam * x
         residual = float(np.linalg.norm(residual_vec))
         if residual <= max(LOBPCG_TOL * lam, floor):
             return lam
-        if iteration == max_iter:
-            raise IterationError(f"LOBPCG did not converge in {max_iter} iterations (residual "
+        if iteration == LOBPCG_MAX_ITER:
+            raise IterationError(f"LOBPCG did not converge in {iteration} iterations (residual "
                                  f"{residual:.3e}, rounding floor {floor:.3e}, estimate {lam:.6e})",
                                  residual=residual)
         s = np.vstack([precondition(residual_vec), directions])

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PhysicsConfig, SimConfig
+from .config import SimConfig, relaxation_problems
 from .diagnostics import (FIT_FLOOR, FIT_TRANSIENT, BoundCheck, energy_identity_residual,
                           fit_decay_rate, fit_window, min_sinc, poincare_sharp_discrete,
                           truncation_functionals, uniform_bound_report)
 from .errors import BlowUpError, ConfigurationError, ParameterError
-from .grid import build_grid, poincare_domain_constant
+from .grid import Grid, build_grid, poincare_domain_constant
 from .integrate import Trajectory
 from .kernel import assemble_kernel_matrix
 from .run import Operators, build_operators, family_step, simulate, simulate_family
@@ -199,67 +199,63 @@ class RelaxationReport:
     table: list[dict]
 
 
-def relaxation_problems(physics: PhysicsConfig, diameter: float) -> list[str]:
-    """The hypotheses of the exponential relaxation that these physics and
-    this initial diameter break, one message each: the singular model,
-    delta = 0, kappa > 0 and a diameter below pi."""
-    problems = []
-    if physics.model != "singular":
-        problems.append("needs the singular model")
-    if physics.delta != 0.0:
-        problems.append("needs delta = 0 (undamped dynamics)")
-    if physics.kappa <= 0.0:
-        problems.append("needs positive coupling strength")
-    if diameter >= math.pi:
-        problems.append(f"initial diameter must be below pi, got {diameter}")
-    return problems
+def relaxation_report(records, kappa: float, lam_star: float, grid: Grid,
+                      s: float) -> RelaxationReport:
+    """Check a relaxation run's records against the certified rate
+    kappa * min_sinc(M) * lambda_star, M the initial diameter, beside the
+    loose domain constant of ``grid`` and ``s``.
 
-
-def pointwise_relaxation(records, kappa: float, lam_star: float, measure: float):
-    """Check dist_sq(t) <= dist_sq(0) * exp(-rate t) * (1 + RELAXATION_TOL) at every record.
-
-    The certified rate is kappa * min_sinc(M) * lambda_star with M the
-    initial diameter.  A row is compared only when its bound is at least
-    ``measure`` (4u)^2, ``measure`` the domain's and u = spacing(|mean| +
-    diameter) of the record: no field within 4 ulps of its mean has a larger
-    dist_sq, so below that floor the distance is rounding.  Returns
-    (rate, table, ok, margin, below): one {t, dist_sq, bound} row per record,
-    whether every compared row holds, the smallest bound / dist_sq over the
-    compared rows after t = 0 (1 when every such distance is zero; the t = 0
-    row's ratio is 1 + RELAXATION_TOL by construction), and the number of rows
-    below the floor.
+    Pointwise, dist_sq(t) <= dist_sq(0) exp(-rate t) (1 + RELAXATION_TOL) at
+    every record whose bound is at least |domain| (4u)^2, u = spacing(|mean|
+    + diameter) of the record: no field within 4 ulps of its mean has a
+    larger dist_sq, so below that floor the distance is rounding
+    (``rows_below_floor`` counts those rows).  ``pointwise_margin`` is the
+    smallest bound / dist_sq after t = 0 (1 when every such distance is zero;
+    the t = 0 row's ratio is 1 + RELAXATION_TOL by construction).  The fitted
+    rate must reach the certified one.
     """
-    rate = kappa * min_sinc(records[0].diameter) * lam_star
-    dist0 = records[0].dist_sq
-    table = []
-    ok = True
-    margin = math.inf
-    below = 0
+    m0, dist0 = records[0].diameter, records[0].dist_sq
+    c_m = min_sinc(m0)
+    rate = kappa * c_m * lam_star
+    table, ok, margin, below = [], True, math.inf, 0
     for k, rec in enumerate(records):
         bound = dist0 * math.exp(-rate * rec.t) * (1.0 + RELAXATION_TOL)
         table.append({"t": rec.t, "dist_sq": rec.dist_sq, "bound": bound})
-        if bound < measure * (4.0 * np.spacing(abs(rec.mean) + rec.diameter)) ** 2:
+        if bound < grid.measure * (4.0 * np.spacing(abs(rec.mean) + rec.diameter)) ** 2:
             below += 1
             continue
         ok = ok and rec.dist_sq <= bound
         if k > 0 and rec.dist_sq > 0.0:
             margin = min(margin, bound / rec.dist_sq)
-    return rate, table, ok, 1.0 if math.isinf(margin) else margin, below
+
+    gamma_hat, residual, rate_ok = 0.0, 0.0, True  # already at the mean: nothing decays
+    if dist0 > FIT_FLOOR:
+        try:
+            gamma_hat, residual = fit_decay_rate([r.t for r in records],
+                                                 [r.dist_sq for r in records])
+            rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
+        except ParameterError:  # dist_sq fell under the floor before two fitted records
+            gamma_hat, residual, rate_ok = None, None, False
+
+    return RelaxationReport(
+        initial_diameter=m0, c_m=c_m, lambda_star=lam_star,
+        c_p_domain=poincare_domain_constant(grid, s), certified_rate=rate,
+        gamma_hat=gamma_hat, fit_residual=residual, pointwise_ok=ok,
+        pointwise_margin=1.0 if math.isinf(margin) else margin, rows_below_floor=below,
+        rate_ok=rate_ok, satisfied=ok and rate_ok, table=table,
+    )
 
 
 def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]:
-    """Run the undamped singular dynamics and verify exponential relaxation.
+    """Run the undamped singular dynamics and verify exponential relaxation
+    (:func:`relaxation_report`), lambda_star solved before the first step.
 
-    Certifies the rate kappa * min_sinc(M) * lambda_star built from the sharp
-    discrete constant; the loose constructive domain constant is reported
-    alongside.  Hypothesis violations, and a record grid that leaves the
-    rate fit fewer than two records after its transient, fail before any
-    step, all listed in one ConfigurationError.
+    Hypothesis violations, and a record grid that leaves the rate fit fewer
+    than two records after its transient, fail before any step, all listed
+    in one ConfigurationError.
     """
     problems = [f"relax: {problem}"
                 for problem in relaxation_problems(cfg.physics, cfg.initial.effective_diameter)]
-    if cfg.physics.nu_file is not None:
-        problems.append("relax: needs a constant natural frequency")
     ops = build_operators(cfg)
     times = family_step([cfg], [ops]).times
     fitted = int(fit_window(times).sum())
@@ -272,29 +268,9 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
         raise ConfigurationError(problems)
 
     lam_star = poincare_sharp_discrete(ops.dissipation)
-    c_p_dom = poincare_domain_constant(ops.grid, cfg.physics.s)
     traj = simulate(cfg, ops)
-
-    m0 = traj.records[0].diameter
-    rate, table, pointwise_ok, margin, below = pointwise_relaxation(
-        traj.records, cfg.physics.kappa, lam_star, ops.grid.measure)
-
-    gamma_hat, residual, rate_ok = 0.0, 0.0, True  # already at the mean: nothing decays
-    if traj.records[0].dist_sq > FIT_FLOOR:
-        try:
-            gamma_hat, residual = fit_decay_rate([r.t for r in traj.records],
-                                                 [r.dist_sq for r in traj.records])
-            rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
-        except ParameterError:  # dist_sq fell under the floor before two fitted records
-            gamma_hat, residual, rate_ok = None, None, False
-
-    report = RelaxationReport(
-        initial_diameter=m0, c_m=min_sinc(m0), lambda_star=lam_star, c_p_domain=c_p_dom,
-        certified_rate=rate, gamma_hat=gamma_hat, fit_residual=residual,
-        pointwise_ok=pointwise_ok, pointwise_margin=margin, rows_below_floor=below,
-        rate_ok=rate_ok, satisfied=pointwise_ok and rate_ok, table=table,
-    )
-    return report, traj
+    return relaxation_report(traj.records, cfg.physics.kappa, lam_star, ops.grid,
+                             cfg.physics.s), traj
 
 
 def restrict_to_coarse(values: np.ndarray, dim: int, n_fine: int, n_coarse: int) -> np.ndarray:
@@ -461,11 +437,12 @@ def run_invariant_suite(cfg: SimConfig):
                                    "applies to kappa = 0 continuum runs"))
 
     if m0 > 0.0 and not relaxation_problems(cfg.physics, m0):
-        rate, _, ok, _, below = pointwise_relaxation(
-            traj.records, kappa, poincare_sharp_discrete(ops.dissipation), ops.grid.measure)
+        lam_star = poincare_sharp_discrete(ops.dissipation)
+        report = relaxation_report(traj.records, kappa, lam_star, ops.grid, cfg.physics.s)
+        below = report.rows_below_floor
         floor = f", {below} rows below the rounding floor" if below else ""
-        checks.append(CheckOutcome("relaxation-pointwise", ok,
-                                   f"certified rate {rate:.6g}{floor}"))
+        checks.append(CheckOutcome("relaxation-pointwise", report.pointwise_ok,
+                                   f"certified rate {report.certified_rate:.6g}{floor}"))
     else:
         checks.append(CheckOutcome("relaxation-pointwise", None,
                                    "applies to undamped singular runs with 0 < diameter < pi"))

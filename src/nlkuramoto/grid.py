@@ -52,29 +52,33 @@ def grids_match(a: Grid, b: Grid) -> bool:
     return a is b or (a.dim == b.dim and a.n == b.n and a.extents == b.extents)
 
 
+def grid_problems(dim: int, n: int, extents) -> list[str]:
+    """A grid's violations, one message each, named by the config keys."""
+    problems = []
+    if dim not in SUPPORTED_DIMENSIONS:
+        problems.append(f"grid.dimension: must be 1 or 2, got {dim}")
+    if n < 2:
+        problems.append(f"grid.nodes: must be at least 2, got {n}")
+    if dim in SUPPORTED_DIMENSIONS and len(extents) != dim:
+        problems.append(f"grid.extents: dimension {dim} needs {dim} "
+                        f"interval{'s' if dim > 1 else ''}, got {len(extents)}")
+    for k, (a, b) in enumerate(extents):
+        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
+            problems.append(f"grid.extent{'' if k == 0 else k + 1}: degenerate interval ({a}, {b})")
+    return problems
+
+
 def build_grid(dim: int, n: int, extents) -> Grid:
     """Build the uniform midpoint lattice of a box.
 
     ``extents`` is a sequence of per-axis ``(a, b)`` pairs; a single pair is
     replicated across axes.  Raises :class:`ConfigurationError` listing every
-    violation at once.
+    :func:`grid_problems` at once.
     """
-    problems = []
-    if dim not in SUPPORTED_DIMENSIONS:
-        problems.append(f"grid.dimension: must be one of {SUPPORTED_DIMENSIONS}, got {dim}")
-    if n < 2:
-        problems.append(f"grid.nodes: must be at least 2, got {n}")
-
     extents = [tuple(map(float, e)) for e in extents]
-    if dim in SUPPORTED_DIMENSIONS and len(extents) == 1 and dim > 1:
+    if dim in SUPPORTED_DIMENSIONS and len(extents) == 1:
         extents = extents * dim
-    if dim in SUPPORTED_DIMENSIONS and len(extents) != dim:
-        problems.append(f"grid.extents: expected {dim} axis interval(s), got {len(extents)}")
-    for k, (a, b) in enumerate(extents):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            problems.append(f"grid.extents[{k}]: endpoints must be finite")
-        elif b <= a:
-            problems.append(f"grid.extents[{k}]: degenerate interval ({a}, {b}), need b > a")
+    problems = grid_problems(dim, n, extents)
     if problems:
         raise ConfigurationError(problems)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import format_number
 from .diagnostics import DiagnosticsRecord, energy_identity_residual, truncation_functionals
 from .errors import ConfigurationError
 from .integrate import Trajectory
@@ -28,11 +29,6 @@ CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
                "dist_sq", "dissipation_cum", "dual_bound")
 
 _SNAPSHOT_HEADER = struct.Struct("<qqd")  # dimension, nodes per axis, time
-
-
-def format_number(x) -> str:
-    """Shortest decimal representation that round-trips the double."""
-    return repr(float(x))
 
 
 def _record_row(r: DiagnosticsRecord) -> str:

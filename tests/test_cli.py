@@ -2,12 +2,11 @@ import json
 import math
 import shutil
 from fnmatch import fnmatch
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-import nlkuramoto.cli as cli
+import nlkuramoto.diagnostics as diagnostics
 import nlkuramoto.run as run
 from nlkuramoto.cli import main
 from nlkuramoto.config import OUTPUT_FORMATS
@@ -217,10 +216,29 @@ def test_poincare_prints_constants(tmp_path, capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("flags,key", [
+    (["simulate", "--dt", "1e-13"], "integrator.stride"),
+    (["simulate", "--horizon", "1e300"], "integrator.stride"),
+    (["simulate", "--horizon", "1e308", "--dt", "1e-10"], "integrator.stride"),
+    (["poincare", "--dimension", "2", "--nodes", "10000000"], "grid.nodes"),
+], ids=["small-dt", "long-horizon", "infinite-records", "large-grid"])
+def test_a_run_too_large_for_memory_exits_2_before_any_allocation(tmp_path, capsys, flags,
+                                                                  key):
+    # each run needs more than a 47-bit address space: a refusal that no
+    # longer fires fails at once with MemoryError, not after filling memory
+    command, *flags = flags
+    out = tmp_path / "out"
+    code = main([command, str(CONFIGS / "relaxation_quarter_circle.cfg"), *flags,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:\n") and "bytes of physical memory" in err
+    assert key in err and not out.exists()
+
+
 def test_unconverged_lambda_star_exits_3(monkeypatch, capsys):
     # one iteration cannot converge from the cosine start
-    monkeypatch.setattr(cli, "poincare_sharp_discrete",
-                        partial(cli.poincare_sharp_discrete, max_iter=1))
+    monkeypatch.setattr(diagnostics, "LOBPCG_MAX_ITER", 1)
     code = main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--nodes", "64"])
     assert code == 3
     err = capsys.readouterr().err.splitlines()

@@ -11,7 +11,7 @@ from nlkuramoto import (BlowUpError, IterationError, ParameterError, assemble_ke
                         fit_decay_rate, min_sinc, poincare_domain_constant,
                         poincare_sharp_discrete, simulate, truncation_functionals,
                         uniform_bound_report)
-from nlkuramoto import run
+from nlkuramoto import diagnostics, run
 from nlkuramoto.experiments import _successive_differences
 from nlkuramoto.run import simulate_family
 
@@ -288,10 +288,11 @@ def test_poincare_apply_budget(monkeypatch, dim, n):
     assert 0 < rows[0] <= 150
 
 
-def test_poincare_iteration_error():
+def test_poincare_iteration_error(monkeypatch):
+    monkeypatch.setattr(diagnostics, "LOBPCG_MAX_ITER", 1)
     m = assemble_kernel_matrix(build_grid(1, 64, [(0.0, 1.0)]), 0.5)
     with pytest.raises(IterationError) as info:
-        poincare_sharp_discrete(m, max_iter=1)
+        poincare_sharp_discrete(m)
     message = str(info.value)
     assert message.startswith("LOBPCG did not converge in 1 iterations")
     assert f"residual {info.value.residual:.3e}" in message

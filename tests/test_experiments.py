@@ -7,12 +7,12 @@ import pytest
 
 import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
-from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError,
-                        assemble_kernel_matrix, build_operators, energy_identity_residual,
-                        initial_field, read_snapshot, refinement_study, relaxation_experiment,
+from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError, assemble_kernel_matrix,
+                        build_grid, build_operators, energy_identity_residual, initial_field,
+                        read_snapshot, refinement_study, relaxation_experiment,
                         run_invariant_suite, simulate, sweep_delta, sweep_epsilon, write_json)
 from nlkuramoto.diagnostics import DiagnosticsRecord
-from nlkuramoto.experiments import pointwise_relaxation, restrict_to_coarse
+from nlkuramoto.experiments import relaxation_report, restrict_to_coarse
 from nlkuramoto.integrate import auto_step, stiffness_bound
 
 import oracles
@@ -205,6 +205,18 @@ def test_sweep_delta_rejects_wide_data():
     with pytest.raises(ConfigurationError) as err:
         sweep_delta(wide, [0.4, 0.2])
     assert any("below pi" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("physics,problem", [
+    (dict(model="regularized", epsilon=0.2),
+     "sweep-delta: base config must use the singular model (the sine coupling keeps the "
+     "untruncated kernel)"),
+    (dict(kappa=0.0), "sweep-delta: needs positive coupling strength"),
+], ids=["model", "kappa"])
+def test_sweep_delta_refuses_a_base_outside_its_hypotheses(physics, problem):
+    with pytest.raises(ConfigurationError) as err:
+        sweep_delta(delta_base(**physics), [0.4, 0.2])
+    assert err.value.problems == [problem]
 
 
 def test_sweep_delta_decreasing():
@@ -468,16 +480,23 @@ def _relax_record(t, mean, diameter, dist_sq):
                              dual_bound=math.nan, sin2_seminorm=0.0)
 
 
+def _pointwise(records):
+    """The pointwise fields of the relaxation report at kappa = lambda_star = 1
+    on the unit interval."""
+    report = relaxation_report(records, 1.0, 1.0, build_grid(1, 2, [(0.0, 1.0)]), 0.5)
+    return report.table, report.pointwise_ok, report.pointwise_margin, report.rows_below_floor
+
+
 def test_pointwise_relaxation_compares_only_rows_above_the_rounding_floor():
     start = _relax_record(0.0, 0.0, 1.0, 0.1)
     # a field within ulps of its mean 1e-15 when the bound has underflowed to 0
     stalled = _relax_record(1000.0, 1e-15, 1e-30, 1e-62)
-    _, table, ok, margin, below = pointwise_relaxation([start, stalled], 1.0, 1.0, 1.0)
+    table, ok, margin, below = _pointwise([start, stalled])
     assert ok and below == 1 and len(table) == 2 and table[1]["bound"] == 0.0
     assert margin == 1.0  # the one row after t = 0 is below the floor
     # a row above the floor and over its bound still fails
     over = _relax_record(1.0, 0.0, 1e-20, 0.1)
-    _, _, ok, margin, below = pointwise_relaxation([start, over, stalled], 1.0, 1.0, 1.0)
+    _, ok, margin, below = _pointwise([start, over, stalled])
     assert not ok and below == 1 and margin < 1.0
 
 
@@ -486,7 +505,7 @@ def test_pointwise_margin_leaves_out_the_t0_row():
     # the margin is the smallest ratio after it
     start = _relax_record(0.0, 0.0, 1.0, 0.1)
     later = _relax_record(1.0, 0.0, 0.5, 0.001)
-    _, table, ok, margin, below = pointwise_relaxation([start, later], 1.0, 1.0, 1.0)
+    table, ok, margin, below = _pointwise([start, later])
     assert ok and below == 0
     assert table[0]["bound"] / table[0]["dist_sq"] == pytest.approx(1.01, rel=1e-15)
     assert margin == table[1]["bound"] / 0.001 > 40.0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import ConfigurationError, ParameterError, build_grid, poincare_domain_constant
+from nlkuramoto import (ConfigurationError, GridConfig, ParameterError, SimConfig, build_grid,
+                        poincare_domain_constant)
 
 
 def test_1d_midpoints():
@@ -63,6 +64,20 @@ def test_build_grid_rejects_bad_input():
         build_grid(3, 1, [(1.0, 1.0)])
     text = str(err.value)
     assert "dimension" in text and "nodes" in text and "degenerate" in text
+
+
+@pytest.mark.parametrize("dim,n,extents", [
+    (3, 4, ((0.0, 1.0),)),
+    (1, 1, ((0.0, 1.0),)),
+    (1, 4, ((0.0, 1.0), (0.0, 1.0))),
+    (1, 4, ((0.0, math.inf),)),
+    (2, 4, ((0.0, 1.0), (2.0, 2.0))),
+], ids=["dimension-3", "one-node", "extent-count", "non-finite-extent", "degenerate-extent"])
+def test_build_grid_refuses_what_config_refuses_in_its_words(dim, n, extents):
+    problems = SimConfig(grid=GridConfig(dimension=dim, nodes=n, extents=extents)).problems()
+    with pytest.raises(ConfigurationError) as err:
+        build_grid(dim, n, extents)
+    assert len(problems) == 1 and err.value.problems == problems
 
 
 def test_poincare_domain_constant_unit_interval(grid16):
