@@ -9,7 +9,6 @@ declares every section and key once; the defaults live in the dataclasses.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -100,6 +99,7 @@ class SimConfig:
         return _render(self)
 
     def content_hash(self) -> str:
+        import hashlib  # here: it loads OpenSSL's libcrypto, which commands that never hash skip
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 

@@ -104,8 +104,7 @@ def rhs_singular(theta, coupling: KernelOperator, kappa: float, *,
     """
     if not coupling.is_singular:
         raise ParameterError("rhs_singular needs the singular kernel matrix")
-    values = _field(theta, coupling.grid, family=True)
-    return (kappa * _sine_rows(values, coupling, keep=keep)[1]).reshape(values.shape)
+    return rhs_regularized(theta, coupling, coupling, kappa, 0.0, keep=keep)
 
 
 def rhs_regularized(theta, coupling, dissipation: KernelOperator,
@@ -114,8 +113,9 @@ def rhs_regularized(theta, coupling, dissipation: KernelOperator,
 
     ``coupling`` drives the sine term (truncated kernel, or the singular one
     for the zero-truncation flow); ``dissipation`` must be the singular matrix
-    and feeds the nonlocal difference term scaled by delta.  With delta = 0
-    and a singular coupling this reduces to :func:`rhs_singular`.  ``keep``,
+    and feeds the nonlocal difference term scaled by delta.  The one sine
+    coupling expression: :func:`rhs_singular` (delta = 0) and
+    :func:`rhs_lattice` evaluate through it.  ``keep``,
     if given, receives the evaluation's :class:`RateStack`, which holds the
     shifted rows only when some delta is positive.
     """
@@ -133,20 +133,13 @@ def rhs_lattice(theta, kernel: KernelOperator, kappa: float, nu, *,
                 keep: RateStack | None = None) -> np.ndarray:
     """Rate field of the node-count-normalized lattice model.
 
-    The lattice couples through the raw pairwise kernel, ``kernel`` without
-    its cell weight, scaled by kappa / node_count instead of by quadrature
-    weights.  nu may be a scalar or a per-node array.  ``keep``, if given,
-    receives the evaluation's :class:`RateStack`.
+    The lattice couples through the raw pairwise kernel, the singular
+    ``kernel`` without its cell weight, scaled by kappa / node_count instead
+    of by quadrature weights.  nu may be a scalar or a per-node array.
+    ``keep``, if given, receives the evaluation's :class:`RateStack`.
     """
-    values = _field(theta, kernel.grid, family=True)
-    nn = values.shape[-1]
+    nn = kernel.grid.node_count
     nu = np.asarray(nu, dtype=float)
     if nu.ndim not in (0, 1) or (nu.ndim == 1 and nu.shape[0] != nn):
         raise GridMismatchError("per-node frequencies must match the node count")
-    sine = _sine_rows(values, kernel, keep=keep)[1].reshape(values.shape)
-    return nu + (kappa / (nn * kernel.grid.weight)) * sine
-
-
-def _form_value(u: np.ndarray, v: np.ndarray, wv: np.ndarray, matrix: KernelOperator) -> float:
-    """The Dirichlet form (1/2) sum_{ij} W_ij w (u_i - u_j)(v_i - v_j), given wv = W v."""
-    return float(matrix.grid.weight * ((matrix.row_sums * u) @ v - u @ wv))
+    return nu + rhs_singular(theta, kernel, kappa / (nn * kernel.grid.weight), keep=keep)

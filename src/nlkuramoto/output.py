@@ -38,10 +38,9 @@ def _record_row(r: DiagnosticsRecord) -> str:
 
 
 def write_diagnostics_csv(records, path) -> None:
-    path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_record_row(r) for r in records)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # row by row: the whole text would cost more than the records
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(_record_row(r) + "\n" for r in records)
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:

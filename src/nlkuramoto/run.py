@@ -24,15 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import (DiagnosticsRecord, _cosine_double_sum, _cosine_fields, _dual_bound,
-                          _kinetic_from_seminorm, diameter, dist_sq_to_mean, mean_phase)
-from .dynamics import RateStack, _form_value, rhs_lattice, rhs_regularized, rhs_singular
+from .diagnostics import (DiagnosticsRecord, _dual_bound, _kinetic_from_seminorm, diameter,
+                          mean_phase)
+from .dynamics import RateStack, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, rkc_stage_count,
                         stiffness_bound)
-from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
+from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply, stacked_row_sums
 from .output import snapshot_directories, write_snapshot
 
 
@@ -263,6 +263,15 @@ def simulate_family(configs: list[SimConfig],
     bounded_diameter = diameter(theta0) < math.pi
     top, bottom = work.max(), work.min()  # every member's t = 0 extremes
     w = grid.weight
+    row_sums = stacked_row_sums(couplings)
+
+    def cosine_double_sum(rows, applies, factor):
+        """Each member's factor * w * sum_{ij} W_ij (1 - cos(angle_i - angle_j)), clipped at
+        0 as max(0.0, x) is: 2 a.r - a.Wa - s.Ws, (a, s) = (1 - cos, sin) of its angles."""
+        (a, s), (wa, ws) = rows[:2], applies[:2]
+        total = 2.0 * np.vecdot(a, row_sums) - np.vecdot(a, wa) - np.vecdot(s, ws)
+        value = factor * w * total
+        return np.where(value > 0.0, value, 0.0)
 
     def excess_sq(excess) -> float:
         """w |max(excess, 0)|^2: an overshoot norm, as the checks read it."""
@@ -276,35 +285,38 @@ def simulate_family(configs: list[SimConfig],
                 write_snapshot(directory / f"snapshot_{k:06d}.bin", grid.dim, grid.n, t,
                                v + theta_bar + float(nu) * t if gauge else v)
         # the rate evaluation at this state already applied the coupling to
-        # (1 - cos u, sin u), and the dissipation to u when it dissipates, so
-        # the record transforms only its doubled-angle rows (and u when the
-        # rate did not); every value follows the public formulas bitwise
+        # (1 - cos u, sin u), and the dissipation to u when it dissipates, so the
+        # record transforms only its doubled-angle rows (1 - cos 2u = 2 sin^2 u,
+        # sin 2u), and u when the rate did not.  Each quantity is one expression
+        # over the (R, N) family, bitwise each row's own (a row's vecdot is its @)
         own = (dissipation,) if len(kept.rows) == 2 else ()
         shifted = values - values[:, :1]
-        fields = np.stack([_cosine_fields(v, c, 2.0) for v, c in zip(values, couplings)])
-        if own:
-            fields = np.concatenate([fields, shifted[:, None]], axis=1)
-        applied = stacked_apply(tuple((c, c, *own) for c in couplings))(fields)
-        wu = applied[:, 2] if own else kept.applied[2]
+        fields = np.stack([2.0 * kept.rows[1] ** 2, np.sin(2.0 * shifted), shifted][:2 + len(own)])
+        applied = stacked_apply(tuple(zip(*[(c, c, *own) for c in couplings])))(fields)
+        wu = applied[2] if own else kept.applied[2]
+        e_pot = cosine_double_sum(kept.rows, kept.applied, 0.5 * kappa)
+        sin2 = cosine_double_sum(fields, applied, 0.5)
+        seminorm = 2.0 * (w * (np.vecdot(dissipation.row_sums * shifted, shifted)
+                               - np.vecdot(shifted, wu)))
+        mean = w * values.sum(axis=1) / grid.measure
+        centered = values - mean[:, None]
+        dist_sq = w * np.vecdot(centered, centered)
+        gaps = values[:-1] - values[1:]
+        dist_to_next = [*np.sqrt(w * np.vecdot(gaps, gaps)).tolist(), math.nan]
+        his, los = values.max(axis=1), values.min(axis=1)
         records = []
-        for j, (v, u, c, delta, diss) in enumerate(zip(values, shifted, couplings, deltas,
-                                                       dissipated)):
-            e_pot = _cosine_double_sum(kept.rows[:2, j], kept.applied[:2, j], c, 0.5 * kappa)
-            sin2 = _cosine_double_sum(fields[j, :2], applied[j, :2], c, 0.5)
-            seminorm = 2.0 * _form_value(u, u, wu[j], dissipation)
-            dual = _dual_bound(sin2, seminorm, kappa, delta) if bounded_diameter else math.nan
-            hi, lo = v.max(), v.min()
-            gap = v - values[j + 1] if j + 1 < len(values) else None
-            # an overshoot norm is exactly 0.0 until the row crosses its t = 0
-            # extreme, so it is formed only then
+        for j, (v, hi, lo, delta, diss) in enumerate(zip(values, his, los, deltas, dissipated)):
+            sin2_j, seminorm_j = float(sin2[j]), float(seminorm[j])
+            dual = _dual_bound(sin2_j, seminorm_j, kappa, delta) if bounded_diameter else math.nan
+            # an overshoot norm is exactly 0.0 until the row crosses its t = 0 extreme
             records.append(DiagnosticsRecord(
-                t=t, mean=mean_phase(v, grid), diameter=float(hi - lo), e_pot=e_pot,
-                e_kin=_kinetic_from_seminorm(seminorm, delta), seminorm_sq=seminorm,
-                dist_sq=dist_sq_to_mean(v, grid), dissipation_cum=diss, dual_bound=dual,
-                sin2_seminorm=sin2, linf=float(max(abs(hi), abs(lo))),
+                t=t, mean=float(mean[j]), diameter=float(hi - lo), e_pot=float(e_pot[j]),
+                e_kin=_kinetic_from_seminorm(seminorm_j, delta), seminorm_sq=seminorm_j,
+                dist_sq=float(dist_sq[j]), dissipation_cum=diss, dual_bound=dual,
+                sin2_seminorm=sin2_j, linf=float(max(abs(hi), abs(lo))),
                 overshoot_hi=excess_sq(v - top) if hi > top else 0.0,
                 overshoot_lo=excess_sq(bottom - v) if lo < bottom else 0.0,
-                dist_to_next=math.nan if gap is None else math.sqrt(w * float(gap @ gap))))
+                dist_to_next=dist_to_next[j]))
         return records
 
     def trajectory(j, flow, status) -> Trajectory:

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from nlkuramoto import build_grid
-from nlkuramoto.diagnostics import (_cosine_double_sum, _cosine_fields, _dual_bound,
-                                    _kinetic_from_seminorm)
-from nlkuramoto.dynamics import _field, _form_value
+from nlkuramoto.diagnostics import _dual_bound, _kinetic_from_seminorm
+from nlkuramoto.dynamics import _field, _versine
 from nlkuramoto.errors import ParameterError
+from nlkuramoto.kernel import KernelOperator
 
 
 def dist(p, q) -> float:
@@ -223,9 +223,34 @@ def linf_series(snapshots) -> list[float]:
     return [float(np.abs(s).max()) for s in snapshots]
 
 
-# The record formulas one field at a time, on the package's own helpers, as a
-# record evaluates them for every member at once: a record must match each
-# bitwise, and the loops above check them.
+# The record formulas one field at a time, as a record evaluates them for
+# every member at once: a record must match each bitwise, and the loops above
+# check them.
+
+def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
+    """Rows a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), angle = scale (u - u_0)."""
+    values = _field(theta, matrix.grid)
+    angle = scale * (values - values.flat[0])
+    return np.stack([_versine(angle), np.sin(angle)])
+
+
+def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -> float:
+    """factor * w * sum_{ij} W_ij (1 - cos(angle_i - angle_j)), clipped at 0.
+
+    ``applied`` is W times :func:`_cosine_fields` (a, s).  The summand is
+    a_i + a_j - a_i a_j - s_i s_j, so the sum is 2 a.r - a.Wa - s.Ws: exactly
+    zero for a constant field, and without the cancellation of
+    1.W1 - c.Wc - s.Ws at small amplitude.
+    """
+    (a, s), (wa, ws) = fields, applied
+    total = 2.0 * (a @ matrix.row_sums) - a @ wa - s @ ws
+    return float(max(0.0, factor * matrix.grid.weight * total))
+
+
+def _form_value(u: np.ndarray, v: np.ndarray, wv: np.ndarray, matrix: KernelOperator) -> float:
+    """The Dirichlet form (1/2) sum_{ij} W_ij w (u_i - u_j)(v_i - v_j), given wv = W v."""
+    return float(matrix.grid.weight * ((matrix.row_sums * u) @ v - u @ wv))
+
 
 def bilinear_form(u, v, matrix) -> float:
     """Symmetric Dirichlet form (1/2) sum_{ij} W_ij w (u_i-u_j)(v_i-v_j).

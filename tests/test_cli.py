@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
+import nlkuramoto
 import nlkuramoto.diagnostics as diagnostics
 import nlkuramoto.run as run
 from nlkuramoto.cli import main
@@ -214,6 +218,21 @@ def test_poincare_prints_constants(tmp_path, capsys):
     lam = float(out.split("lambda_star = ")[1].splitlines()[0])
     assert lam > 1.0
     assert "ok" in out
+
+
+def test_poincare_never_loads_the_hashing_library():
+    # hashlib loads OpenSSL's libcrypto (3.6 MiB resident over numpy), which
+    # only a content hash needs: a fresh interpreter shows what a command loads
+    cfg = str(CONFIGS / "relaxation_quarter_circle.cfg")
+    script = ("import sys; from nlkuramoto.cli import main; "
+              f"code = main(['poincare', {cfg!r}, '--nodes', '32']); "
+              "print(code, '_hashlib' in sys.modules)")
+    src = str(Path(nlkuramoto.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("flags,key", [

@@ -178,31 +178,48 @@ def test_uniform_bound_report_constant_field_trivial():
                        st.tuples(st.just(2), st.integers(2, 7))),
        s=st.floats(0.05, 0.95), eps=st.one_of(st.none(), st.floats(0.02, 1.0)),
        lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-       kappa=st.floats(0.0, 2.0), delta=st.floats(0.0, 0.5), diameter=st.floats(0.0, 3.0),
-       seed=st.integers(0, 1000))
+       kappa=st.floats(0.0, 2.0), delta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       diameter=st.floats(0.0, 3.0), seed=st.integers(0, 1000), members=st.integers(1, 3))
 def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa, delta,
-                                                  diameter, seed):
-    # eps None is the singular model, where the coupling is the dissipation
+                                                  diameter, seed, members):
+    # eps None is the singular model, where the coupling is the dissipation; a
+    # family's members differ in eps (regularized) or in delta (singular, with
+    # member 0 at delta = 0), and with delta = 0 no rate transforms u
     dim, n = shape
     cfg = make_config(dim=dim, n=n, extents=[(0.0, length) for length in lengths[:dim]],
                       model="singular" if eps is None else "regularized", s=s, epsilon=eps,
                       kappa=kappa, delta=delta, kind="random", seed=seed, diameter=diameter,
                       horizon=0.02, stride=3)
+    physics = [replace(cfg.physics, delta=delta * j) if eps is None
+               else replace(cfg.physics, epsilon=eps * 0.5 ** j) for j in range(members)]
+    configs = [replace(cfg, physics=p) for p in physics]
     with recorded_states() as states:
-        traj = simulate(cfg)
-    (snapshots,) = states.of()
+        trajs = simulate_family(configs)
+    family = states.of()
     from nlkuramoto import build_operators
-    _, coupling, dissipation = build_operators(cfg)
-    m0 = traj.records[0].diameter
-    for snap, rec in zip(snapshots, traj.records, strict=True):
-        assert rec.e_pot == energy_potential(snap, coupling, kappa)
-        assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
-        assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
-        assert rec.dual_bound == dual_bound_value(snap, coupling, dissipation,
-                                                  kappa, delta, m0)
-    rows = {c.name: c for c in uniform_bound_report(traj)}
-    expect = max(sin2_seminorm(snap, coupling) for snap in snapshots)
-    assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
+    for j, (member, traj, snapshots) in enumerate(zip(configs, trajs, family, strict=True)):
+        grid, coupling, dissipation = build_operators(member)
+        kappa, delta = member.physics.kappa, member.physics.delta
+        m0 = traj.records[0].diameter
+        nexts = (oracles.distance_series(snapshots, family[j + 1], grid.weight)
+                 if j + 1 < members else [math.nan] * len(snapshots))
+        assert np.array_equal([r.dist_to_next for r in traj.records], nexts, equal_nan=True)
+        for snap, rec in zip(snapshots, traj.records, strict=True):
+            assert rec.e_pot == energy_potential(snap, coupling, kappa)
+            assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
+            assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
+            assert rec.dual_bound == dual_bound_value(snap, coupling, dissipation,
+                                                      kappa, delta, m0)
+            assert rec.mean == diagnostics.mean_phase(snap, grid)
+            assert rec.dist_sq == dist_sq_to_mean(snap, grid)
+        rows = {c.name: c for c in uniform_bound_report(traj)}
+        expect = max(sin2_seminorm(snap, coupling) for snap in snapshots)
+        assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
+    # a record's row-wise vecdot is each row's @, bitwise, here and at a run's
+    # length of thousands of nodes
+    for block in (family[:, -1], np.random.default_rng(seed).uniform(-1, 1, (3, 4099))):
+        assert np.vecdot(block, block[::-1]).tolist() == [float(a @ b)
+                                                          for a, b in zip(block, block[::-1])]
 
 
 def test_missing_sin2_value_fails_its_bound_row():
