@@ -51,17 +51,6 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _add_common(parser):
-    parser.add_argument("config", help="path to the run configuration file")
-    for flag in _OVERRIDE_FLAGS:
-        parser.add_argument(f"--{flag.replace('_', '-')}", dest=f"ov_{flag}", default=None,
-                            metavar="VALUE", help=f"override {'.'.join(_OVERRIDE_FLAGS[flag])}")
-    parser.add_argument("--set", dest="ov_set", action="append", default=[],
-                        metavar="SECTION.KEY=VALUE", help="override any config key")
-    parser.add_argument("--allow-large-diameter", action="store_true",
-                        help="permit initial diameters of pi or more")
-
-
 def _load_config(args):
     cfg = parse_config(args.config)
     overrides = {}
@@ -103,8 +92,7 @@ def _steps(traj) -> str:
     return f"{counters.steps} {traj.scheme} steps (dt = {traj.dt:.6g})"
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg) -> int:
     traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=_elapsed(args))
     last = traj.records[-1]
@@ -115,8 +103,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, which) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg, which) -> int:
     ladder = _parse_ladder(args.ladder)
     sweep = (sweep_epsilon if which == "epsilon" else sweep_delta)(cfg, ladder)
     paths = write_sweep_outputs(sweep, wall_clock_s=_elapsed(args))
@@ -129,8 +116,7 @@ def _cmd_sweep(args, which) -> int:
     return EXIT_OK if (sweep.decreasing and sweep.bounds_ok) else EXIT_CHECK_FAILED
 
 
-def cmd_relax(args) -> int:
-    cfg = _load_config(args)
+def cmd_relax(args, cfg) -> int:
     report, traj = relaxation_experiment(cfg)
     write_run_outputs(traj, wall_clock_s=_elapsed(args))
     write_json(asdict(report), Path(cfg.output.directory) / "relaxation_report.json")
@@ -152,8 +138,7 @@ def cmd_relax(args) -> int:
     return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED
 
 
-def cmd_poincare(args) -> int:
-    cfg = _load_config(args)
+def cmd_poincare(args, cfg) -> int:
     dissipation = build_operators(cfg).dissipation
     c_dom = poincare_domain_constant(dissipation.grid, cfg.physics.s)
     lam_star = poincare_sharp_discrete(dissipation)
@@ -165,8 +150,7 @@ def cmd_poincare(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(args, cfg) -> int:
     traj, checks, ok = run_invariant_suite(cfg)
     write_run_outputs(traj, wall_clock_s=_elapsed(args))
     for check in checks:
@@ -175,38 +159,38 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+# name, help, handler(args, cfg), help of --ladder (None: no ladder); in --help order
+_COMMANDS = (
+    ("simulate", "run one configuration and write outputs", cmd_simulate, None),
+    ("sweep-eps", "kernel-truncation ladder at fixed dissipation",
+     lambda args, cfg: _cmd_sweep(args, cfg, "epsilon"), "decreasing truncation values"),
+    ("sweep-delta", "dissipation ladder with the singular coupling",
+     lambda args, cfg: _cmd_sweep(args, cfg, "delta"), "decreasing dissipation values"),
+    ("relax", "verify the exponential relaxation rate", cmd_relax, None),
+    ("poincare", "print the domain and sharp discrete constants", cmd_poincare, None),
+    ("verify", "run the invariant suite on a configuration", cmd_verify, None),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlkuramoto",
         description="Simulate and verify nonlocally coupled phase oscillators "
                     "with a singular power-law kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run one configuration and write outputs")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep-eps", help="kernel-truncation ladder at fixed dissipation")
-    _add_common(p)
-    p.add_argument("--ladder", required=True, help="decreasing truncation values")
-    p.set_defaults(func=lambda a: _cmd_sweep(a, "epsilon"))
-
-    p = sub.add_parser("sweep-delta", help="dissipation ladder with the singular coupling")
-    _add_common(p)
-    p.add_argument("--ladder", required=True, help="decreasing dissipation values")
-    p.set_defaults(func=lambda a: _cmd_sweep(a, "delta"))
-
-    p = sub.add_parser("relax", help="verify the exponential relaxation rate")
-    _add_common(p)
-    p.set_defaults(func=cmd_relax)
-
-    p = sub.add_parser("poincare", help="print the domain and sharp discrete constants")
-    _add_common(p)
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("verify", help="run the invariant suite on a configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    for name, help_text, func, ladder_help in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", help="path to the run configuration file")
+        for flag, key in _OVERRIDE_FLAGS.items():
+            p.add_argument(f"--{flag}", dest=f"ov_{flag}", default=None, metavar="VALUE",
+                           help=f"override {'.'.join(key)}")
+        p.add_argument("--set", dest="ov_set", action="append", default=[],
+                       metavar="SECTION.KEY=VALUE", help="override any config key")
+        p.add_argument("--allow-large-diameter", action="store_true",
+                       help="permit initial diameters of pi or more")
+        if ladder_help is not None:
+            p.add_argument("--ladder", required=True, help=ladder_help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -215,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.started = time.perf_counter()  # the one clock of wall_clock_s
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ConfigurationError as exc:
         print("configuration error:", file=sys.stderr)
         for problem in exc.problems:

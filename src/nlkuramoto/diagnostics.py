@@ -66,13 +66,6 @@ def mean_phase(theta, grid: Grid) -> float:
     return float(grid.weight * values.sum() / grid.measure)
 
 
-def dist_sq_to_mean(theta, grid: Grid) -> float:
-    """Squared L2 distance to the field's own mean."""
-    values = _field(theta, grid)
-    centered = values - grid.weight * values.sum() / grid.measure
-    return float(grid.weight * (centered @ centered))
-
-
 def _kinetic_from_seminorm(seminorm: float, delta: float) -> float:
     return 0.0 if delta == 0.0 else 0.25 * delta * seminorm
 

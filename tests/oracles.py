@@ -17,6 +17,7 @@ from nlkuramoto import build_grid
 from nlkuramoto.diagnostics import _dual_bound, _kinetic_from_seminorm
 from nlkuramoto.dynamics import _field, _versine
 from nlkuramoto.errors import ParameterError
+from nlkuramoto.grid import Grid
 from nlkuramoto.kernel import KernelOperator
 
 
@@ -250,6 +251,13 @@ def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -
 def _form_value(u: np.ndarray, v: np.ndarray, wv: np.ndarray, matrix: KernelOperator) -> float:
     """The Dirichlet form (1/2) sum_{ij} W_ij w (u_i - u_j)(v_i - v_j), given wv = W v."""
     return float(matrix.grid.weight * ((matrix.row_sums * u) @ v - u @ wv))
+
+
+def dist_sq_to_mean(theta, grid: Grid) -> float:
+    """Squared L2 distance to the field's own mean."""
+    values = _field(theta, grid)
+    centered = values - grid.weight * values.sum() / grid.measure
+    return float(grid.weight * (centered @ centered))
 
 
 def bilinear_form(u, v, matrix) -> float:

@@ -295,6 +295,7 @@ def test_content_hashes_are_stable():
     ("physics", "s", "q", "a number"),
     ("initial", "allow_large_diameter", "maybe", "true or false"),
     ("grid", "extent", "a b", "two numbers 'a b'"),
+    ("grid", "extent", "0 1 2", "two numbers 'a b'"),
     ("integrator", "dt", "fast", "a number"),
 ])
 def test_malformed_value_names_the_expected_type(section, key, raw, expected):

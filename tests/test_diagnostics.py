@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkuramoto import (BlowUpError, IterationError, ParameterError, assemble_kernel_matrix,
-                        build_grid, diameter, dist_sq_to_mean, energy_identity_residual,
-                        fit_decay_rate, min_sinc, poincare_domain_constant,
-                        poincare_sharp_discrete, simulate, truncation_functionals,
-                        uniform_bound_report)
+                        build_grid, diameter, energy_identity_residual, fit_decay_rate, min_sinc,
+                        poincare_domain_constant, poincare_sharp_discrete, simulate,
+                        truncation_functionals, uniform_bound_report)
 from nlkuramoto import diagnostics, run
 from nlkuramoto.experiments import _successive_differences
 from nlkuramoto.run import simulate_family
 
 import oracles
 from conftest import make_config, recorded_states
-from oracles import (dual_bound_value, energy_kinetic, energy_potential, seminorm_sq,
-                     sin2_seminorm)
+from oracles import (dist_sq_to_mean, dual_bound_value, energy_kinetic, energy_potential,
+                     seminorm_sq, sin2_seminorm)
 
 
 def random_field(grid, scale, seed):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkuramoto import (GridMismatchError, ParameterError, assemble_kernel_matrix, build_grid,
-                        dist_sq_to_mean, mean_phase, rhs_lattice, rhs_regularized, rhs_singular)
+                        mean_phase, rhs_lattice, rhs_regularized, rhs_singular)
 
 import oracles
 from conftest import rel_close
-from oracles import (bilinear_form, dual_bound_value, energy_kinetic, energy_potential,
-                     seminorm_sq, sin2_seminorm)
+from oracles import (bilinear_form, dist_sq_to_mean, dual_bound_value, energy_kinetic,
+                     energy_potential, seminorm_sq, sin2_seminorm)
 
 
 def random_field(grid, scale, seed):
@@ -43,6 +43,18 @@ def test_rhs_singular_rejects_truncated(grid16):
     trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
     with pytest.raises(ParameterError):
         rhs_singular(np.zeros(16), trunc, kappa=1.0)
+
+
+@pytest.mark.parametrize("rate, error, message", [
+    (lambda sing, trunc: rhs_regularized(np.zeros(16), trunc, trunc, kappa=1.0, delta=0.1),
+     ParameterError, "the dissipation term uses the singular kernel matrix"),
+    (lambda sing, trunc: rhs_lattice(np.zeros(16), sing, 1.0, np.zeros(15)),
+     GridMismatchError, "per-node frequencies must match the node count"),
+], ids=["truncated-dissipation", "short-nu"])
+def test_the_rates_refuse_operands_they_cannot_use(grid16, singular16, rate, error, message):
+    trunc = assemble_kernel_matrix(grid16, 0.5, 0.1)
+    with pytest.raises(error, match=message):
+        rate(singular16, trunc)
 
 
 def test_rhs_regularized_constant_field(grid16, singular16):

@@ -57,6 +57,9 @@ def test_initial_validation(grid16):
         initial_field("plaid", grid16)
     with pytest.raises(ParameterError):
         initial_field("smooth", grid16, diameter=-1.0)
+    # two nodes one period apart, both on the sine's crest: x = 0.25 and 1.25
+    with pytest.raises(ParameterError, match="sine profile is constant on this grid"):
+        initial_field("smooth", build_grid(1, 2, [(-0.25, 1.75)]), diameter=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,19 @@ def test_refinement_ladder_validation():
 def test_refinement_refuses_an_empty_ladder():
     with pytest.raises(ConfigurationError, match="at least one grid size"):
         refinement_study(make_config(n=8), [])
+
+
+@pytest.mark.parametrize("call, problem", [
+    (lambda: sweep_epsilon(eps_base(), [0.2, 0.0]),
+     "epsilon ladder: rung values must be positive"),
+    (lambda: sweep_delta(delta_base(), [0.2, -0.1]), "delta ladder: rung values must be positive"),
+    (lambda: restrict_to_coarse(np.zeros(12), 1, 12, 8),
+     "refinement ladder: 12 is not a multiple of 8"),
+], ids=["epsilon-rung", "delta-rung", "restriction"])
+def test_ladders_refuse_rungs_they_cannot_use(call, problem):
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert err.value.problems == [problem]
 
 
 def test_refinement_writes_no_snapshots(tmp_path):

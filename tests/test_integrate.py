@@ -45,6 +45,14 @@ def test_select_dt_rejects_bad_safety(singular16):
             auto_step(stiffness_bound(singular16, singular16, 1.0, 0.0), sigma)
 
 
+@pytest.mark.parametrize("kappa, delta, missing", [(1.0, 0.0, "coupling"),
+                                                   (0.0, 0.1, "dissipation")])
+def test_stiffness_bound_refuses_a_missing_operator(singular16, kappa, delta, missing):
+    ops = {"coupling": singular16, "dissipation": singular16, missing: None}
+    with pytest.raises(ParameterError, match=f"needs a {missing} matrix"):
+        stiffness_bound(ops["coupling"], ops["dissipation"], kappa, delta)
+
+
 def test_step_zero_rhs_is_identity():
     values = np.array([1.0, -2.0, 3.0])
     out = step(values, lambda v: np.zeros_like(v), 0.1, "rk4")
@@ -213,7 +221,7 @@ def test_lattice_records_use_the_coupling_of_its_rate():
         lattice = simulate(make_config(model="lattice", kappa=1.0, **common))
         singular = simulate(make_config(model="singular", kappa=0.5, **common))
     assert np.array_equal(states.of(0), states.of(1))
-    assert [astuple(r) for r in lattice.records] == [astuple(r) for r in singular.records]
+    assert _bits(lattice.records) == _bits(singular.records)
 
 
 def test_simulate_lattice_frequency_file_length_checked(tmp_path):
@@ -236,7 +244,7 @@ def test_simulate_with_its_bundle_matches_a_fresh_build():
     cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.1)
     shared = simulate(cfg, build_operators(cfg))
     fresh = simulate(cfg)
-    assert shared.records == fresh.records
+    assert _bits(shared.records) == _bits(fresh.records)
     assert np.array_equal(shared.final, fresh.final)
 
 
@@ -249,6 +257,18 @@ def test_simulate_rejects_a_bundle_built_for_another_config():
                   replace(cfg, grid=replace(cfg.grid, extents=((0.0, 2.0),)))):
         with pytest.raises(ParameterError):
             simulate(other, ops)
+
+
+@pytest.mark.parametrize("section, change", [("physics", dict(kappa=0.5)),
+                                             ("grid", dict(nodes=32)),
+                                             ("integrator", dict(horizon=0.2))],
+                         ids=["kappa", "nodes", "horizon"])
+def test_a_family_refuses_configs_that_differ_outside_epsilon_delta_and_directory(section,
+                                                                                    change):
+    cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.1)
+    other = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+    with pytest.raises(ParameterError, match="may differ only in epsilon, delta"):
+        run.simulate_family([cfg, other])
 
 
 @pytest.mark.parametrize("scheme,dt", [("rk4", None), ("euler", None), ("rkc", 0.01),
@@ -318,7 +338,7 @@ def test_simulate_deterministic():
     cfg = make_config(n=32, kind="random", seed=13, diameter=2.0, horizon=0.3)
     a = simulate(cfg)
     b = simulate(cfg)
-    assert a.dt == b.dt and a.records == b.records
+    assert a.dt == b.dt and _bits(a.records) == _bits(b.records)
     assert np.array_equal(a.final, b.final)
 
 

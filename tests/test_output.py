@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,17 @@ def test_csv_round_trip_is_lossless(tmp_path):
                      "dist_sq", "dissipation_cum"):
             assert getattr(a, name) == getattr(b, name)
         assert math.isnan(b.dual_bound)
+
+
+def test_csv_blank_lines_read_back_the_same_records(tmp_path):
+    path = tmp_path / "d.csv"
+    write_diagnostics_csv([awkward_record(0.0), awkward_record(0.1)], path)
+    header, first, second = path.read_text().splitlines()
+    blank = tmp_path / "blank.csv"
+    blank.write_text(f"{header}\n{first}\n\n{second}\n\n")
+    expect, back = read_diagnostics_csv(path), read_diagnostics_csv(blank)
+    assert np.array([astuple(r) for r in back]).tobytes() == (
+        np.array([astuple(r) for r in expect]).tobytes())
 
 
 def test_csv_rejects_foreign_files(tmp_path):
