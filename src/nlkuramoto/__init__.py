@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 
 from .config import (GridConfig, InitialConfig, IntegratorPolicy, OutputConfig, PhysicsConfig,
                      SimConfig, apply_overrides, parse_config, parse_config_text)
-from .diagnostics import (DiagnosticsRecord, diameter, energy_identity_residual, fit_decay_rate,
-                          mean_phase, min_sinc, poincare_sharp_discrete, truncation_functionals,
-                          uniform_bound_report)
+from .diagnostics import (RECORD_DTYPE, RECORD_FIELDS, diameter, energy_identity_residual,
+                          fit_decay_rate, mean_phase, min_sinc, poincare_sharp_discrete,
+                          truncation_functionals, uniform_bound_report)
 from .dynamics import rhs_lattice, rhs_regularized, rhs_singular
 from .errors import (BlowUpError, ConfigurationError, GridMismatchError, IterationError,
                      ParameterError, SingularityError)

@@ -96,8 +96,8 @@ def cmd_simulate(args, cfg) -> int:
     traj = simulate(cfg)
     paths = write_run_outputs(traj, wall_clock_s=_elapsed(args))
     last = traj.records[-1]
-    print(f"completed {_steps(traj)} to t = {last.t:.6g}")
-    print(f"final diameter = {last.diameter:.6g}, dist_sq = {last.dist_sq:.6g}")
+    print(f"completed {_steps(traj)} to t = {last['t']:.6g}")
+    print(f"final diameter = {last['diameter']:.6g}, dist_sq = {last['dist_sq']:.6g}")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
     return EXIT_OK
@@ -132,7 +132,7 @@ def cmd_relax(args, cfg) -> int:
         print(f"  {report.rows_below_floor} rows below the rounding floor not compared")
     verdict = "ok" if report.rate_ok else "VIOLATED"
     if report.gamma_hat is None:
-        t = next(r.t for r in traj.records if r.dist_sq <= FIT_FLOOR)
+        t = traj.records["t"][traj.records["dist_sq"] <= FIT_FLOOR][0]
         verdict = f"not measurable (dist_sq fell under the {FIT_FLOOR:g} fit floor by t = {t:.6g})"
     print(f"rate bound: {verdict}")
     return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED

@@ -1,6 +1,6 @@
 """Observables tracked along trajectories.
 
-Diameter, mean phase, the record type (a run computes its records in
+Diameter, mean phase, the record fields (a run computes its records in
 :func:`nlkuramoto.run.simulate_family`), uniform-bound checks, the
 computable dual-norm bound, the sharp discrete Poincare constant, and
 decay-rate fits.  All functions are pure and operate on immutable inputs.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +20,21 @@ from .grid import Grid
 from .kernel import KernelOperator
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-instant observables of one run.
-
-    ``e_pot`` uses whichever coupling matrix the run evolves with; ``e_kin``
-    and ``seminorm_sq`` always use the singular matrix.  ``dual_bound`` is the
-    computable upper bound for the dual norm of the rate field (NaN when the
-    initial diameter is not below pi, where the bound has no meaning).
-    ``sin2_seminorm`` (coupling matrix) feeds the dual bound and the bound
-    report.  ``linf`` is the largest |u|; ``overshoot_hi`` and ``overshoot_lo``
-    are the squared L2 norms of the overshoot above the run's t = 0 max and
-    below its t = 0 min; ``dist_to_next`` is the L2 distance to the next
-    member of the run's family (NaN for the last member and a lone run).  These
-    fields are neither written to the CSV nor compared (NaN when read back).
-    """
-
-    t: float
-    mean: float
-    diameter: float
-    e_pot: float
-    e_kin: float
-    seminorm_sq: float
-    dist_sq: float
-    dissipation_cum: float
-    dual_bound: float
-    sin2_seminorm: float = field(default=math.nan, compare=False)
-    linf: float = field(default=math.nan, compare=False)
-    overshoot_hi: float = field(default=math.nan, compare=False)
-    overshoot_lo: float = field(default=math.nan, compare=False)
-    dist_to_next: float = field(default=math.nan, compare=False)
+# The fields of a run's records, each one float64 column.  The first nine are
+# the diagnostics CSV's columns, in its order.  e_pot uses whichever coupling
+# matrix the run evolves with; e_kin and seminorm_sq always use the singular
+# matrix.  dual_bound is the computable upper bound for the dual norm of the
+# rate field (NaN when the initial diameter is not below pi, where the bound
+# has no meaning); sin2_seminorm (coupling matrix) feeds it and the bound
+# report.  linf is the largest |u|; overshoot_hi and overshoot_lo are the
+# squared L2 norms of the overshoot above the run's t = 0 max and below its
+# t = 0 min; dist_to_next is the L2 distance to the next member of the run's
+# family (NaN for the last member and a lone run).  The last five are not
+# written to the CSV (NaN when read back).
+RECORD_FIELDS = ("t", "mean", "diameter", "e_pot", "e_kin", "seminorm_sq", "dist_sq",
+                 "dissipation_cum", "dual_bound", "sin2_seminorm", "linf", "overshoot_hi",
+                 "overshoot_lo", "dist_to_next")
+RECORD_DTYPE = np.dtype([(name, np.float64) for name in RECORD_FIELDS])
 
 
 def diameter(theta) -> float:
@@ -66,8 +51,9 @@ def mean_phase(theta, grid: Grid) -> float:
     return float(grid.weight * values.sum() / grid.measure)
 
 
-def _kinetic_from_seminorm(seminorm: float, delta: float) -> float:
-    return 0.0 if delta == 0.0 else 0.25 * delta * seminorm
+def _kinetic_from_seminorm(seminorm, delta):
+    """(delta / 4) seminorm, exactly 0.0 where delta is 0; elementwise over members."""
+    return np.where(delta == 0.0, 0.0, 0.25 * delta * seminorm)
 
 
 def min_sinc(m: float) -> float:
@@ -79,21 +65,21 @@ def min_sinc(m: float) -> float:
     return math.sin(m) / m
 
 
-def _dual_bound(sin2: float, seminorm: float, kappa: float, delta: float) -> float:
-    """(kappa/2) sqrt(sin2) + (delta/2) sqrt(seminorm), the rate field's dual-norm bound."""
-    value = 0.0
-    if kappa != 0.0:
-        value += 0.5 * kappa * math.sqrt(sin2)
-    if delta != 0.0:
-        value += 0.5 * delta * math.sqrt(max(0.0, seminorm))
-    return value
+def _dual_bound(sin2, seminorm, kappa: float, delta):
+    """(kappa/2) sqrt(sin2) + (delta/2) sqrt(seminorm), the rate field's dual-norm bound,
+    elementwise over members; each term is left out where its strength is 0, and a
+    negative or NaN seminorm counts as 0."""
+    value = 0.5 * kappa * np.sqrt(sin2) if kappa != 0.0 else 0.0
+    clipped = np.where(seminorm > 0.0, seminorm, 0.0)
+    return value + np.where(delta != 0.0, 0.5 * delta * np.sqrt(clipped), 0.0)
 
 
 def energy_identity_residual(trajectory) -> float:
-    """Worst absolute defect of E_pot + E_kin + dissipated = E(0) over records."""
+    """Worst absolute defect of E_pot + E_kin + dissipated = E(0) over records;
+    NaN when a record's is."""
     records = trajectory.records
-    e0 = records[0].e_pot + records[0].e_kin
-    return max(abs(r.e_pot + r.e_kin + r.dissipation_cum - e0) for r in records)
+    energy = records["e_pot"] + records["e_kin"]
+    return float(np.max(np.abs(energy + records["dissipation_cum"] - energy[0])))
 
 
 @dataclass(frozen=True)
@@ -131,9 +117,9 @@ def uniform_bound_report(trajectory) -> list[BoundCheck]:
     physics = trajectory.config.physics
     kappa, delta = physics.kappa, physics.delta
     records = trajectory.records
-    seminorm0 = records[0].seminorm_sq
-    m0 = records[0].diameter
-    worst_seminorm = max(r.seminorm_sq for r in records)
+    seminorm0, m0, e_pot0 = (float(records[name][0])
+                             for name in ("seminorm_sq", "diameter", "e_pot"))
+    worst_seminorm = float(np.max(records["seminorm_sq"]))
     rows = []
 
     if delta > 0.0:
@@ -156,11 +142,10 @@ def uniform_bound_report(trajectory) -> list[BoundCheck]:
         rows.append(BoundCheck("seminorm-sinc-bound", None, None, None, reason))
 
     rhs = 0.25 * kappa * seminorm0
-    rows.append(BoundCheck("initial-potential-energy", records[0].e_pot, rhs,
-                           _holds(records[0].e_pot, rhs)))
+    rows.append(BoundCheck("initial-potential-energy", e_pot0, rhs, _holds(e_pot0, rhs)))
 
     if kappa > 0.0:
-        worst_sin2 = float(np.max([r.sin2_seminorm for r in records]))  # NaN fails the row
+        worst_sin2 = float(np.max(records["sin2_seminorm"]))  # NaN fails the row
         rhs = (kappa + delta) / kappa * seminorm0
         rows.append(BoundCheck("sin2-seminorm-bound", worst_sin2, rhs,
                                _holds(worst_sin2, rhs)))
@@ -305,4 +290,4 @@ def truncation_functionals(trajectory) -> tuple[float, float]:
     Both start at zero and must not grow along a contracting flow.
     """
     records = trajectory.records
-    return max(r.overshoot_hi for r in records), max(r.overshoot_lo for r in records)
+    return float(np.max(records["overshoot_hi"])), float(np.max(records["overshoot_lo"]))

@@ -66,8 +66,8 @@ class SweepResult:
                     "value": value,
                     "config_hash": rung.config.content_hash(),
                     "n_steps": rung.counters.steps,
-                    "final_diameter": rung.records[-1].diameter,
-                    "final_dist_sq": rung.records[-1].dist_sq,
+                    "final_diameter": float(rung.records["diameter"][-1]),
+                    "final_dist_sq": float(rung.records["dist_sq"][-1]),
                     "bounds": [asdict(c) for c in checks],
                 }
                 for value, rung, checks in zip(self.ladder, self.rungs, self.bound_checks)
@@ -91,7 +91,7 @@ def _check_ladder(ladder, name) -> tuple[float, ...]:
 
 def _successive_differences(trajs: list[Trajectory]) -> list[float]:
     """Worst L2 distance between consecutive rungs over their shared record times."""
-    return [max(r.dist_to_next for r in traj.records) for traj in trajs[:-1]]
+    return [float(np.max(traj.records["dist_to_next"])) for traj in trajs[:-1]]
 
 
 def _rung_configs(base: SimConfig, parameter: str, ladder,
@@ -214,25 +214,25 @@ def relaxation_report(records, kappa: float, lam_star: float, grid: Grid,
     the t = 0 row's ratio is 1 + RELAXATION_TOL by construction).  The fitted
     rate must reach the certified one.
     """
-    m0, dist0 = records[0].diameter, records[0].dist_sq
+    m0, dist0 = float(records["diameter"][0]), float(records["dist_sq"][0])
     c_m = min_sinc(m0)
     rate = kappa * c_m * lam_star
     table, ok, margin, below = [], True, math.inf, 0
-    for k, rec in enumerate(records):
-        bound = dist0 * math.exp(-rate * rec.t) * (1.0 + RELAXATION_TOL)
-        table.append({"t": rec.t, "dist_sq": rec.dist_sq, "bound": bound})
-        if bound < grid.measure * (4.0 * np.spacing(abs(rec.mean) + rec.diameter)) ** 2:
+    columns = (records[name].tolist() for name in ("t", "dist_sq", "mean", "diameter"))
+    for k, (t, dist_sq, mean, diam) in enumerate(zip(*columns)):
+        bound = dist0 * math.exp(-rate * t) * (1.0 + RELAXATION_TOL)
+        table.append({"t": t, "dist_sq": dist_sq, "bound": bound})
+        if bound < grid.measure * (4.0 * np.spacing(abs(mean) + diam)) ** 2:
             below += 1
             continue
-        ok = ok and rec.dist_sq <= bound
-        if k > 0 and rec.dist_sq > 0.0:
-            margin = min(margin, bound / rec.dist_sq)
+        ok = ok and dist_sq <= bound
+        if k > 0 and dist_sq > 0.0:
+            margin = min(margin, bound / dist_sq)
 
     gamma_hat, residual, rate_ok = 0.0, 0.0, True  # already at the mean: nothing decays
     if dist0 > FIT_FLOOR:
         try:
-            gamma_hat, residual = fit_decay_rate([r.t for r in records],
-                                                 [r.dist_sq for r in records])
+            gamma_hat, residual = fit_decay_rate(records["t"], records["dist_sq"])
             rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
         except ParameterError:  # dist_sq fell under the floor before two fitted records
             gamma_hat, residual, rate_ok = None, None, False
@@ -320,7 +320,7 @@ def refinement_study(base: SimConfig, n_ladder) -> RefinementReport:
         cfg = replace(base, grid=replace(base.grid, nodes=n))
         ops = build_operators(cfg)
         traj = simulate(cfg, ops)
-        e0 = traj.records[0].e_pot + traj.records[0].e_kin
+        e0 = float(traj.records["e_pot"][0] + traj.records["e_kin"][0])
         residual = energy_identity_residual(traj)
         rows.append({"n": n, "dt": traj.dt, "n_steps": traj.counters.steps,
                      "energy_residual": residual,
@@ -369,11 +369,13 @@ def run_invariant_suite(cfg: SimConfig):
     traj = simulate(cfg, ops)
     kappa = cfg.physics.kappa
     continuum = cfg.physics.model != "lattice"
-    m0 = traj.records[0].diameter
+    records = traj.records
+    t, diam = records["t"], records["diameter"]
+    m0 = float(diam[0])
     checks = []
 
     if traj.gauge_reduced:
-        worst = max(abs(r.mean) for r in traj.records)
+        worst = float(np.max(np.abs(records["mean"])))
         checks.append(CheckOutcome("mean-conservation", worst <= MEAN_DRIFT_TOL,
                                    f"max |mean| = {worst:.3e}"))
     else:
@@ -382,14 +384,10 @@ def run_invariant_suite(cfg: SimConfig):
 
     contracting = traj.gauge_reduced and (m0 < math.pi or kappa == 0.0)
     if contracting:
-        ok = traj.records[-1].diameter <= m0 + 1e-12
-        worst_slope = 0.0
-        for a, b in pairwise(traj.records):
-            growth = b.diameter - a.diameter - DIAMETER_SLOPE_TOL * (b.t - a.t)
-            worst_slope = max(worst_slope, growth)
-        ok = ok and worst_slope <= 1e-12
+        growth = np.diff(diam) - DIAMETER_SLOPE_TOL * np.diff(t)
+        ok = bool(diam[-1] <= m0 + 1e-12 and np.all(growth <= 1e-12))
         checks.append(CheckOutcome("diameter-monotone", ok,
-                                   f"D(0) = {m0:.6g}, D(T) = {traj.records[-1].diameter:.6g}"))
+                                   f"D(0) = {m0:.6g}, D(T) = {diam[-1]:.6g}"))
 
         hi, lo = truncation_functionals(traj)
         checks.append(CheckOutcome("truncation-decay", max(hi, lo) <= TRUNCATION_TOL,
@@ -400,10 +398,10 @@ def run_invariant_suite(cfg: SimConfig):
         checks.append(CheckOutcome("truncation-decay", None, reason))
 
     if traj.gauge_reduced:  # the lattice's records couple at its rate's kappa / |domain| too
-        e0 = traj.records[0].e_pot + traj.records[0].e_kin
+        energy = records["e_pot"] + records["e_kin"]
+        e0 = float(energy[0])
         slack = 1e-9 * (e0 + 1.0)
-        ok = all(b.e_pot + b.e_kin <= a.e_pot + a.e_kin + slack
-                 for a, b in pairwise(traj.records))
+        ok = bool(np.all(energy[1:] <= energy[:-1] + slack))
         checks.append(CheckOutcome("energy-monotone", ok,
                                    f"E(0) = {e0:.6g}, energy-identity residual "
                                    f"{energy_identity_residual(traj):.3e}"))
@@ -422,13 +420,9 @@ def run_invariant_suite(cfg: SimConfig):
                                    "its rows read kappa, not the lattice's kappa / |domain|"))
 
     if kappa == 0.0 and continuum:
-        steps_between = traj.step_counts
-        l2 = [math.sqrt(r.dist_sq) for r in traj.records]
-        linf = [r.linf for r in traj.records]
-        ok = all(b <= a + CONTRACTION_STEP_TOL * m
-                 for (a, b), m in zip(pairwise(l2), steps_between))
-        ok = ok and all(b <= a + CONTRACTION_STEP_TOL * m
-                        for (a, b), m in zip(pairwise(linf), steps_between))
+        slack = CONTRACTION_STEP_TOL * np.array(traj.step_counts)
+        l2, linf = np.sqrt(records["dist_sq"]), records["linf"]
+        ok = bool(np.all(l2[1:] <= l2[:-1] + slack) and np.all(linf[1:] <= linf[:-1] + slack))
         checks.append(CheckOutcome("semigroup-contraction", ok,
                                    f"L2 {l2[0]:.6g} -> {l2[-1]:.6g}, "
                                    f"Linf {linf[0]:.6g} -> {linf[-1]:.6g}"))
@@ -438,7 +432,7 @@ def run_invariant_suite(cfg: SimConfig):
 
     if m0 > 0.0 and not relaxation_problems(cfg.physics, m0):
         lam_star = poincare_sharp_discrete(ops.dissipation)
-        report = relaxation_report(traj.records, kappa, lam_star, ops.grid, cfg.physics.s)
+        report = relaxation_report(records, kappa, lam_star, ops.grid, cfg.physics.s)
         below = report.rows_below_floor
         floor = f", {below} rows below the rounding floor" if below else ""
         checks.append(CheckOutcome("relaxation-pointwise", report.pointwise_ok,

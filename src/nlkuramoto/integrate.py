@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import RECORD_DTYPE
 from .errors import BlowUpError, ParameterError
 from .grid import Grid
 from .kernel import KernelOperator
@@ -178,6 +178,8 @@ class Trajectory:
     """The one record of what a run did: its config, status, step and work,
     final state and diagnostics.
 
+    ``records`` is the member's column of the run's records, one row per
+    record time with the float64 fields :data:`nlkuramoto.diagnostics.RECORD_FIELDS`.
     ``final`` is the read-only evolved (gauge-reduced, for continuum models)
     field at the last time reached: ``times[-1]`` for a completed run, the last
     finite state for a blow-up.  The records carry every per-record norm the
@@ -200,7 +202,7 @@ class Trajectory:
     grid: Grid
     times: list[float]
     final: np.ndarray
-    records: list[DiagnosticsRecord]
+    records: np.ndarray
     gauge_reduced: bool
     dt: float
     scheme: str
@@ -211,16 +213,17 @@ class Trajectory:
     status: str = "completed"
 
 
-RecordFn = Callable[[np.ndarray, float, list[float]], list[DiagnosticsRecord]]
+RecordFn = Callable[[np.ndarray, float, list[float]], np.ndarray]
 
 
 class Flow(NamedTuple):
-    """Times, the current (R, N) state and per-member records, the steps taken
-    between records, and the run's counters.  ``final`` is read-only."""
+    """Times, the current (R, N) state, the records (a (K, R) array of
+    RECORD_DTYPE: one row per record time, one column per member), the steps
+    taken between records, and the run's counters.  ``final`` is read-only."""
 
     times: list[float]
     final: np.ndarray
-    records: list[list[DiagnosticsRecord]]
+    records: np.ndarray
     step_counts: list[int]
     counters: StepCounters
 
@@ -238,20 +241,22 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     estimate, the family's worst member deciding, and clipped to land on each
     record time.  ``stiffness`` bounds the spectral radius of the rate's
     Jacobian; rkc sizes its stages by it.  ``make_record(values, t,
-    dissipated)`` returns one record per member, and each member's
-    dissipation sums its own rate rows.  Every record follows a rate
-    evaluation at the state it records, the last one made (under every
-    scheme, after rejected tries too), so ``make_record`` may reuse what that
-    evaluation computed.  Only the current (R, N) state is held, returned as
-    ``final``.  On blow-up, raises BlowUpError naming the member (``row``) and
-    the node of its largest |rate| at the last finite state (``node``), with
-    ``t`` the last good time and as ``trajectory`` the partial Flow, whose
-    ``final`` is that state.
+    dissipated)`` returns the records at t, one RECORD_DTYPE element per
+    member, and each member's dissipation sums its own rate rows.  The records
+    fill one array, allocated once, of a row per time and a column per
+    member.  Every record follows a rate evaluation at the state it records,
+    the last one made (under every scheme, after rejected tries too), so
+    ``make_record`` may reuse what that evaluation computed.  Only the current
+    (R, N) state is held, returned as ``final``.  On blow-up, raises
+    BlowUpError naming the member (``row``) and the node of its largest |rate|
+    at the last finite state (``node``), with ``t`` the last good time and as
+    ``trajectory`` the partial Flow, whose ``final`` is that state.
     """
     # C order keeps each member's row contiguous, as a lone state is, so the
     # reductions over a row are bitwise the same
     values = np.array(theta0, dtype=float, order="C")
     counters = StepCounters()
+    records = np.empty((len(times), len(values)), RECORD_DTYPE)
     diss = [0.0] * len(values)
     norm_w = grid.weight
 
@@ -265,7 +270,7 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     def recorded() -> Flow:
         """The flow at the current state, read-only."""
         values.setflags(write=False)
-        return flow._replace(final=values)
+        return flow._replace(final=values, records=records[:len(flow.times)])
 
     def blow_up(message, t, row) -> BlowUpError:
         """The error of member ``row`` at the current state, reached at t:
@@ -280,8 +285,8 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     # check in step() is the guard, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
-        flow = Flow([0.0], values, [[rec] for rec in make_record(values, 0.0, diss)], [],
-                    counters)
+        records[0] = make_record(values, 0.0, diss)
+        flow = Flow([0.0], values, records, [], counters)
         sq = squares(rate)
         for t_rec in map(float, times[1:]):  # t = 0 is recorded before the first step
             t = flow.times[-1]
@@ -321,6 +326,5 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
                 t = t_rec if last else t + h_try if adaptive else counters.steps * dt
             flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
-            for j, rec in enumerate(make_record(values, t_rec, diss)):
-                flow.records[j].append(rec)
+            records[len(flow.times) - 1] = make_record(values, t_rec, diss)
     return recorded()

@@ -1,7 +1,7 @@
 """Result serialization: diagnostics CSV, snapshot binaries, JSON manifests and reports.
 
 Numbers are written as the shortest decimal that round-trips to the same
-double, so a reparsed CSV reproduces the in-memory records exactly.  Snapshot
+double, so a reparsed CSV reproduces the records' CSV columns exactly.  Snapshot
 files carry a fixed binary header {dimension, nodes-per-axis, time} followed
 by the node values as little-endian 64-bit floats.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import shutil
 import struct
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import format_number
-from .diagnostics import DiagnosticsRecord, energy_identity_residual, truncation_functionals
+from .diagnostics import (RECORD_DTYPE, RECORD_FIELDS, energy_identity_residual,
+                          truncation_functionals)
 from .errors import ConfigurationError
 from .integrate import Trajectory
 
@@ -31,30 +33,35 @@ CSV_COLUMNS = ("t", "mean", "diameter", "E_P", "E_K", "seminorm_sq",
 _SNAPSHOT_HEADER = struct.Struct("<qqd")  # dimension, nodes per axis, time
 
 
-def _record_row(r: DiagnosticsRecord) -> str:
-    fields = (r.t, r.mean, r.diameter, r.e_pot, r.e_kin, r.seminorm_sq,
-              r.dist_sq, r.dissipation_cum, r.dual_bound)
-    return ",".join(format_number(v) for v in fields)
-
-
 def write_diagnostics_csv(records, path) -> None:
+    """Write the CSV columns of a member's records (the first fields of
+    RECORD_FIELDS) in the CSV_COLUMNS header's order."""
+    width = len(CSV_COLUMNS)
     with open(path, "w") as fh:  # row by row: the whole text would cost more than the records
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_record_row(r) + "\n" for r in records)
+        for record in records:
+            fh.write(",".join(map(format_number, record.item()[:width])) + "\n")
 
 
-def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
+def read_diagnostics_csv(path) -> np.ndarray:
+    """The records a diagnostics CSV holds, as an array of RECORD_DTYPE whose
+    fields past the CSV's columns are NaN; ValueError for a bad header or a
+    row whose field count is not the header's."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise ValueError(f"{path} is not a diagnostics CSV (bad header)")
-    records = []
-    for line in lines[1:]:
+    missing = (math.nan,) * (len(RECORD_FIELDS) - len(CSV_COLUMNS))
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        # the columns are the record's fields in order; sin2_seminorm stays NaN
-        records.append(DiagnosticsRecord(*(float(v) for v in line.split(","))))
-    return records
+        values = line.split(",")
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}, line {number}: {len(values)} fields, the header has "
+                             f"{len(CSV_COLUMNS)}")
+        rows.append((*map(float, values), *missing))
+    return np.array(rows, dtype=RECORD_DTYPE)
 
 
 def write_snapshot(path, dim: int, n: int, t: float, values: np.ndarray) -> None:
@@ -122,14 +129,14 @@ def _margins(traj: Trajectory) -> dict:
     truncation overshoot norm.  A margin that is not finite (a blow-up's
     squares overflow) is None, as strict JSON has no infinity."""
     records = traj.records
-    slopes = [(b.diameter - a.diameter) / (b.t - a.t) for a, b in zip(records, records[1:])]
+    slopes = np.diff(records["diameter"]) / np.diff(records["t"])
     margins = {
-        "max_abs_mean": max(abs(r.mean) for r in records),
-        "worst_diameter_slope": max(slopes, default=None),
+        "max_abs_mean": np.max(np.abs(records["mean"])),
+        "worst_diameter_slope": slopes.max() if slopes.size else None,
         "energy_identity_residual": energy_identity_residual(traj),
         "worst_truncation_overshoot": max(truncation_functionals(traj)),
     }
-    return {key: None if value is None or not math.isfinite(value) else value
+    return {key: None if value is None or not math.isfinite(value) else float(value)
             for key, value in margins.items()}
 
 
@@ -158,9 +165,19 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
 
 
 def write_json(obj, path) -> None:
-    """Write a manifest or report as strict JSON (a NaN or an infinity raises
-    ValueError), indented, with sorted keys."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Write a manifest or report as strict JSON, indented, with sorted keys.
+
+    The text streams into ``<path>.tmp``, which replaces ``path`` once whole;
+    a NaN or an infinity raises ValueError and leaves ``path`` as it was."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # gone once it replaced path
 
 
 def write_run_outputs(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:

@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import (DiagnosticsRecord, _dual_bound, _kinetic_from_seminorm, diameter,
-                          mean_phase)
+from .diagnostics import RECORD_DTYPE, _dual_bound, _kinetic_from_seminorm, diameter, mean_phase
 from .dynamics import RateStack, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
@@ -52,9 +51,11 @@ class Operators(NamedTuple):
 
 # The least peak RSS a run added, over simulate, sweep-delta, relax, verify and
 # poincare (Linux x86-64, numpy 2.4): 380-530 B per node (1d 16,384 -> 65,536,
-# 2d 128^2 -> 256^2), 600-1,900 B per record and member (50k -> 200k, 100k -> 500k)
+# 2d 128^2 -> 256^2); per record and member, 150 B (sweep-delta, 3 members),
+# 190-210 B (simulate), 570 B (verify) and 700 B (relax, its report's table),
+# from 20k to 100k and 100k to 300k records at 16 nodes
 NODE_BYTES = 380
-RECORD_BYTES = 600
+RECORD_BYTES = 150
 
 
 def _refuse_beyond_memory(size: float, keys: str) -> None:
@@ -229,7 +230,7 @@ def simulate_family(configs: list[SimConfig],
         _check_operators(ops, other)
     grid, coupling, dissipation = operators[0]
     couplings = tuple(ops.coupling for ops in operators)
-    deltas = [other.physics.delta for other in configs]
+    deltas = np.array([other.physics.delta for other in configs])
 
     theta0 = initial_field(cfg.initial.kind, grid, diameter=cfg.initial.diameter,
                            seed=cfg.initial.seed, value=cfg.initial.value)
@@ -250,9 +251,10 @@ def simulate_family(configs: list[SimConfig],
 
     # the last rate evaluation's stack: integrate_flow records a state right after one
     kept = RateStack()
+    dissipating = model != "lattice" and deltas.max() > 0.0  # the rate then transforms u
     if model == "lattice":
         rate, args = rhs_lattice, (coupling, cfg.physics.kappa, 0.0 if gauge else nu)
-    elif model == "regularized" or max(deltas) > 0.0:
+    elif model == "regularized" or dissipating:
         rate, args = rhs_regularized, (couplings, dissipation, kappa, deltas)
     else:
         rate, args = rhs_singular, (coupling, kappa)
@@ -264,6 +266,8 @@ def simulate_family(configs: list[SimConfig],
     top, bottom = work.max(), work.min()  # every member's t = 0 extremes
     w = grid.weight
     row_sums = stacked_row_sums(couplings)
+    own = () if dissipating else (dissipation,)  # the records transform u when the rate did not
+    record_apply = stacked_apply(tuple(zip(*[(c, c, *own) for c in couplings])))
 
     def cosine_double_sum(rows, applies, factor):
         """Each member's factor * w * sum_{ij} W_ij (1 - cos(angle_i - angle_j)), clipped at
@@ -273,12 +277,7 @@ def simulate_family(configs: list[SimConfig],
         value = factor * w * total
         return np.where(value > 0.0, value, 0.0)
 
-    def excess_sq(excess) -> float:
-        """w |max(excess, 0)|^2: an overshoot norm, as the checks read it."""
-        positive = np.maximum(excess, 0.0)
-        return w * float(positive @ positive)
-
-    def make_record(values, t, dissipated) -> list[DiagnosticsRecord]:
+    def make_record(values, t, dissipated) -> np.ndarray:
         if directories:
             k = next(written)
             for v, directory in zip(values, directories):
@@ -287,42 +286,40 @@ def simulate_family(configs: list[SimConfig],
         # the rate evaluation at this state already applied the coupling to
         # (1 - cos u, sin u), and the dissipation to u when it dissipates, so the
         # record transforms only its doubled-angle rows (1 - cos 2u = 2 sin^2 u,
-        # sin 2u), and u when the rate did not.  Each quantity is one expression
+        # sin 2u), and u when the rate did not.  Each field is one expression
         # over the (R, N) family, bitwise each row's own (a row's vecdot is its @)
-        own = (dissipation,) if len(kept.rows) == 2 else ()
         shifted = values - values[:, :1]
         fields = np.stack([2.0 * kept.rows[1] ** 2, np.sin(2.0 * shifted), shifted][:2 + len(own)])
-        applied = stacked_apply(tuple(zip(*[(c, c, *own) for c in couplings])))(fields)
+        applied = record_apply(fields)
         wu = applied[2] if own else kept.applied[2]
-        e_pot = cosine_double_sum(kept.rows, kept.applied, 0.5 * kappa)
-        sin2 = cosine_double_sum(fields, applied, 0.5)
-        seminorm = 2.0 * (w * (np.vecdot(dissipation.row_sums * shifted, shifted)
-                               - np.vecdot(shifted, wu)))
-        mean = w * values.sum(axis=1) / grid.measure
-        centered = values - mean[:, None]
-        dist_sq = w * np.vecdot(centered, centered)
-        gaps = values[:-1] - values[1:]
-        dist_to_next = [*np.sqrt(w * np.vecdot(gaps, gaps)).tolist(), math.nan]
+        record = np.full(len(values), math.nan, RECORD_DTYPE)
+        record["t"], record["dissipation_cum"] = t, dissipated
+        record["mean"] = w * values.sum(axis=1) / grid.measure
         his, los = values.max(axis=1), values.min(axis=1)
-        records = []
-        for j, (v, hi, lo, delta, diss) in enumerate(zip(values, his, los, deltas, dissipated)):
-            sin2_j, seminorm_j = float(sin2[j]), float(seminorm[j])
-            dual = _dual_bound(sin2_j, seminorm_j, kappa, delta) if bounded_diameter else math.nan
-            # an overshoot norm is exactly 0.0 until the row crosses its t = 0 extreme
-            records.append(DiagnosticsRecord(
-                t=t, mean=float(mean[j]), diameter=float(hi - lo), e_pot=float(e_pot[j]),
-                e_kin=_kinetic_from_seminorm(seminorm_j, delta), seminorm_sq=seminorm_j,
-                dist_sq=float(dist_sq[j]), dissipation_cum=diss, dual_bound=dual,
-                sin2_seminorm=sin2_j, linf=float(max(abs(hi), abs(lo))),
-                overshoot_hi=excess_sq(v - top) if hi > top else 0.0,
-                overshoot_lo=excess_sq(bottom - v) if lo < bottom else 0.0,
-                dist_to_next=dist_to_next[j]))
-        return records
+        record["diameter"] = his - los
+        record["e_pot"] = cosine_double_sum(kept.rows, kept.applied, 0.5 * kappa)
+        record["sin2_seminorm"] = cosine_double_sum(fields, applied, 0.5)
+        record["seminorm_sq"] = 2.0 * (w * (np.vecdot(dissipation.row_sums * shifted, shifted)
+                                            - np.vecdot(shifted, wu)))
+        record["e_kin"] = _kinetic_from_seminorm(record["seminorm_sq"], deltas)
+        centered = values - record["mean"][:, None]
+        record["dist_sq"] = w * np.vecdot(centered, centered)
+        if bounded_diameter:  # else the dual bound has no meaning and stays NaN
+            record["dual_bound"] = _dual_bound(record["sin2_seminorm"], record["seminorm_sq"],
+                                               kappa, deltas)
+        record["linf"] = np.maximum(np.abs(his), np.abs(los))
+        # the overshoot norms, w |max(excess, 0)|^2, are exactly 0.0 until a row
+        # crosses its t = 0 extreme
+        excess = np.maximum(values - top, 0.0), np.maximum(bottom - values, 0.0)
+        record["overshoot_hi"], record["overshoot_lo"] = (w * np.vecdot(e, e) for e in excess)
+        gaps = values[:-1] - values[1:]  # the last member's distance stays NaN
+        record["dist_to_next"][:-1] = np.sqrt(w * np.vecdot(gaps, gaps))
+        return record
 
     def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
             config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
-            records=flow.records[j], gauge_reduced=gauge, dt=dt, scheme=step.scheme,
+            records=flow.records[:, j], gauge_reduced=gauge, dt=dt, scheme=step.scheme,
             adaptive=step.adaptive, stiffness=step.bounds[j], step_counts=list(flow.step_counts),
             counters=flow.counters, status=status)
 

@@ -9,6 +9,7 @@ against a closed-form bound.
 
 import math
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def relaxation_runs():
 
 def test_criterion_1_mean_phase_conservation(batteries):
     for scheme, battery in batteries.items():
-        worst = max(abs(r.mean) for _, _, traj in battery for r in traj.records)
+        worst = max(abs(m) for _, _, traj in battery for m in traj.records["mean"].tolist())
         report(1, f"mean-phase conservation [{scheme}]", worst <= 1e-10,
                f"max |mean| = {worst:.3e}")
 
@@ -133,11 +134,12 @@ def test_criterion_2_diameter_contraction(batteries):
         worst_excess = 0.0
         for _, cfg, traj in battery:
             seen_diameters.add(round(cfg.initial.diameter, 6))
-            d0 = traj.records[0].diameter
-            if traj.records[-1].diameter > d0 + 1e-12:
+            diameters, times = traj.records["diameter"].tolist(), traj.records["t"].tolist()
+            d0 = diameters[0]
+            if diameters[-1] > d0 + 1e-12:
                 ok = False
-            for a, b in zip(traj.records, traj.records[1:]):
-                excess = b.diameter - a.diameter - 1e-8 * (b.t - a.t)
+            for (da, ta), (db, tb) in pairwise(zip(diameters, times)):
+                excess = db - da - 1e-8 * (tb - ta)
                 worst_excess = max(worst_excess, excess)
         ok = ok and worst_excess <= 1e-12
         assert {0.5, round(HALF_PI, 6), 3.0} <= seen_diameters
@@ -157,7 +159,7 @@ def test_criterion_3_truncation_functional_decay(batteries):
 
 def test_criterion_4_energy_dissipation_identity(energy_runs):
     for scheme, (_, coarse, fine) in energy_runs.items():
-        e0 = coarse.records[0].e_pot + coarse.records[0].e_kin
+        e0 = coarse.records["e_pot"][0] + coarse.records["e_kin"][0]
         res_coarse = energy_identity_residual(coarse) / e0
         res_fine = energy_identity_residual(fine) / e0
         ratio = res_coarse / res_fine
@@ -189,10 +191,9 @@ def test_criterion_6_exponential_relaxation(relaxation_runs):
     # this cost (rkc: 1.9e-3 adaptive, 4.3e-4 in fixed steps of rk4's size)
     for scheme, (rep, traj) in relaxation_runs.items():
         # (a) pointwise exponential bound with 1% slack
-        dist0 = traj.records[0].dist_sq
-        pointwise = all(
-            r.dist_sq <= dist0 * math.exp(-rep.certified_rate * r.t) * 1.01
-            for r in traj.records)
+        dists, times = traj.records["dist_sq"].tolist(), traj.records["t"].tolist()
+        pointwise = all(d <= dists[0] * math.exp(-rep.certified_rate * t) * 1.01
+                        for d, t in zip(dists, times))
         # (b) fitted rate beats kappa * (2/pi) * lambda_star
         gamma_floor = 1.0 * (2.0 / math.pi) * rep.lambda_star
         rate_ok = rep.gamma_hat >= gamma_floor
@@ -250,8 +251,8 @@ def test_criterion_8_semigroup_contraction():
     ):
         cfg = make_config(n=64, kappa=0.0, horizon=0.5, stride=1, **case)
         traj = simulate(cfg)
-        l2 = [math.sqrt(r.dist_sq) for r in traj.records]
-        linf = [r.linf for r in traj.records]
+        l2 = [math.sqrt(d) for d in traj.records["dist_sq"].tolist()]
+        linf = traj.records["linf"].tolist()
         for series in (l2, linf):
             for a, b in zip(series, series[1:]):
                 worst = max(worst, b - a)

@@ -128,8 +128,8 @@ def test_energy_identity_pure_dissipation():
     cfg = make_config(n=64, model="singular", kappa=0.0, delta=0.3, kind="smooth",
                       diameter=1.0, horizon=1.0, stride=8, safety=0.1)
     traj = simulate(cfg)
-    e0 = traj.records[0].e_kin
-    assert traj.records[0].e_pot == 0.0
+    e0 = traj.records["e_kin"][0]
+    assert traj.records["e_pot"][0] == 0.0
     assert energy_identity_residual(traj) <= 1e-4 * e0
 
 
@@ -199,18 +199,18 @@ def test_fused_records_equal_the_public_functions(shape, s, eps, lengths, kappa,
     for j, (member, traj, snapshots) in enumerate(zip(configs, trajs, family, strict=True)):
         grid, coupling, dissipation = build_operators(member)
         kappa, delta = member.physics.kappa, member.physics.delta
-        m0 = traj.records[0].diameter
+        m0 = traj.records["diameter"][0]
         nexts = (oracles.distance_series(snapshots, family[j + 1], grid.weight)
                  if j + 1 < members else [math.nan] * len(snapshots))
-        assert np.array_equal([r.dist_to_next for r in traj.records], nexts, equal_nan=True)
+        assert np.array_equal(traj.records["dist_to_next"], nexts, equal_nan=True)
         for snap, rec in zip(snapshots, traj.records, strict=True):
-            assert rec.e_pot == energy_potential(snap, coupling, kappa)
-            assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
-            assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
-            assert rec.dual_bound == dual_bound_value(snap, coupling, dissipation,
-                                                      kappa, delta, m0)
-            assert rec.mean == diagnostics.mean_phase(snap, grid)
-            assert rec.dist_sq == dist_sq_to_mean(snap, grid)
+            assert rec["e_pot"] == energy_potential(snap, coupling, kappa)
+            assert rec["sin2_seminorm"] == sin2_seminorm(snap, coupling)
+            assert rec["seminorm_sq"] == seminorm_sq(snap, dissipation)
+            assert rec["dual_bound"] == dual_bound_value(snap, coupling, dissipation,
+                                                         kappa, delta, m0)
+            assert rec["mean"] == diagnostics.mean_phase(snap, grid)
+            assert rec["dist_sq"] == dist_sq_to_mean(snap, grid)
         rows = {c.name: c for c in uniform_bound_report(traj)}
         expect = max(sin2_seminorm(snap, coupling) for snap in snapshots)
         assert rows["sin2-seminorm-bound"].lhs == (expect if kappa > 0.0 else None)
@@ -225,8 +225,8 @@ def test_missing_sin2_value_fails_its_bound_row():
     cfg = make_config(n=16, model="regularized", epsilon=0.1, delta=0.2, horizon=0.05)
     traj = simulate(cfg)
     for k in (0, len(traj.records) - 1):
-        records = list(traj.records)
-        records[k] = replace(records[k], sin2_seminorm=math.nan)
+        records = traj.records.copy()
+        records["sin2_seminorm"][k] = math.nan
         rows = {c.name: c for c in uniform_bound_report(replace(traj, records=records))}
         assert rows["sin2-seminorm-bound"].satisfied is False
 
@@ -356,13 +356,13 @@ def _assert_norms_match_the_snapshot_passes(records, snapshots, weight):
         assert len(recs) == len(snaps) > 1
         with np.errstate(over="ignore"):
             hi, lo = oracles.overshoot_series(snaps, weight)
-        assert _bits([r.overshoot_hi for r in recs]) == _bits(hi)
-        assert _bits([r.overshoot_lo for r in recs]) == _bits(lo)
-        assert _bits([r.linf for r in recs]) == _bits(oracles.linf_series(snaps))
+        assert _bits(recs["overshoot_hi"]) == _bits(hi)
+        assert _bits(recs["overshoot_lo"]) == _bits(lo)
+        assert _bits(recs["linf"]) == _bits(oracles.linf_series(snaps))
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = ([math.nan] * len(recs) if j + 1 == len(records)
                     else oracles.distance_series(snaps, snapshots[j + 1], weight))
-        assert _bits([r.dist_to_next for r in recs]) == _bits(gaps)
+        assert _bits(recs["dist_to_next"]) == _bits(gaps)
 
 
 @pytest.mark.parametrize("dim,n,scheme", [(1, 32, "rk4"), (2, 6, "rkc")])
@@ -409,7 +409,7 @@ def test_record_norms_of_a_blow_up_partial_equal_the_snapshot_passes(monkeypatch
     (flow,) = flows
     partial = err.value.trajectory
     assert partial.status == "blow-up" and len(partial.records) == len(flow.times) > 2
-    _assert_norms_match_the_snapshot_passes(flow.records, states.of(), partial.grid.weight)
+    _assert_norms_match_the_snapshot_passes(flow.records.T, states.of(), partial.grid.weight)
     assert max(truncation_functionals(partial)) > 0.0
     assert np.all(np.isfinite(flow.final)) and partial.final is not None
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from nlkuramoto import (BlowUpError, ConfigurationError, ParameterError, assembl
                         build_grid, build_operators, energy_identity_residual, initial_field,
                         read_snapshot, refinement_study, relaxation_experiment,
                         run_invariant_suite, simulate, sweep_delta, sweep_epsilon, write_json)
-from nlkuramoto.diagnostics import DiagnosticsRecord
+from nlkuramoto.diagnostics import RECORD_DTYPE
 from nlkuramoto.experiments import relaxation_report, restrict_to_coarse
 from nlkuramoto.integrate import auto_step, stiffness_bound
 
@@ -131,7 +131,9 @@ def delta_base(**kw):
 def _bits(records):
     # every field, sin2_seminorm included, as raw bytes; all but the distance
     # to the next member, which a lone run does not have
-    return np.array([astuple(replace(r, dist_to_next=0.0)) for r in records]).tobytes()
+    records = records.copy()
+    records["dist_to_next"] = 0.0
+    return records.tobytes()
 
 
 @pytest.mark.parametrize("parameter,dim,n", [("epsilon", 1, 24), ("epsilon", 2, 8),
@@ -287,7 +289,7 @@ def test_relaxation_constant_data_trivially_satisfied():
                                                      horizon=0.3))
     assert report.satisfied
     assert report.gamma_hat == 0.0
-    assert traj.records[-1].dist_sq == 0.0
+    assert traj.records["dist_sq"][-1] == 0.0
 
 
 def test_relaxation_two_oscillators_match_closed_form():
@@ -491,14 +493,16 @@ def test_invariant_suite_skips_every_row_under_per_node_frequencies(tmp_path):
 
 
 def _relax_record(t, mean, diameter, dist_sq):
-    return DiagnosticsRecord(t=t, mean=mean, diameter=diameter, e_pot=0.0, e_kin=0.0,
-                             seminorm_sq=0.0, dist_sq=dist_sq, dissipation_cum=0.0,
-                             dual_bound=math.nan, sin2_seminorm=0.0)
+    return {"t": t, "mean": mean, "diameter": diameter, "dist_sq": dist_sq}
 
 
-def _pointwise(records):
+def _pointwise(rows):
     """The pointwise fields of the relaxation report at kappa = lambda_star = 1
-    on the unit interval."""
+    on the unit interval, for records whose other fields are 0."""
+    records = np.zeros(len(rows), RECORD_DTYPE)
+    for k, row in enumerate(rows):
+        for name, value in row.items():
+            records[name][k] = value
     report = relaxation_report(records, 1.0, 1.0, build_grid(1, 2, [(0.0, 1.0)]), 0.5)
     return report.table, report.pointwise_ok, report.pointwise_margin, report.rows_below_floor
 

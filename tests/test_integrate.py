@@ -1,15 +1,16 @@
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlkuramoto.run as run
-from nlkuramoto import (BlowUpError, ParameterError, apply_overrides, assemble_kernel_matrix,
-                        build_grid, build_operators, initial_field, mean_phase, parse_config,
-                        read_snapshot, rhs_singular, simulate, step, sweep_epsilon)
+from nlkuramoto import (RECORD_FIELDS, BlowUpError, ParameterError, apply_overrides,
+                        assemble_kernel_matrix, build_grid, build_operators, initial_field,
+                        mean_phase, parse_config, read_snapshot, rhs_singular, simulate, step,
+                        sweep_epsilon)
 from nlkuramoto.integrate import auto_step, integrate_flow, rkc_stage_count, stiffness_bound
 
 import oracles
@@ -113,14 +114,14 @@ def test_simulate_constant_field_is_equilibrium():
     (snapshots,) = states.of()
     for snap in snapshots:
         assert np.all(snap == snapshots[0])
-    assert traj.records[-1].dissipation_cum == 0.0
+    assert traj.records["dissipation_cum"][-1] == 0.0
 
 
 def test_simulate_pure_dissipation_l2_contracts():
     cfg = make_config(n=32, model="singular", kappa=0.0, delta=0.3, kind="random",
                       seed=4, diameter=2.0, horizon=0.5)
     traj = simulate(cfg)
-    dists = [r.dist_sq for r in traj.records]
+    dists = traj.records["dist_sq"].tolist()
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
@@ -177,11 +178,11 @@ def test_simulate_two_dimensional_run():
                       safety=0.1)
     traj = simulate(cfg)
     assert traj.grid.node_count == 64
-    assert max(abs(r.mean) for r in traj.records) <= 1e-10
-    diameters = [r.diameter for r in traj.records]
+    assert np.max(np.abs(traj.records["mean"])) <= 1e-10
+    diameters = traj.records["diameter"].tolist()
     assert all(b <= a + 1e-10 for a, b in zip(diameters, diameters[1:]))
     from nlkuramoto import energy_identity_residual
-    e0 = traj.records[0].e_pot + traj.records[0].e_kin
+    e0 = traj.records["e_pot"][0] + traj.records["e_kin"][0]
     assert energy_identity_residual(traj) <= 2e-4 * e0
 
 
@@ -195,7 +196,7 @@ def test_simulate_lattice_with_per_node_frequencies(tmp_path):
     assert not traj.gauge_reduced
     assert np.array_equal(run.load_frequency(cfg, traj.grid), nu)
     # the raw mean drifts at the average frequency
-    drift = traj.records[-1].mean - traj.records[0].mean
+    drift = traj.records["mean"][-1] - traj.records["mean"][0]
     expect = float(traj.grid.weight * nu.sum() / traj.grid.measure) * traj.times[-1]
     assert drift == pytest.approx(expect, rel=1e-6)
 
@@ -237,7 +238,7 @@ def test_simulate_mean_conserved_in_gauge():
     cfg = make_config(n=64, model="regularized", epsilon=0.1, delta=0.1, nu=1.5,
                       kind="random", seed=8, diameter=2.5, horizon=1.0, stride=7)
     traj = simulate(cfg)
-    assert max(abs(r.mean) for r in traj.records) <= 1e-10
+    assert np.max(np.abs(traj.records["mean"])) <= 1e-10
 
 
 def test_simulate_with_its_bundle_matches_a_fresh_build():
@@ -329,9 +330,9 @@ def test_each_record_and_each_rhs_take_one_forward_transform(monkeypatch, dim, n
     assert traj.counters.rejected_steps > 0 or not traj.adaptive
     _, coupling, dissipation = build_operators(cfg)
     for snap, rec in zip(snapshots, traj.records, strict=True):
-        assert rec.e_pot == energy_potential(snap, coupling, cfg.physics.kappa)
-        assert rec.sin2_seminorm == sin2_seminorm(snap, coupling)
-        assert rec.seminorm_sq == seminorm_sq(snap, dissipation)
+        assert rec["e_pot"] == energy_potential(snap, coupling, cfg.physics.kappa)
+        assert rec["sin2_seminorm"] == sin2_seminorm(snap, coupling)
+        assert rec["seminorm_sq"] == seminorm_sq(snap, dissipation)
 
 
 def test_simulate_deterministic():
@@ -394,6 +395,18 @@ def test_a_snapshots_run_writes_its_history_and_holds_one_state_per_member(tmp_p
     assert peak < len(traj.times) * 512 * 8 / 4
 
 
+def test_a_record_costs_little_more_than_its_fields():
+    # 16 nodes, rk4 at dt = 1e-4 and a record every step: from 101 to 1,001
+    # records the peak grows by at most 250 B a record.  A record's 14 float64
+    # fields take 112 B; its time (in the run's list and the trajectory's
+    # copy) and its count of steps take about 60 more
+    (short, low), (long, high) = (
+        _traced_peak(make_config(n=16, scheme="rk4", dt=1e-4, stride=1, horizon=horizon))
+        for horizon in (0.01, 0.1))
+    assert (len(short.times), len(long.times)) == (101, 1001)
+    assert high - low <= 250 * 900
+
+
 def test_simulate_blow_up_keeps_partial_trajectory(tmp_path):
     # force instability: fixed dt far beyond the dissipation stability limit
     cfg = make_config(n=64, model="singular", kappa=0.0, delta=1.0, kind="random",
@@ -448,7 +461,7 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
     with pytest.raises(ValueError):
         final[0, 0] = 0.0  # read-only
     assert times == [0.0] and err.value.t == 0.0 and step_counts == []
-    assert records == [[0.0]] * 3
+    assert records.tolist() == [[(0.0,) * len(RECORD_FIELDS)] * 3]
     assert counters.steps == 0
 
 
@@ -459,8 +472,9 @@ def test_family_blow_up_names_the_first_member_to_go_non_finite(grid16, growth, 
 def _bits(records, states=()):
     # every record field and every given state, as raw bytes; all but the
     # distance to the next member, which a lone run does not have
-    return (np.array([astuple(replace(r, dist_to_next=0.0)) for r in records]).tobytes()
-            + b"".join(s.tobytes() for s in states))
+    records = records.copy()
+    records["dist_to_next"] = 0.0
+    return records.tobytes() + b"".join(s.tobytes() for s in states)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -522,7 +536,7 @@ def test_adaptive_rkc_lands_on_the_rk4_record_grid():
     rk4 = simulate(cfg)
     rkc = simulate(replace(cfg, integrator=replace(cfg.integrator, scheme="rkc")))
     assert rkc.times == rk4.times
-    assert [r.t for r in rkc.records] == [r.t for r in rk4.records]
+    assert rkc.records["t"].tolist() == rk4.records["t"].tolist()
     assert rkc.dt == rk4.dt
     # fewer, larger steps than rk4's, each interval counted exactly
     assert sum(rkc.step_counts) == rkc.counters.steps < rk4.counters.steps
@@ -666,4 +680,4 @@ def test_family_step_gives_the_record_grid_before_the_run(scheme, dt, stride):
     assert plan.times.dtype == np.float64 and plan.times.tolist() == expected
     assert len(expected) == (plan.n_steps // stride + 2 if stride == 7 else 2)
     traj = simulate(cfg, ops)
-    assert traj.times == expected and [r.t for r in traj.records] == expected
+    assert traj.times == expected and traj.records["t"].tolist() == expected

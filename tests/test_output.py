@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (CSV_COLUMNS, BlowUpError, ConfigurationError, DiagnosticsRecord,
-                        build_manifest, build_operators, energy_identity_residual,
-                        initial_field, mean_phase, read_diagnostics_csv, read_snapshot, simulate,
-                        sweep_epsilon, truncation_functionals, write_diagnostics_csv,
-                        write_json, write_run_outputs, write_snapshot, write_sweep_outputs)
+from nlkuramoto import (CSV_COLUMNS, RECORD_DTYPE, BlowUpError, ConfigurationError,
+                        apply_overrides, build_manifest, build_operators,
+                        energy_identity_residual, initial_field, mean_phase, parse_config,
+                        read_diagnostics_csv, read_snapshot, simulate, sweep_epsilon,
+                        truncation_functionals, write_diagnostics_csv, write_json,
+                        write_run_outputs, write_snapshot, write_sweep_outputs)
 from nlkuramoto.cli import main as cli_main
 from nlkuramoto.integrate import stiffness_bound
 
@@ -29,16 +30,21 @@ def strict_json(path):
     return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
-def awkward_record(t):
-    # values chosen to stress shortest-round-trip printing
-    return DiagnosticsRecord(t=t, mean=-1.0 / 3.0, diameter=math.pi, e_pot=0.1,
-                             e_kin=1e-300, seminorm_sq=2.0 ** -52, dist_sq=1.7e300,
-                             dissipation_cum=0.0, dual_bound=float("nan"))
+def awkward_records(*times):
+    # values chosen to stress shortest-round-trip printing; the fields past
+    # the CSV's columns are NaN
+    records = np.full(len(times), math.nan, RECORD_DTYPE)
+    records["t"] = times
+    for name, value in (("mean", -1.0 / 3.0), ("diameter", math.pi), ("e_pot", 0.1),
+                        ("e_kin", 1e-300), ("seminorm_sq", 2.0 ** -52), ("dist_sq", 1.7e300),
+                        ("dissipation_cum", 0.0)):
+        records[name] = value
+    return records
 
 
 def test_csv_header_contract(tmp_path):
     path = tmp_path / "d.csv"
-    write_diagnostics_csv([awkward_record(0.0)], path)
+    write_diagnostics_csv(awkward_records(0.0), path)
     header = path.read_text().splitlines()[0]
     assert header == "t,mean,diameter,E_P,E_K,seminorm_sq,dist_sq,dissipation_cum,dual_bound"
     assert header.split(",") == list(CSV_COLUMNS)
@@ -46,14 +52,14 @@ def test_csv_header_contract(tmp_path):
 
 def test_zero_step_run_writes_single_row(tmp_path):
     path = tmp_path / "d.csv"
-    write_diagnostics_csv([awkward_record(0.0)], path)
+    write_diagnostics_csv(awkward_records(0.0), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0.0,")
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
-    records = [awkward_record(0.0), awkward_record(0.1)]
+    records = awkward_records(0.0, 0.1)
     path = tmp_path / "d.csv"
     write_diagnostics_csv(records, path)
     back = read_diagnostics_csv(path)
@@ -63,19 +69,32 @@ def test_csv_round_trip_is_lossless(tmp_path):
     for a, b in zip(records, back):
         for name in ("t", "mean", "diameter", "e_pot", "e_kin", "seminorm_sq",
                      "dist_sq", "dissipation_cum"):
-            assert getattr(a, name) == getattr(b, name)
-        assert math.isnan(b.dual_bound)
+            assert a[name] == b[name]
+        assert math.isnan(b["dual_bound"])
 
 
 def test_csv_blank_lines_read_back_the_same_records(tmp_path):
     path = tmp_path / "d.csv"
-    write_diagnostics_csv([awkward_record(0.0), awkward_record(0.1)], path)
+    write_diagnostics_csv(awkward_records(0.0, 0.1), path)
     header, first, second = path.read_text().splitlines()
     blank = tmp_path / "blank.csv"
     blank.write_text(f"{header}\n{first}\n\n{second}\n\n")
     expect, back = read_diagnostics_csv(path), read_diagnostics_csv(blank)
-    assert np.array([astuple(r) for r in back]).tobytes() == (
-        np.array([astuple(r) for r in expect]).tobytes())
+    assert back.dtype == RECORD_DTYPE and back.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("width", [10, 8])
+def test_csv_reader_refuses_a_row_of_another_width(tmp_path, width):
+    # a tenth number would land in sin2_seminorm, and eight would leave a
+    # field unset: either row is named by its line
+    path = tmp_path / "d.csv"
+    write_diagnostics_csv(awkward_records(0.0, 0.1), path)
+    header, first, second = path.read_text().splitlines()
+    row = ",".join((second.split(",") + ["1.0"])[:width])
+    path.write_text(f"{header}\n{first}\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        read_diagnostics_csv(path)
+    assert str(err.value) == f"{path}, line 3: {width} fields, the header has 9"
 
 
 def test_csv_rejects_foreign_files(tmp_path):
@@ -136,11 +155,11 @@ def test_write_run_outputs(tmp_path):
     rho = stiffness_bound(ops.coupling, ops.dissipation, cfg.physics.kappa, cfg.physics.delta)
     assert manifest["scheme"] == "rk4" and manifest["stiffness_bound"] == rho > 0.0
     assert manifest["dt"] <= cfg.integrator.safety / rho
-    records = traj.records
+    times, means, diameters = (traj.records[name].tolist() for name in ("t", "mean", "diameter"))
     assert manifest["margins"] == {
-        "max_abs_mean": max(abs(r.mean) for r in records),
-        "worst_diameter_slope": max((b.diameter - a.diameter) / (b.t - a.t)
-                                    for a, b in zip(records, records[1:])),
+        "max_abs_mean": max(abs(m) for m in means),
+        "worst_diameter_slope": max((db - da) / (tb - ta) for (da, ta), (db, tb)
+                                    in zip(zip(diameters, times), zip(diameters[1:], times[1:]))),
         "energy_identity_residual": energy_identity_residual(traj),
         "worst_truncation_overshoot": max(truncation_functionals(traj)),
     }
@@ -151,7 +170,7 @@ def test_write_run_outputs(tmp_path):
 
     back = read_diagnostics_csv(paths["csv"])
     assert len(back) == len(traj.records)
-    assert back[-1].dist_sq == traj.records[-1].dist_sq
+    assert back["dist_sq"][-1] == traj.records["dist_sq"][-1]
 
     # snapshots store the physical field: gauge shift and drift reapplied
     _, _, t_last, values = read_snapshot(snaps[-1])
@@ -207,6 +226,34 @@ def test_a_blow_up_manifest_is_strict_json(tmp_path, capsys):
     assert manifest["config"]["integrator"]["scheme"] == "auto"
     assert manifest["margins"]["worst_truncation_overshoot"] is None
     assert math.isfinite(manifest["margins"]["max_abs_mean"])
+
+
+def test_a_nan_in_a_blow_ups_records_makes_its_margin_null():
+    # dt = 3 blows up at step 30; the t = 60 record has E_K = nan and an
+    # infinite dissipation, so the energy-identity residual is not finite: it
+    # is written as null, not as the largest of the finite defects
+    cfg = apply_overrides(parse_config(CONFIGS / "regularized_sweep_base.cfg"),
+                          {("grid", "nodes"): "64", ("integrator", "dt"): "3",
+                           ("integrator", "horizon"): "300", ("physics", "delta"): "1"})
+    with pytest.raises(BlowUpError) as err:
+        simulate(cfg)
+    records = err.value.trajectory.records
+    assert records["t"].tolist() == [0.0, 60.0] and math.isnan(records["e_kin"][-1])
+    assert records["dissipation_cum"][-1] == math.inf
+    margins = build_manifest(err.value.trajectory)["margins"]
+    assert margins["energy_identity_residual"] is None
+    assert math.isfinite(margins["max_abs_mean"])
+
+
+def test_a_refused_json_write_leaves_the_file_as_it_was(tmp_path):
+    # the text streams into a temporary beside the file, which is removed
+    path = tmp_path / "report.json"
+    write_json({"margin": 1.0}, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_json({"a": 1.0, "margin": math.nan}, path)
+    assert path.read_bytes() == before == b'{\n  "margin": 1.0\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
