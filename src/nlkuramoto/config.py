@@ -99,8 +99,17 @@ class SimConfig:
         return _render(self)
 
     def content_hash(self) -> str:
-        import hashlib  # here: it loads OpenSSL's libcrypto, which commands that never hash skip
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+        # the interpreter's own SHA-256, as the stdlib random takes its SHA-512
+        # (hashlib maps OpenSSL's libcrypto), imported here so that commands
+        # that never hash load no hashing module
+        try:
+            from _sha2 import sha256  # 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # 3.10, 3.11
+            except ImportError:
+                from hashlib import sha256
+        return sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
 def relaxation_problems(physics: PhysicsConfig, diameter: float) -> list[str]:
@@ -154,6 +163,8 @@ def _validate(cfg: SimConfig) -> list[str]:
         problems.append(f"initial.diameter: must be nonnegative, got {i.diameter}")
     if i.kind == "random" and i.seed is None:
         problems.append("initial.seed: random initial data requires a seed")
+    if i.seed is not None and i.seed < 0:
+        problems.append(f"initial.seed: must be nonnegative, got {i.seed}")
     relaxation_regime = not relaxation_problems(p, 0.0)
     if relaxation_regime and i.effective_diameter >= math.pi and not i.allow_large_diameter:
         problems.append(

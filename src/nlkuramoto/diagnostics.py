@@ -9,7 +9,6 @@ decay-rate fits.  All functions are pure and operate on immutable inputs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .dynamics import _field
 from .errors import IterationError, ParameterError
 from .grid import Grid
+from .initial import seeded_bits
 from .kernel import KernelOperator
 
 
@@ -188,9 +188,7 @@ def poincare_sharp_discrete(matrix: KernelOperator) -> float:
     axis = int(np.argmax([hi - lo for lo, hi in grid.extents]))
     lo, hi = grid.extents[axis]
     x = np.cos(math.pi * (grid.coords[:, axis] - lo) / (hi - lo))
-    # seeded noise (stdlib random: importing numpy.random adds 6.1 MiB resident over numpy 2.4)
-    bits = np.frombuffer(random.Random(0).randbytes(8 * grid.node_count), np.uint64)
-    noise = bits / 2.0**64 - 0.5
+    noise = seeded_bits(0, grid.node_count) / 2.0**64 - 0.5
     x += 1e-6 * np.linalg.norm(x) / np.linalg.norm(noise) * noise
     x -= x.mean()
     x /= np.linalg.norm(x)

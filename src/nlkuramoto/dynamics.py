@@ -80,12 +80,12 @@ def _sine_rows(values: np.ndarray, coupling, *extra, keep: RateStack | None = No
     np.sin(shifted, out=stack[1])
     if extra:
         stack[2] = shifted
-    if extra and not isinstance(coupling, (tuple, list)):
-        coupling = (coupling,) * len(rows)  # the extra applies need a per-row layout
-    if isinstance(coupling, (tuple, list)):
+    if isinstance(coupling, KernelOperator):
+        coupling = (coupling,)  # shared: its one-row spectra and row sums broadcast
+    if isinstance(coupling, (tuple, list)):  # stacked: a step loop reuses the buffers
         applied = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))(stack)
         row_sums = stacked_row_sums(tuple(coupling))
-    else:
+    else:  # an operator known by its apply and row sums alone, such as a dense matrix
         applied = coupling.apply(stack)
         row_sums = coupling.row_sums
     if keep is not None:

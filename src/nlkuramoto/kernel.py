@@ -19,7 +19,7 @@ stack (or of a family of stacks) in one transform pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -71,41 +71,70 @@ def _toeplitz_row_sums(generator: np.ndarray) -> np.ndarray:
     return generator.ravel()
 
 
-def _spectral_apply(grid: Grid, spectrum: np.ndarray, x) -> np.ndarray:
+def _spectrum_shape(grid: Grid, lead: tuple) -> tuple:
+    """The shape of the complex spectrum of a stack of leading shape ``lead``:
+    (..., n+1) in 1d, (..., 2n, n+1) in 2d with the zero-padded axis."""
+    return (*lead, *(2 * grid.n,) * (grid.dim - 1), grid.n + 1)
+
+
+def _spectral_apply(grid: Grid, spectrum: np.ndarray, x, work=None) -> np.ndarray:
     """x (..., N) times ``spectrum`` (one, or one per row) by one transform pair.
 
-    In 2d the transforms between the two real ones run in place in one
-    zero-padded buffer: a fresh array per intermediate let the C allocator
-    return the heap top and fault it in again on every apply.
+    Every transform writes through ``out=``.  ``work``, if given, holds the
+    complex spectrum and real output buffers of x's leading shape; a caller
+    that keeps them across applies, as :func:`stacked_apply` does, allocates
+    no transform buffer after its first apply (at 1d n = 4096 each is above
+    the C allocator's 128 KB mmap threshold, so a fresh one would be mapped
+    and faulted in on every apply).  In 2d the transforms between the two
+    real ones run in place in the zero-padded spectrum.  Without ``work`` the
+    output is allocated only after those, whose overlap copies would
+    otherwise coexist with it.  The result is a copy, which the next apply
+    leaves as it is.
     """
     x = np.asarray(x, dtype=float)
     n, d = grid.n, grid.dim
     lead = x.shape[:-1]
     x = x.reshape(*lead, *(n,) * d)
+    f, out = work or (np.empty(_spectrum_shape(grid, lead), dtype=complex), None)
     if d == 1:
-        f = np.fft.rfft(x, 2 * n)
+        np.fft.rfft(x, 2 * n, out=f)
     else:  # padding rows join after the last-axis rfft and leave before its irfft
-        f = np.zeros((*lead, 2 * n, n + 1), dtype=complex)
+        f[..., n:, :] = 0.0
         np.fft.rfft(x, 2 * n, out=f[..., :n, :])
         np.fft.fft(f, axis=-2, out=f)
     f *= spectrum
     if d == 2:
         f = np.fft.ifft(f, axis=-2, out=f)[..., :n, :]
-    return np.fft.irfft(f, 2 * n)[..., :n].reshape(*lead, n ** d)
+    out = np.fft.irfft(f, 2 * n, out=out)
+    return out[..., :n].copy().reshape(*lead, n ** d)
 
 
 @lru_cache(maxsize=8)
 def stacked_apply(operators: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (operators[k] x[k])_k on a (k, N) stack by one transform pair, bitwise
-    equal to each operator's :meth:`apply`; nested tuples match more leading axes.
-    Memoized on the (immutable) operators, so the read-only spectra stack once."""
+    equal to each operator's :meth:`apply`; nested tuples match more leading axes,
+    and a one-operator tuple applies its operator to every row.
+    Memoized on the (immutable) operators, so the read-only spectra stack once,
+    and the transform buffers of each stack shape are allocated on its first
+    apply and reused by every later one."""
     layout = np.array(operators, dtype=object)
     grid = layout.flat[0].grid
     if not all(grids_match(op.grid, grid) for op in layout.flat):
         raise GridMismatchError("stacked operators live on different grids")
     spectra = np.array([op.spectrum for op in layout.flat])
     spectra.setflags(write=False)
-    return partial(_spectral_apply, grid, spectra.reshape(layout.shape + spectra.shape[1:]))
+    spectra = spectra.reshape(layout.shape + spectra.shape[1:])
+    workspaces = {}  # stack shape -> its spectrum and output buffers
+
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape not in workspaces:
+            lead = x.shape[:-1]
+            workspaces[x.shape] = (np.empty(_spectrum_shape(grid, lead), dtype=complex),
+                                   np.empty((*lead, *(grid.n,) * (grid.dim - 1), 2 * grid.n)))
+        return _spectral_apply(grid, spectra, x, workspaces[x.shape])
+
+    return apply
 
 
 @lru_cache(maxsize=8)

@@ -109,7 +109,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     (["--set", "output.formats=csv,pdf"], "output.formats: unknown format 'pdf', "
                                           "choose from ('csv', 'manifest', 'snapshots')"),
     (["--set", "grid.extent=1 0"], "grid.extent: degenerate interval (1.0, 0.0)"),
-], ids=["set-without-key", "unknown-kind", "unknown-format", "degenerate-extent"])
+    (["--kind", "random", "--seed", "-3"], "initial.seed: must be nonnegative, got -3"),
+], ids=["set-without-key", "unknown-kind", "unknown-format", "degenerate-extent",
+        "negative-seed"])
 def test_each_refusal_exits_2_with_its_message(tmp_path, capsys, flags, problem):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["simulate", str(cfg), *flags]) == 2
@@ -220,19 +222,29 @@ def test_poincare_prints_constants(tmp_path, capsys):
     assert "ok" in out
 
 
-def test_poincare_never_loads_the_hashing_library():
-    # hashlib loads OpenSSL's libcrypto (3.6 MiB resident over numpy), which
-    # only a content hash needs: a fresh interpreter shows what a command loads
-    cfg = str(CONFIGS / "relaxation_quarter_circle.cfg")
+def test_commands_never_load_numpy_random_or_openssl(tmp_path):
+    # numpy.random (with secrets -> hashlib) and OpenSSL's libcrypto (_hashlib)
+    # map about 6 MB resident that no step computes with: the seeded draws
+    # take stdlib random and the content hash the interpreter's own SHA-256.
+    # A fresh interpreter shows what the commands load.
+    relax, sweep = (str(CONFIGS / name) for name in ("relaxation_quarter_circle.cfg",
+                                                     "regularized_sweep_base.cfg"))
+    commands = [["poincare", relax, "--nodes", "32"],
+                ["relax", relax, "--nodes", "32", "--horizon", "0.05", "--kind", "random",
+                 "--seed", "7", "--out", str(tmp_path / "relax")],
+                ["sweep-eps", sweep, "--ladder", "0.4,0.2", "--nodes", "16", "--horizon", "0.05",
+                 "--out", str(tmp_path / "sweep")]]
     script = ("import sys; from nlkuramoto.cli import main; "
-              f"code = main(['poincare', {cfg!r}, '--nodes', '32']); "
-              "print(code, '_hashlib' in sys.modules)")
+              f"codes = [main(args) for args in {commands!r}]; "
+              "print(codes, [m for m in ('numpy.random', 'secrets', '_hashlib') "
+              "if m in sys.modules])")
     src = str(Path(nlkuramoto.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert (tmp_path / "relax" / "manifest.json").exists()  # which took a content hash
 
 
 @pytest.mark.parametrize("flags,key", [

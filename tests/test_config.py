@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -120,6 +121,11 @@ def test_random_kind_requires_seed():
     with pytest.raises(ConfigurationError) as err:
         parse_config_text("[initial]\nkind = random\ndiameter = 1.0\n")
     assert any("initial.seed" in p for p in err.value.problems)
+    # random.Random(-3) would draw seed 3's field: refused, with the other problems
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("[initial]\nkind = random\nseed = -3\ndiameter = -1.0\n")
+    assert err.value.problems == ["initial.diameter: must be nonnegative, got -1.0",
+                                  "initial.seed: must be nonnegative, got -3"]
 
 
 def test_nu_file_only_for_lattice(tmp_path):
@@ -288,6 +294,15 @@ def test_content_hashes_are_stable():
     cfg = replace(cfg, physics=replace(cfg.physics, nu_file="nu.txt"))
     assert cfg.content_hash() == (
         "a2039b720fc510216b8caf0d06019b3fffdda44c46439e205bef7442ee7bc2c0")
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(), parse_config(CONFIGS / "regularized_sweep_base.cfg"),
+                                 parse_config(CONFIGS / "relaxation_quarter_circle.cfg")],
+                         ids=["default", "regularized_sweep_base", "relaxation_quarter_circle"])
+def test_content_hash_is_hashlibs_sha256(cfg):
+    # the interpreter's built-in SHA-256 (_sha2, or _sha256 before 3.12) stands
+    # in for hashlib's, which would map OpenSSL's libcrypto
+    assert cfg.content_hash() == hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("section, key, raw, expected", [

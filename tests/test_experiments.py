@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -47,9 +48,18 @@ def test_initial_random_seeded(grid64):
     c = initial_field("random", grid64, diameter=2.0, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.all(np.abs(a) <= 1.0)
+    assert np.all((-1.0 <= a) & (a < 1.0))
+    # stdlib random.Random(5), each 8 bytes read little-endian on every host,
+    # its top 53 bits a double u in [0, 1), and (u - 0.5) * diameter
+    words = random.Random(5).randbytes(8 * 3)
+    expect = [((int.from_bytes(words[8 * k:8 * k + 8], "little") >> 11) * 2.0**-53 - 0.5) * 2.0
+              for k in range(3)]
+    assert a[:3].tolist() == expect == [-0.48910996614820257, -0.28292897495357927,
+                                        0.38089369181319754]
     with pytest.raises(ParameterError):
         initial_field("random", grid64, diameter=2.0)
+    with pytest.raises(ParameterError, match="nonnegative"):  # Random(-5) would seed as 5
+        initial_field("random", grid64, diameter=2.0, seed=-5)
 
 
 def test_initial_validation(grid16):

@@ -164,6 +164,27 @@ def test_stacked_apply_takes_one_row_of_operators_per_member(grid16, singular16)
             assert np.array_equal(out, op.apply(row))
 
 
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 6)])
+def test_a_stacked_apply_leaves_the_last_result_alone(dim, n):
+    # each stack shape's transform buffers are allocated once and reused by
+    # every later apply of that shape; a result must not be a view of them
+    # (in 1d the truncation out[..., :n] is one).  A one-operator tuple applies
+    # its operator to every row.
+    g = build_grid(dim, n, [(0.0, 1.0)] * dim)
+    ops = (assemble_kernel_matrix(g, 0.5), assemble_kernel_matrix(g, 0.5, 0.1))
+    rng = np.random.default_rng(dim)
+    for layout, shape in ((ops, (2, g.node_count)), (ops[1:], (2, 3, g.node_count))):
+        apply = stacked_apply(layout)
+        x, y = rng.standard_normal((2, *shape))
+        first = apply(x)
+        kept = first.copy()
+        second = apply(y)
+        assert np.array_equal(first, kept)
+        for z, got in ((x, first), (y, second)):
+            each = [op.apply(rows) for op, rows in zip(layout * len(z), z)]
+            assert np.array_equal(got, np.stack(each))
+
+
 def test_stacked_apply_needs_one_grid(grid16, singular16):
     other = assemble_kernel_matrix(build_grid(1, 16, [(0.0, 2.0)]), 0.5)
     with pytest.raises(GridMismatchError):
