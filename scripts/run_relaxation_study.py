@@ -9,7 +9,6 @@ cross-checks the time stepper against the closed-form two-oscillator gap.
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,7 +40,7 @@ def main() -> int:
     cfg = config(outdir / "main", args.nodes, safety=0.25, stride=20)
     report, traj = relaxation_experiment(cfg)
     write_run_outputs(traj)
-    write_json(asdict(report), outdir / "relaxation_report.json")
+    write_json(report.document(traj.records), outdir / "relaxation_report.json")
 
     print(f"n = {args.nodes}: M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g}  "

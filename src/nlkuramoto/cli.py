@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import apply_overrides, parse_config
@@ -119,8 +118,8 @@ def _cmd_sweep(args, cfg, which) -> int:
 def cmd_relax(args, cfg) -> int:
     report, traj = relaxation_experiment(cfg)
     write_run_outputs(traj, wall_clock_s=_elapsed(args))
-    write_json(asdict(report), Path(cfg.output.directory) / "relaxation_report.json")
-    print(f"completed {_steps(traj)} to t = {traj.times[-1]:.6g}")
+    write_json(report.document(traj.records), Path(cfg.output.directory) / "relaxation_report.json")
+    print(f"completed {_steps(traj)} to t = {traj.records['t'][-1]:.6g}")
     print(f"initial diameter M = {report.initial_diameter:.6g}, min sinc = {report.c_m:.6g}")
     print(f"lambda_star = {report.lambda_star:.8g} "
           f"(domain constant bound 1/C = {1.0 / report.c_p_domain:.8g})")

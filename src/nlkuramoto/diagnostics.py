@@ -225,13 +225,9 @@ def _strang_preconditioner(matrix: KernelOperator):
 
     C is the Strang circulant of B: the generator at offsets min(k, n - k) per
     axis, symbol 2 (mu_0 - mu_k) with k = 0 (the constants) sent to infinity.
-    D = diag(row sums) / mu_0 corrects the boundary rows C overestimates.  An
-    operator without a generator gets Jacobi, 1 / (2 row sums).
+    D = diag(row sums) / mu_0 corrects the boundary rows C overestimates.
     """
-    rows = matrix.row_sums
-    generator = getattr(matrix, "generator", None)
-    if generator is None:
-        return lambda r: r / (2.0 * rows)
+    rows, generator = matrix.row_sums, matrix.generator
     shape = generator.shape
     wrap = [np.minimum(np.arange(n), n - np.arange(n)) for n in shape]
     mu = np.fft.rfftn(generator[np.ix_(*wrap)]).real

@@ -82,12 +82,8 @@ def _sine_rows(values: np.ndarray, coupling, *extra, keep: RateStack | None = No
         stack[2] = shifted
     if isinstance(coupling, KernelOperator):
         coupling = (coupling,)  # shared: its one-row spectra and row sums broadcast
-    if isinstance(coupling, (tuple, list)):  # stacked: a step loop reuses the buffers
-        applied = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))(stack)
-        row_sums = stacked_row_sums(tuple(coupling))
-    else:  # an operator known by its apply and row sums alone, such as a dense matrix
-        applied = coupling.apply(stack)
-        row_sums = coupling.row_sums
+    applied = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))(stack)
+    row_sums = stacked_row_sums(tuple(coupling))
     if keep is not None:
         keep.rows, keep.applied = stack, applied
     sine = (1.0 - stack[0]) * applied[1] + stack[1] * (applied[0] - row_sums)

@@ -196,7 +196,20 @@ class RelaxationReport:
     rows_below_floor: int
     rate_ok: bool
     satisfied: bool
-    table: list[dict]
+
+    def document(self, records) -> dict:
+        """The report as relaxation_report.json holds it: every field, and a
+        {t, dist_sq, bound} row per record of the run it was made from."""
+        rows = zip(records["t"].tolist(), records["dist_sq"].tolist(),
+                   _relaxation_bound(records, self.certified_rate).tolist())
+        return {**asdict(self), "table": [{"t": t, "dist_sq": d, "bound": b} for t, d, b in rows]}
+
+
+def _relaxation_bound(records, rate: float) -> np.ndarray:
+    """dist_sq(0) exp(-rate t) (1 + RELAXATION_TOL) at each record, by math.exp:
+    numpy's exp differs from it in the last bit for some arguments."""
+    exp = np.fromiter(map(math.exp, -rate * records["t"]), float, len(records))
+    return float(records["dist_sq"][0]) * exp * (1.0 + RELAXATION_TOL)
 
 
 def relaxation_report(records, kappa: float, lam_star: float, grid: Grid,
@@ -209,30 +222,29 @@ def relaxation_report(records, kappa: float, lam_star: float, grid: Grid,
     every record whose bound is at least |domain| (4u)^2, u = spacing(|mean|
     + diameter) of the record: no field within 4 ulps of its mean has a
     larger dist_sq, so below that floor the distance is rounding
-    (``rows_below_floor`` counts those rows).  ``pointwise_margin`` is the
-    smallest bound / dist_sq after t = 0 (1 when every such distance is zero;
-    the t = 0 row's ratio is 1 + RELAXATION_TOL by construction).  The fitted
-    rate must reach the certified one.
+    (``rows_below_floor`` counts those rows; a NaN row is compared, and
+    fails).  ``pointwise_margin`` is the smallest bound / dist_sq of the
+    compared rows after t = 0 (1 when none has dist_sq > 0; the t = 0 row's
+    ratio is 1 + RELAXATION_TOL by construction).  The fitted rate must reach
+    the certified one.
     """
     m0, dist0 = float(records["diameter"][0]), float(records["dist_sq"][0])
     c_m = min_sinc(m0)
     rate = kappa * c_m * lam_star
-    table, ok, margin, below = [], True, math.inf, 0
-    columns = (records[name].tolist() for name in ("t", "dist_sq", "mean", "diameter"))
-    for k, (t, dist_sq, mean, diam) in enumerate(zip(*columns)):
-        bound = dist0 * math.exp(-rate * t) * (1.0 + RELAXATION_TOL)
-        table.append({"t": t, "dist_sq": dist_sq, "bound": bound})
-        if bound < grid.measure * (4.0 * np.spacing(abs(mean) + diam)) ** 2:
-            below += 1
-            continue
-        ok = ok and dist_sq <= bound
-        if k > 0 and dist_sq > 0.0:
-            margin = min(margin, bound / dist_sq)
+    dist_sq = records["dist_sq"]
+    bound = _relaxation_bound(records, rate)
+    floor = grid.measure * (4.0 * np.spacing(np.abs(records["mean"]) + records["diameter"])) ** 2
+    below = bound < floor  # NaN compares False, so a NaN row is compared
+    ok = bool(np.all(dist_sq[~below] <= bound[~below]))
+    later = ~below & (dist_sq > 0.0)
+    later[0] = False
+    with np.errstate(over="ignore"):  # a ratio past the largest double is inf, as in Python
+        margin = float(np.fmin.reduce(bound[later] / dist_sq[later], initial=math.inf))
 
     gamma_hat, residual, rate_ok = 0.0, 0.0, True  # already at the mean: nothing decays
     if dist0 > FIT_FLOOR:
         try:
-            gamma_hat, residual = fit_decay_rate(records["t"], records["dist_sq"])
+            gamma_hat, residual = fit_decay_rate(records["t"], dist_sq)
             rate_ok = gamma_hat >= rate * (1.0 - 1e-9)
         except ParameterError:  # dist_sq fell under the floor before two fitted records
             gamma_hat, residual, rate_ok = None, None, False
@@ -241,8 +253,8 @@ def relaxation_report(records, kappa: float, lam_star: float, grid: Grid,
         initial_diameter=m0, c_m=c_m, lambda_star=lam_star,
         c_p_domain=poincare_domain_constant(grid, s), certified_rate=rate,
         gamma_hat=gamma_hat, fit_residual=residual, pointwise_ok=ok,
-        pointwise_margin=1.0 if math.isinf(margin) else margin, rows_below_floor=below,
-        rate_ok=rate_ok, satisfied=ok and rate_ok, table=table,
+        pointwise_margin=1.0 if math.isinf(margin) else margin,
+        rows_below_floor=int(below.sum()), rate_ok=rate_ok, satisfied=ok and rate_ok,
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ RKC_DAMPING = 2.0 / 13.0
 RKC_TOL = 1e-7
 
 
-def stiffness_bound(coupling: KernelOperator | None, dissipation: KernelOperator | None,
+def stiffness_bound(coupling: KernelOperator, dissipation: KernelOperator,
                     kappa: float, delta: float) -> float:
     """2 kappa max_row(coupling) + 2 delta max_row(dissipation).
 
@@ -50,12 +51,8 @@ def stiffness_bound(coupling: KernelOperator | None, dissipation: KernelOperator
     """
     lam = 0.0
     if kappa > 0.0:
-        if coupling is None:
-            raise ParameterError("kappa > 0 needs a coupling matrix")
         lam += 2.0 * kappa * float(coupling.row_sums.max())
     if delta > 0.0:
-        if dissipation is None:
-            raise ParameterError("delta > 0 needs a dissipation matrix")
         lam += 2.0 * delta * float(dissipation.row_sums.max())
     return lam
 
@@ -181,8 +178,8 @@ class Trajectory:
     ``records`` is the member's column of the run's records, one row per
     record time with the float64 fields :data:`nlkuramoto.diagnostics.RECORD_FIELDS`.
     ``final`` is the read-only evolved (gauge-reduced, for continuum models)
-    field at the last time reached: ``times[-1]`` for a completed run, the last
-    finite state for a blow-up.  The records carry every per-record norm the
+    field at the last time reached: the last record's ``t`` for a completed
+    run, the last finite state for a blow-up.  The records carry every norm the
     checks read, so no check needs the states of the history; a run whose
     output formats name ``snapshots`` writes those as it records them
     (:func:`nlkuramoto.run.simulate_family`).  The cumulative dissipation
@@ -200,7 +197,6 @@ class Trajectory:
 
     config: object
     grid: Grid
-    times: list[float]
     final: np.ndarray
     records: np.ndarray
     gauge_reduced: bool
@@ -217,11 +213,10 @@ RecordFn = Callable[[np.ndarray, float, list[float]], np.ndarray]
 
 
 class Flow(NamedTuple):
-    """Times, the current (R, N) state, the records (a (K, R) array of
-    RECORD_DTYPE: one row per record time, one column per member), the steps
-    taken between records, and the run's counters.  ``final`` is read-only."""
+    """The current (R, N) state, the records (a (K, R) array of RECORD_DTYPE:
+    one row per record time reached, one column per member), the steps taken
+    between records, and the run's counters.  ``final`` is read-only."""
 
-    times: list[float]
     final: np.ndarray
     records: np.ndarray
     step_counts: list[int]
@@ -270,7 +265,7 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     def recorded() -> Flow:
         """The flow at the current state, read-only."""
         values.setflags(write=False)
-        return flow._replace(final=values, records=records[:len(flow.times)])
+        return flow._replace(final=values, records=records[:len(flow.step_counts) + 1])
 
     def blow_up(message, t, row) -> BlowUpError:
         """The error of member ``row`` at the current state, reached at t:
@@ -286,10 +281,9 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
     with np.errstate(over="ignore", invalid="ignore"):
         rate = rate_of(values)
         records[0] = make_record(values, 0.0, diss)
-        flow = Flow([0.0], values, records, [], counters)
+        flow = Flow(values, records, [], counters)
         sq = squares(rate)
-        for t_rec in map(float, times[1:]):  # t = 0 is recorded before the first step
-            t = flow.times[-1]
+        for t, t_rec in pairwise(map(float, times)):  # from the exact last record time
             start = counters.steps
             while t < t_rec:
                 # an adaptive step within 10% of the record time stretches to
@@ -324,7 +318,6 @@ def integrate_flow(theta0: np.ndarray, grid: Grid, rhs: Callable[[np.ndarray], n
                 counters.steps += 1
                 values, rate, sq = new, rate_new, nodes[-1][1]
                 t = t_rec if last else t + h_try if adaptive else counters.steps * dt
-            flow.times.append(t_rec)
             flow.step_counts.append(counters.steps - start)
-            records[len(flow.times) - 1] = make_record(values, t_rec, diss)
+            records[len(flow.step_counts)] = make_record(values, t_rec, diss)
     return recorded()

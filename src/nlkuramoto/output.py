@@ -143,7 +143,7 @@ def _margins(traj: Trajectory) -> dict:
 def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "") -> dict:
     """The manifest of a run: its config and hash, platform, termination, step
     with the scheme it took and the stiffness bound rho beside it, counters
-    (``records`` counts the record times) and invariant margins, all read
+    (``records`` counts the records) and invariant margins, all read
     from the trajectory."""
     manifest = {
         "config": asdict(traj.config),
@@ -156,7 +156,7 @@ def build_manifest(traj: Trajectory, wall_clock_s: float = 0.0, notes: str = "")
         "scheme": traj.scheme,
         "stiffness_bound": traj.stiffness,
         "wall_clock_s": wall_clock_s,
-        "counters": {**asdict(traj.counters), "records": len(traj.times)},
+        "counters": {**asdict(traj.counters), "records": len(traj.records)},
         "margins": _margins(traj),
     }
     if notes:

@@ -51,11 +51,11 @@ class Operators(NamedTuple):
 
 # The least peak RSS a run added, over simulate, sweep-delta, relax, verify and
 # poincare (Linux x86-64, numpy 2.4): 380-530 B per node (1d 16,384 -> 65,536,
-# 2d 128^2 -> 256^2); per record and member, 150 B (sweep-delta, 3 members),
-# 190-210 B (simulate), 570 B (verify) and 700 B (relax, its report's table),
+# 2d 128^2 -> 256^2); per record and member, 131-134 B (sweep-delta, 3 members),
+# 153-161 B (simulate), 243 B (verify) and 445-458 B (relax, its report's table),
 # from 20k to 100k and 100k to 300k records at 16 nodes
 NODE_BYTES = 380
-RECORD_BYTES = 150
+RECORD_BYTES = 130
 
 
 def _refuse_beyond_memory(size: float, keys: str) -> None:
@@ -318,7 +318,7 @@ def simulate_family(configs: list[SimConfig],
 
     def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
-            config=configs[j], grid=grid, times=list(flow.times), final=flow.final[j],
+            config=configs[j], grid=grid, final=flow.final[j],
             records=flow.records[:, j], gauge_reduced=gauge, dt=dt, scheme=step.scheme,
             adaptive=step.adaptive, stiffness=step.bounds[j], step_counts=list(flow.step_counts),
             counters=flow.counters, status=status)

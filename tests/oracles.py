@@ -3,8 +3,10 @@
 Everything here is written as plain double loops (or an explicit N x N
 difference table for the slow-but-vectorized cases) on top of the math
 module, deliberately avoiding the mat-vec identities the package uses, so a
-match is evidence and not a tautology.  The exception is the last section:
-the record formulas one field at a time, which the records must match bitwise.
+match is evidence and not a tautology.  The exceptions are the last two
+sections: the record formulas one field at a time, which the records must
+match bitwise, and the relaxation check one record at a time, which the
+relaxation report's column expressions must match bitwise.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import math
 
 import numpy as np
 
-from nlkuramoto import build_grid
 from nlkuramoto.diagnostics import _dual_bound, _kinetic_from_seminorm
 from nlkuramoto.dynamics import _field, _versine
 from nlkuramoto.errors import ParameterError
+from nlkuramoto.experiments import RELAXATION_TOL
 from nlkuramoto.grid import Grid
 from nlkuramoto.kernel import KernelOperator
 
@@ -43,26 +45,6 @@ def kernel_matrix_loop(grid, s, eps=None, weight=None) -> np.ndarray:
                 continue
             out[i, j] = kernel_value(dist(pts[i], pts[j]), grid.dim, s, eps) * weight
     return out
-
-
-class DenseOperator:
-    """The kernel-operator interface (apply, row_sums) over an
-    explicit symmetric matrix, for synthetic weights the lattice has no
-    generator for.
-
-    Without a grid, the matrix lives on a 1d grid of unit cell weight.
-    """
-
-    is_singular = True
-
-    def __init__(self, weights, grid=None):
-        self.weights = np.asarray(weights, dtype=float)
-        nn = self.weights.shape[0]
-        self.grid = build_grid(1, nn, [(0.0, float(nn))]) if grid is None else grid
-        self.row_sums = self.weights.sum(axis=1)
-
-    def apply(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.weights  # symmetric: x W = (W x^T)^T
 
 
 def rhs_singular_loop(grid, theta, s, kappa) -> np.ndarray:
@@ -313,3 +295,25 @@ def dual_bound_value(theta, coupling, dissipation, kappa: float, delta: float,
         raise ParameterError(f"diameter bound must be below pi, got {m}")
     sin2 = sin2_seminorm(theta, coupling) if kappa != 0.0 else 0.0
     return _dual_bound(sin2, seminorm_sq(theta, dissipation), kappa, delta)
+
+
+# The relaxation check one record at a time, in Python floats: the relaxation
+# report's column expressions must match it bitwise.
+
+def relaxation_rows(records, rate: float, measure: float):
+    """The pointwise relaxation check of ``records`` at the certified ``rate``
+    on a domain of ``measure``: the {t, dist_sq, bound} rows, pointwise_ok,
+    pointwise_margin and rows_below_floor."""
+    dist0 = float(records["dist_sq"][0])
+    table, ok, margin, below = [], True, math.inf, 0
+    columns = (records[name].tolist() for name in ("t", "dist_sq", "mean", "diameter"))
+    for k, (t, dist_sq, mean, diam) in enumerate(zip(*columns)):
+        bound = dist0 * math.exp(-rate * t) * (1.0 + RELAXATION_TOL)
+        table.append({"t": t, "dist_sq": dist_sq, "bound": bound})
+        if bound < measure * (4.0 * np.spacing(abs(mean) + diam)) ** 2:
+            below += 1
+            continue
+        ok = ok and dist_sq <= bound
+        if k > 0 and dist_sq > 0.0:
+            margin = min(margin, bound / dist_sq)
+    return table, ok, 1.0 if math.isinf(margin) else margin, below

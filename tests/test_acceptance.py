@@ -209,7 +209,7 @@ def test_criterion_6_exponential_relaxation(relaxation_runs):
             w12 = oracles.kernel_value(0.5, 1, 0.5) * traj2.grid.weight
             worst_rel = 0.0
             (snapshots,) = states.of()
-            for t, snap in zip(traj2.times[1:], snapshots[1:], strict=True):
+            for t, snap in zip(traj2.records["t"][1:].tolist(), snapshots[1:], strict=True):
                 exact = oracles.two_oscillator_gap(-HALF_PI, 2.0 * w12, t)
                 sim = snap[0] - snap[1]
                 worst_rel = max(worst_rel, abs(sim - exact) / abs(exact))

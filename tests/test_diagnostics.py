@@ -24,15 +24,6 @@ def random_field(grid, scale, seed):
     return np.random.default_rng(seed).uniform(-scale, scale, grid.node_count)
 
 
-def synthetic_matrix(weights, w=1.0):
-    """Operator over explicit weights.
-
-    The grid spans [0, n*w] so its quadrature weight is exactly w.
-    """
-    n = weights.shape[0]
-    return oracles.DenseOperator(weights, build_grid(1, n, [(0.0, n * w)]))
-
-
 def test_diameter_examples():
     assert diameter(np.full(5, 3.3)) == 0.0
     assert diameter(np.array([0.0, math.pi / 2, -math.pi / 4])) == pytest.approx(
@@ -46,7 +37,9 @@ def test_diameter_examples():
 
 
 def test_energy_potential_two_antipodal_nodes():
-    m = synthetic_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), w=1.0)
+    # unit spacing and cell weight: the one off-diagonal weight is 1 ** -(1 + 2s) = 1
+    m = assemble_kernel_matrix(build_grid(1, 2, [(0.0, 2.0)]), 0.5)
+    assert m.grid.weight == m.generator[1] == 1.0
     value = energy_potential(np.array([0.0, math.pi]), m, kappa=1.0)
     assert value == pytest.approx(2.0, rel=1e-14)
 
@@ -232,8 +225,10 @@ def test_missing_sin2_value_fails_its_bound_row():
 
 
 def test_poincare_two_nodes_closed_form():
-    w12 = 1.7
-    m = synthetic_matrix(np.array([[0.0, w12], [w12, 0.0]]), w=0.25)
+    # B = 2 [[w12, -w12], [-w12, w12]] has the one nonzero eigenvalue 4 w12
+    m = assemble_kernel_matrix(build_grid(1, 2, [(0.0, 0.5)]), 0.7)
+    w12 = float(m.generator[1])
+    assert m.grid.weight == 0.25 and w12 > 1.0
     assert poincare_sharp_discrete(m) == pytest.approx(4.0 * w12, rel=1e-12)
 
 
@@ -268,7 +263,11 @@ def test_poincare_matches_dense_oracle_everywhere(shape, s, width, ratio):
 
 def test_poincare_scaling_covariance(grid16, singular16):
     lam = poincare_sharp_discrete(singular16)
-    scaled = oracles.DenseOperator(3.0 * oracles.kernel_matrix_loop(grid16, 0.5), grid16)
+    scaled = replace(singular16, generator=3.0 * singular16.generator,
+                     spectrum=3.0 * singular16.spectrum, row_sums=3.0 * singular16.row_sums)
+    assert np.allclose(scaled.apply(np.eye(16)),
+                       3.0 * oracles.kernel_matrix_loop(grid16, 0.5), rtol=1e-13,
+                       atol=1e-13 * scaled.row_sums.max())
     assert poincare_sharp_discrete(scaled) == pytest.approx(3.0 * lam, rel=1e-10)
 
 
@@ -408,7 +407,7 @@ def test_record_norms_of_a_blow_up_partial_equal_the_snapshot_passes(monkeypatch
         simulate_family(configs)
     (flow,) = flows
     partial = err.value.trajectory
-    assert partial.status == "blow-up" and len(partial.records) == len(flow.times) > 2
+    assert partial.status == "blow-up" and len(partial.records) == len(flow.step_counts) + 1 > 2
     _assert_norms_match_the_snapshot_passes(flow.records.T, states.of(), partial.grid.weight)
     assert max(truncation_functionals(partial)) > 0.0
     assert np.all(np.isfinite(flow.final)) and partial.final is not None

@@ -110,28 +110,28 @@ def test_rhs_regularized_reduces_to_singular(grid16, singular16):
 def test_rhs_lattice_zero_coupling_returns_frequency():
     theta = np.array([0.1, 0.2, 0.3])
     nu = np.array([1.0, -2.0, 0.5])
-    rate = rhs_lattice(theta, oracles.DenseOperator(np.zeros((3, 3))), kappa=0.0, nu=nu)
+    kernel = assemble_kernel_matrix(build_grid(1, 3, [(0.0, 3.0)]), 0.5)
+    rate = rhs_lattice(theta, kernel, kappa=0.0, nu=nu)
     assert np.array_equal(rate, nu)
 
 
 def test_rhs_lattice_two_nodes():
-    # uniform weights, kappa / node_count = 1
-    weights = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rate = rhs_lattice(np.array([0.0, np.pi / 2.0]), oracles.DenseOperator(weights),
-                       kappa=2.0, nu=0.0)
+    # unit spacing: the raw kernel's one off-diagonal weight is 1 ** -(1 + 2s) = 1,
+    # and kappa / node_count = 1
+    kernel = assemble_kernel_matrix(build_grid(1, 2, [(0.0, 2.0)]), 0.5)
+    assert kernel.generator[1] / kernel.grid.weight == 1.0
+    rate = rhs_lattice(np.array([0.0, np.pi / 2.0]), kernel, kappa=2.0, nu=0.0)
     assert rate == pytest.approx([1.0, -1.0], rel=1e-15)
 
 
 def test_rhs_lattice_matches_oracle():
     rng = np.random.default_rng(9)
-    n = 8
-    theta = rng.uniform(-2, 2, n)
-    raw = rng.uniform(0, 1, (n, n))
-    weights = 0.5 * (raw + raw.T)
-    np.fill_diagonal(weights, 0.0)
-    nu = rng.uniform(-1, 1, n)
-    rate = rhs_lattice(theta, oracles.DenseOperator(weights), kappa=0.7, nu=nu)
-    expect = oracles.rhs_lattice_loop(theta, weights, 0.7, nu)
+    g = build_grid(1, 8, [(0.0, 1.0)])
+    theta = rng.uniform(-2, 2, g.node_count)
+    nu = rng.uniform(-1, 1, g.node_count)
+    rate = rhs_lattice(theta, assemble_kernel_matrix(g, 0.3), kappa=0.7, nu=nu)
+    expect = oracles.rhs_lattice_loop(theta, oracles.kernel_matrix_loop(g, 0.3, weight=1.0),
+                                      0.7, nu)
     assert rel_close(rate, expect, rtol=1e-13)
 
 
@@ -143,7 +143,7 @@ def test_rhs_lattice_couples_through_the_raw_kernel():
     raw = oracles.kernel_matrix_loop(g, 0.4, weight=1.0)
     assert rel_close(rate, oracles.rhs_lattice_loop(theta, raw, 0.9, 0.3), rtol=1e-13)
     with pytest.raises(GridMismatchError):
-        rhs_lattice(np.zeros(24), oracles.DenseOperator(raw), kappa=1.0, nu=0.0)
+        rhs_lattice(np.zeros(24), assemble_kernel_matrix(g, 0.4), kappa=1.0, nu=0.0)
 
 
 def test_rates_of_a_family_are_its_members_rates(grid16, singular16):

@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
@@ -168,7 +170,7 @@ def test_batched_sweep_rungs_equal_lone_runs(monkeypatch, parameter, dim, n):
     (trajs,) = families
     family = states.of(0)
     for j, (rung, traj, alone) in enumerate(zip(sweep.rungs, trajs, alones, strict=True)):
-        assert traj.times == alone.times and len(alone.records) > 2
+        assert traj.records["t"].tolist() == alone.records["t"].tolist() and len(alone.records) > 2
         assert _bits(rung.records) == _bits(traj.records) == _bits(alone.records)
         assert family[j].tobytes() == states.of(j + 1)[0].tobytes()
 
@@ -189,12 +191,13 @@ def test_sweep_blow_up_names_the_unstable_rung(tmp_path):
     assert 1 < len(partial.records) == partial.counters.steps // 10 + 1
     for rung_dir in ("rung_0", "rung_1"):
         files = sorted((tmp_path / rung_dir).glob("snapshot_*.bin"))
-        assert [read_snapshot(f)[2] for f in files] == partial.times
-    assert partial.times[-1] <= err.value.t < 60.0
+        assert [read_snapshot(f)[2] for f in files] == partial.records["t"].tolist()
+    assert partial.records["t"][-1] <= err.value.t < 60.0
     # every rung's partial trajectory rides along, up to the same last record
     rungs = err.value.trajectories
     assert rungs[0] is partial and [r.config.physics.delta for r in rungs] == [0.4, 0.1]
-    assert rungs[1].status == "blow-up" and rungs[1].times == partial.times
+    assert rungs[1].status == "blow-up"
+    assert rungs[1].records["t"].tolist() == partial.records["t"].tolist()
 
 
 @pytest.mark.parametrize("parameter", ["epsilon", "delta"])
@@ -312,7 +315,7 @@ def test_relaxation_two_oscillators_match_closed_form():
     a = 2.0 * w12  # gap rate: gap' = -2 kappa W12 sin(gap), kappa = 1
     gap0 = -math.pi / 2
     (snapshots,) = states.of()
-    for t, snap in zip(traj.times[1:], snapshots[1:], strict=True):
+    for t, snap in zip(traj.records["t"][1:].tolist(), snapshots[1:], strict=True):
         sim_gap = snap[0] - snap[1]
         exact = oracles.two_oscillator_gap(gap0, a, t)
         assert abs(sim_gap - exact) <= 1e-6 * abs(exact)
@@ -331,18 +334,23 @@ def test_relaxation_hypothesis_violations_fail_fast():
 
 
 def test_relaxation_report_fields():
-    report, _ = relaxation_experiment(make_config(n=32, kind="smooth",
-                                                  diameter=math.pi / 2, horizon=1.0,
-                                                  stride=8))
+    report, traj = relaxation_experiment(make_config(n=32, kind="smooth",
+                                                     diameter=math.pi / 2, horizon=1.0,
+                                                     stride=8))
     assert report.initial_diameter == pytest.approx(math.pi / 2, rel=1e-12)
     assert report.c_m == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert report.certified_rate == pytest.approx(report.c_m * report.lambda_star, rel=1e-12)
     assert 1.0 / report.lambda_star <= report.c_p_domain
     assert report.gamma_hat >= report.certified_rate
     assert report.pointwise_ok and report.rate_ok and report.satisfied
-    data = asdict(report)
+    data = report.document(traj.records)
     assert data["satisfied"] is True
-    assert len(data["table"]) == len([r for r in data["table"]])
+    assert {key: value for key, value in data.items() if key != "table"} == asdict(report)
+    # one table row per record, its t and dist_sq bitwise the record columns
+    assert len(data["table"]) == len(traj.records) > 2
+    for name in ("t", "dist_sq"):
+        column = np.array([row[name] for row in data["table"]])
+        assert column.tobytes() == np.ascontiguousarray(traj.records[name]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +522,8 @@ def _pointwise(rows):
         for name, value in row.items():
             records[name][k] = value
     report = relaxation_report(records, 1.0, 1.0, build_grid(1, 2, [(0.0, 1.0)]), 0.5)
-    return report.table, report.pointwise_ok, report.pointwise_margin, report.rows_below_floor
+    return (report.document(records)["table"], report.pointwise_ok, report.pointwise_margin,
+            report.rows_below_floor)
 
 
 def test_pointwise_relaxation_compares_only_rows_above_the_rounding_floor():
@@ -539,6 +548,44 @@ def test_pointwise_margin_leaves_out_the_t0_row():
     assert ok and below == 0
     assert table[0]["bound"] / table[0]["dist_sq"] == pytest.approx(1.01, rel=1e-15)
     assert margin == table[1]["bound"] / 0.001 > 40.0
+
+
+_RELAX_ROW = st.tuples(
+    st.floats(0.1, 50.0),  # the step from the previous record time
+    st.one_of(st.just(0.0), st.just(math.nan), st.floats(0.0, 1e3),
+              st.floats(1e-320, 1e-30)),  # dist_sq, subnormal too
+    st.one_of(st.just(0.0), st.just(math.nan), st.floats(-10.0, 10.0)),  # mean
+    st.floats(0.0, 3.0))  # diameter
+
+
+# a later row below the rounding floor, so only the t = 0 row is compared;
+# zero distances; a NaN dist_sq, then a NaN mean
+@example(rows=[(0.0, 0.1, 0.0, 1.0), (1000.0, 1e-62, 1e-15, 1e-30)], kappa=1.0, lam=1.0,
+         measure=1.0)
+@example(rows=[(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)], kappa=1.0, lam=1.0, measure=1.0)
+@example(rows=[(0.0, 0.1, 0.0, 1.0), (1.0, math.nan, 0.0, 0.5), (1.0, 1e-3, math.nan, 0.5)],
+         kappa=1.0, lam=1.0, measure=2.0)
+@example(rows=[(0.0, 0.1, 0.0, 1.0), (1.0, math.nan, math.nan, 0.5)], kappa=1.0, lam=1.0,
+         measure=1.0)
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_RELAX_ROW, min_size=1, max_size=12), kappa=st.floats(0.0, 50.0),
+       lam=st.floats(0.1, 200.0), measure=st.floats(0.1, 10.0))
+def test_relaxation_report_equals_the_per_record_reference(rows, kappa, lam, measure):
+    # the column expressions against the check one record at a time, bitwise
+    records = np.zeros(len(rows), RECORD_DTYPE)
+    records["t"] = np.cumsum([0.0, *(row[0] for row in rows[1:])])
+    for k, name in enumerate(("dist_sq", "mean", "diameter"), start=1):
+        records[name] = [row[k] for row in rows]
+    report = relaxation_report(records, kappa, lam, build_grid(1, 2, [(0.0, measure)]), 0.5)
+    table, ok, margin, below = oracles.relaxation_rows(records, report.certified_rate, measure)
+    assert (report.pointwise_ok, report.rows_below_floor) == (ok, below)
+    assert np.float64(report.pointwise_margin).tobytes() == np.float64(margin).tobytes()
+    rendered = report.document(records)["table"]
+    assert [list(row) for row in rendered] == [["t", "dist_sq", "bound"]] * len(rows)
+    assert (np.array([list(row.values()) for row in rendered]).tobytes()
+            == np.array([list(row.values()) for row in table]).tobytes())
+    if np.any(np.isnan(records["dist_sq"]) & np.isnan(records["mean"])):
+        assert not report.pointwise_ok  # a NaN floor compares the row, and NaN fails
 
 
 @pytest.mark.parametrize("horizon,steps", [(1.0, 214), (0.25, 54)])

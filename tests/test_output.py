@@ -136,7 +136,7 @@ def test_write_run_outputs(tmp_path):
     assert paths["csv"].exists()
     assert paths["manifest"].exists()
     snaps = sorted(paths["snapshots"].glob("snapshot_*.bin"))
-    assert len(snaps) == len(traj.times)
+    assert len(snaps) == len(traj.records)
 
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["config_hash"] == cfg.content_hash()
@@ -174,7 +174,7 @@ def test_write_run_outputs(tmp_path):
 
     # snapshots store the physical field: gauge shift and drift reapplied
     _, _, t_last, values = read_snapshot(snaps[-1])
-    assert t_last == traj.times[-1]
+    assert t_last == traj.records["t"][-1]
     theta_bar = mean_phase(initial_field("smooth", traj.grid, diameter=1.0), traj.grid)
     assert np.array_equal(values, states.of()[0, -1] + theta_bar + 0.5 * t_last)
 
@@ -286,7 +286,7 @@ def test_sweep_outputs(tmp_path):
         manifest = json.loads((rung_dir / "manifest.json").read_text())
         # the rungs step as one batched system and share its counters
         assert manifest["counters"] == {**asdict(sweep.rungs[0].counters),
-                                        "records": len(rung.times)}
+                                        "records": len(rung.records)}
         assert manifest["n_steps"] == manifest["counters"]["steps"] == round(0.2 / rung.dt)
         assert manifest["counters"]["records"] == len(rung.records)
         assert set(manifest["margins"]) == {"max_abs_mean", "worst_diameter_slope",
@@ -320,6 +320,6 @@ def test_sweep_rungs_write_what_their_lone_runs_write(tmp_path):
         alone = paths[f"rung_{j}"]
         names = sorted(path.name for path in swept.iterdir())
         assert names == sorted(path.name for path in alone.iterdir())
-        assert sum(name.startswith("snapshot_") for name in names) == len(rung.times) > 2
+        assert sum(name.startswith("snapshot_") for name in names) == len(rung.records) > 2
         for name in names:
             assert (swept / name).read_bytes() == (alone / name).read_bytes()
