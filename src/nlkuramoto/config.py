@@ -134,7 +134,8 @@ def _validate(cfg: SimConfig) -> list[str]:
                 for part in fields(cfg) for key, value in vars(getattr(cfg, part.name)).items()
                 if isinstance(value, float) and not math.isfinite(value)]
     g, p, i = cfg.grid, cfg.physics, cfg.initial
-    problems.extend(grid_problems(g.dimension, g.nodes, g.extents))
+    s = p.s if 0.0 < p.s < 1.0 else None  # the kernel's range needs a valid s
+    problems.extend(grid_problems(g.dimension, g.nodes, g.extents, s))
 
     if p.model not in MODELS:
         problems.append(f"physics.model: must be one of {MODELS}, got {p.model!r}")

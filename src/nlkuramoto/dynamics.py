@@ -12,8 +12,8 @@ a = 1 - cos u = 2 sin^2(u / 2) and W cos u = r - W a (r the row sums) as
 to the stacked (1 - cos, sin) rows, O(N log N) with the Toeplitz/BTTB kernel
 operator, instead of an N^2 table of sine evaluations; a dissipative rate
 stacks the shifted field under them, so every rate costs one transform pair.
-A caller can keep that stack and its applies (:class:`RateStack`): a
-diagnostics record at the same state reads its potential energy, and its
+A run keeps its transforms, that stack and its applies on a :class:`RateStack`:
+a diagnostics record at the same state reads its potential energy, and its
 singular seminorm when the rate dissipates, from them.  Every apply is real,
 and every form is taken about a base angle, so a constant field gives
 exactly zero rates and energies.  Fields are plain float arrays, checked
@@ -25,12 +25,13 @@ when given one per row; every other function takes one field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .grid import Grid
-from .kernel import KernelOperator, stacked_apply, stacked_row_sums
+from .kernel import KernelOperator, stacked_apply
 
 
 def _field(theta, grid: Grid, family: bool = False) -> np.ndarray:
@@ -45,15 +46,18 @@ def _field(theta, grid: Grid, family: bool = False) -> np.ndarray:
 
 @dataclass
 class RateStack:
-    """The rows a rate evaluation transformed and their applies, kept for a
-    caller that needs them at the same state.
-
-    ``rows`` holds (1 - cos u, sin u) of the shifted (R, N) family u, with u
-    under them when the rate dissipates; ``applied`` holds the coupling's
-    applies of the first two rows and the dissipation's of the third.  Both
-    have shape (2 or 3, R, N).
+    """A run's rate transforms and its last evaluation's rows, built on its
+    first evaluation and again only for other ``operators`` (the couplings
+    and the extra operators): ``apply``, their stacked apply, and the
+    couplings' ``row_sums``.  ``rows`` holds (1 - cos u, sin u) of the
+    shifted (R, N) family u, with u under them when the rate dissipates;
+    ``applied`` holds the coupling's applies of the first two rows and the
+    dissipation's of the third.  Both have shape (2 or 3, R, N).
     """
 
+    operators: tuple | None = None
+    apply: Callable[[np.ndarray], np.ndarray] | None = None
+    row_sums: np.ndarray | None = None
     rows: np.ndarray | None = None
     applied: np.ndarray | None = None
 
@@ -71,7 +75,7 @@ def _sine_rows(values: np.ndarray, coupling, *extra, keep: RateStack | None = No
 
     ``coupling`` is one operator shared by every row, or one per row.
     Returns the shifted (R, N) rows, their sine coupling and the extra
-    applies; fills ``keep`` with the stack and its applies if given.
+    applies; ``keep``, else a new :class:`RateStack`, keeps the transforms.
     """
     rows = values.reshape(-1, values.shape[-1])
     shifted = rows - rows[:, :1]
@@ -82,12 +86,14 @@ def _sine_rows(values: np.ndarray, coupling, *extra, keep: RateStack | None = No
         stack[2] = shifted
     if isinstance(coupling, KernelOperator):
         coupling = (coupling,)  # shared: its one-row spectra and row sums broadcast
-    applied = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))(stack)
-    row_sums = stacked_row_sums(tuple(coupling))
-    if keep is not None:
-        keep.rows, keep.applied = stack, applied
-    sine = (1.0 - stack[0]) * applied[1] + stack[1] * (applied[0] - row_sums)
-    return shifted, sine, applied[2:]
+    keep = keep or RateStack()
+    if keep.operators != (tuple(coupling), extra):  # operators compare by identity
+        keep.operators = (tuple(coupling), extra)
+        keep.apply = stacked_apply(tuple(zip(*[(c, c, *extra) for c in coupling])))
+        keep.row_sums = np.array([c.row_sums for c in coupling])
+    keep.rows, keep.applied = stack, keep.apply(stack)
+    sine = (1.0 - stack[0]) * keep.applied[1] + stack[1] * (keep.applied[0] - keep.row_sums)
+    return shifted, sine, keep.applied[2:]
 
 
 def rhs_singular(theta, coupling: KernelOperator, kappa: float, *,

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError
 
 SUPPORTED_DIMENSIONS = (1, 2)
+_LOG10_MIN, _LOG10_MAX = np.log10(np.finfo(float).tiny), np.log10(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +53,12 @@ def grids_match(a: Grid, b: Grid) -> bool:
     return a is b or (a.dim == b.dim and a.n == b.n and a.extents == b.extents)
 
 
-def grid_problems(dim: int, n: int, extents) -> list[str]:
-    """A grid's violations, one message each, named by the config keys."""
+def grid_problems(dim: int, n: int, extents, s: float | None = None) -> list[str]:
+    """A grid's violations, one message each, named by the config keys.  Given
+    the kernel exponent ``s``, they include singular kernel weights
+    ``w r**-(d+2s)``, their factors, or squared node distances ``r**2`` beyond
+    the normal double range at the nearest r (the least spacing) or the
+    farthest (at most the box's diameter), where they overflow or vanish."""
     problems = []
     if dim not in SUPPORTED_DIMENSIONS:
         problems.append(f"grid.dimension: must be 1 or 2, got {dim}")
@@ -65,6 +70,16 @@ def grid_problems(dim: int, n: int, extents) -> list[str]:
     for k, (a, b) in enumerate(extents):
         if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
             problems.append(f"grid.extent{'' if k == 0 else k + 1}: degenerate interval ({a}, {b})")
+    if s is not None and not problems:
+        widths = [b - a for a, b in extents]
+        log_h = [math.log10(width) - math.log10(n) for width in widths]
+        log_w, p = sum(log_h), dim + 2.0 * s
+        logs = [log_w, *(v for r in (min(log_h), math.log10(math.hypot(*widths)))
+                         for v in (2.0 * r, -p * r, log_w - p * r))]
+        if not _LOG10_MIN <= min(logs) <= max(logs) <= _LOG10_MAX:
+            keys = "grid.extent" if dim == 1 else "grid.extent, grid.extent2"
+            problems.append(f"{keys}: the kernel weights and squared node distances span "
+                            f"1e{min(logs):.0f} to 1e{max(logs):.0f}, beyond the double range")
     return problems
 
 

@@ -12,14 +12,14 @@ with Toeplitz blocks (BTTB) in 2d.  An operator keeps the generator (the
 entry at each nonnegative offset) and the real spectrum of its even circulant
 embedding, twice as long on each axis; an apply zero-pads, multiplies in
 Fourier space with real transforms and truncates, in O(N log N) time and
-O(N) memory, and :func:`stacked_apply` applies one operator per row of a
-stack (or of a family of stacks) in one transform pair.
+O(N) memory, and :func:`stacked_apply` builds, for the caller that keeps
+it, an apply of one operator per row of a stack (or of a family of stacks)
+in one transform pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -109,14 +109,13 @@ def _spectral_apply(grid: Grid, spectrum: np.ndarray, x, work=None) -> np.ndarra
     return out[..., :n].copy().reshape(*lead, n ** d)
 
 
-@lru_cache(maxsize=8)
 def stacked_apply(operators: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (operators[k] x[k])_k on a (k, N) stack by one transform pair, bitwise
     equal to each operator's :meth:`apply`; nested tuples match more leading axes,
     and a one-operator tuple applies its operator to every row.
-    Memoized on the (immutable) operators, so the read-only spectra stack once,
-    and the transform buffers of each stack shape are allocated on its first
-    apply and reused by every later one."""
+    The read-only spectra stack once, here; the transform buffers of each stack
+    shape are allocated on the returned apply's first call and reused by its
+    later ones, so one apply serves one caller (one thread) at a time."""
     layout = np.array(operators, dtype=object)
     grid = layout.flat[0].grid
     if not all(grids_match(op.grid, grid) for op in layout.flat):
@@ -135,15 +134,6 @@ def stacked_apply(operators: tuple) -> Callable[[np.ndarray], np.ndarray]:
         return _spectral_apply(grid, spectra, x, workspaces[x.shape])
 
     return apply
-
-
-@lru_cache(maxsize=8)
-def stacked_row_sums(operators: tuple) -> np.ndarray:
-    """(operators[k].row_sums)_k as one read-only (k, N) array, memoized like
-    :func:`stacked_apply`, so a family's row sums stack once per run."""
-    rows = np.array([op.row_sums for op in operators])
-    rows.setflags(write=False)
-    return rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ from .grid import Grid, build_grid, grids_match
 from .initial import initial_field
 from .integrate import (AUTO, RK4, RKC, Trajectory, auto_step, integrate_flow, rkc_stage_count,
                         stiffness_bound)
-from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply, stacked_row_sums
+from .kernel import KernelOperator, assemble_kernel_matrix, stacked_apply
 from .output import snapshot_directories, write_snapshot
 
 
@@ -249,7 +249,7 @@ def simulate_family(configs: list[SimConfig],
         directories = snapshot_directories(configs, len(step.times), grid.node_count)
     written = count()  # the index of the next snapshot file
 
-    # the last rate evaluation's stack: integrate_flow records a state right after one
+    # the rate's transforms and last stack; integrate_flow records right after an evaluation
     kept = RateStack()
     dissipating = model != "lattice" and deltas.max() > 0.0  # the rate then transforms u
     if model == "lattice":
@@ -265,7 +265,6 @@ def simulate_family(configs: list[SimConfig],
     bounded_diameter = diameter(theta0) < math.pi
     top, bottom = work.max(), work.min()  # every member's t = 0 extremes
     w = grid.weight
-    row_sums = stacked_row_sums(couplings)
     own = () if dissipating else (dissipation,)  # the records transform u when the rate did not
     record_apply = stacked_apply(tuple(zip(*[(c, c, *own) for c in couplings])))
 
@@ -273,7 +272,7 @@ def simulate_family(configs: list[SimConfig],
         """Each member's factor * w * sum_{ij} W_ij (1 - cos(angle_i - angle_j)), clipped at
         0 as max(0.0, x) is: 2 a.r - a.Wa - s.Ws, (a, s) = (1 - cos, sin) of its angles."""
         (a, s), (wa, ws) = rows[:2], applies[:2]
-        total = 2.0 * np.vecdot(a, row_sums) - np.vecdot(a, wa) - np.vecdot(s, ws)
+        total = 2.0 * np.vecdot(a, kept.row_sums) - np.vecdot(a, wa) - np.vecdot(s, ws)
         value = factor * w * total
         return np.where(value > 0.0, value, 0.0)
 

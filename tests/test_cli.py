@@ -119,6 +119,36 @@ def test_each_refusal_exits_2_with_its_message(tmp_path, capsys, flags, problem)
     assert not (tmp_path / "run_out").exists()
 
 
+@pytest.mark.parametrize("command,extent", [
+    ("poincare", "0 1e300"), ("poincare", "0 1e160"), ("verify", "0 1e300"),
+    ("simulate", "0 1e-300"), ("poincare", "0 1e-170"),
+], ids=["poincare-1e300", "poincare-1e160", "verify-1e300", "simulate-1e-300",
+        "poincare-1e-170"])
+def test_a_grid_beyond_the_double_range_exits_2(tmp_path, capsys, command, extent):
+    # before the refusal: a ZeroDivisionError or SingularityError traceback
+    # (exit 1), or a verify whose every check passed on all-zero kernel weights
+    assert main([command, str(CONFIGS / "relaxation_quarter_circle.cfg"), "--nodes", "8",
+                 "--set", f"grid.extent={extent}",
+                 "--set", f"output.directory={tmp_path / 'run_out'}"]) == 2
+    problems = capsys.readouterr().err.splitlines()
+    assert problems[0] == "configuration error:" and len(problems) == 2
+    assert problems[1].startswith("  grid.extent: the kernel weights and squared node "
+                                  "distances span 1e")
+    assert problems[1].endswith(", beyond the double range")
+    assert not (tmp_path / "run_out").exists()
+
+
+def test_a_grid_beyond_the_double_range_is_listed_with_the_other_problems(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["simulate", str(cfg), "--set", "grid.extent=0 1e300",
+                 "--set", "physics.kappa=-1"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error:\n"
+        "  grid.extent: the kernel weights and squared node distances span 1e-600 to "
+        "1e600, beyond the double range\n"
+        "  physics.kappa: must be nonnegative, got -1.0\n")
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +161,26 @@ def test_rates_of_a_family_are_its_members_rates(grid16, singular16):
         assert rate.tobytes() == rhs_singular(row, singular16, 0.7).tobytes()
     for rate, row in zip(rhs_lattice(family, singular16, 0.7, 0.2), family, strict=True):
         assert rate.tobytes() == rhs_lattice(row, singular16, 0.7, 0.2).tobytes()
+
+
+def test_rate_evaluations_in_two_threads_equal_the_serial_ones():
+    # each call builds its own transforms and workspace, so two threads
+    # evaluating on one operator at once cannot write into each other's buffers
+    grid = build_grid(2, 64, [(0.0, 1.0)])
+    op = assemble_kernel_matrix(grid, 0.5)
+    fields = [random_field(grid, 1.0, seed=seed) for seed in (1, 2)]
+    serial = [rhs_singular(field, op, 1.0).tobytes() for field in fields]
+
+    def wrong_results(j):
+        return sum(rhs_singular(fields[j], op, 1.0).tobytes() != serial[j] for _ in range(200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the transforms' pairs too
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(wrong_results, (0, 1), timeout=120)) == [0, 0]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bilinear_form_constant_argument(grid16, singular16):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkuramoto import (ConfigurationError, GridConfig, ParameterError, SimConfig, build_grid,
-                        poincare_domain_constant)
+from nlkuramoto import (ConfigurationError, GridConfig, ParameterError, SimConfig,
+                        assemble_kernel_matrix, build_grid, poincare_domain_constant)
 
 
 def test_1d_midpoints():
@@ -78,6 +78,23 @@ def test_build_grid_refuses_what_config_refuses_in_its_words(dim, n, extents):
     with pytest.raises(ConfigurationError) as err:
         build_grid(dim, n, extents)
     assert len(problems) == 1 and err.value.problems == problems
+
+
+@pytest.mark.parametrize("dim,length,refused", [
+    (1, 1e153, False), (1, 1e160, True), (1, 1e-150, False), (1, 1e-170, True),
+    (2, 1e102, False), (2, 1e160, True), (2, 1e-100, False), (2, 1e-150, True),
+])
+def test_config_refuses_kernel_weights_beyond_the_double_range(dim, length, refused):
+    # a refused grid's weights or squared distances overflow or vanish; an
+    # accepted one assembles finite, normal weights
+    extents = ((0.0, length),) * dim
+    problems = SimConfig(grid=GridConfig(dimension=dim, nodes=8, extents=extents)).problems()
+    keys = "grid.extent" if dim == 1 else "grid.extent, grid.extent2"
+    assert [p.partition(": the kernel weights")[0] for p in problems] == ([keys] if refused else [])
+    if not refused:
+        op = assemble_kernel_matrix(build_grid(dim, 8, extents), 0.5)
+        weights = op.generator.ravel()[1:]
+        assert weights.min() >= np.finfo(float).tiny and np.isfinite(op.spectrum).all()
 
 
 def test_poincare_domain_constant_unit_interval(grid16):

@@ -1,5 +1,9 @@
+import ast
+import gc
 import math
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,6 +245,47 @@ def test_simulate_with_its_bundle_matches_a_fresh_build():
     fresh = simulate(cfg)
     assert _bits(shared.records) == _bits(fresh.records)
     assert np.array_equal(shared.final, fresh.final)
+
+
+def test_runs_on_one_bundle_in_two_threads_equal_their_serial_runs():
+    # each run owns its transforms and their workspaces; the shared bundle is read-only
+    configs = [make_config(dim=2, n=48, kind="random", seed=seed, horizon=0.05)
+               for seed in (1, 2)]
+    ops = build_operators(configs[0])
+    serial = [simulate(cfg, ops) for cfg in configs]
+    with ThreadPoolExecutor(2) as pool:
+        threaded = list(pool.map(simulate, configs, [ops, ops], timeout=120))
+    for alone, beside in zip(serial, threaded, strict=True):
+        assert beside.records.tobytes() == alone.records.tobytes()
+        assert beside.final.tobytes() == alone.final.tobytes()
+
+
+def test_a_finished_run_keeps_no_operator_alive():
+    cfg = make_config(dim=2, n=16, kind="random", seed=1, horizon=0.05)
+    ops = build_operators(cfg)
+    refs = [weakref.ref(part) for part in ops]  # the grid and both operators
+    traj = simulate(cfg, ops)
+    assert traj.status == "completed"
+    del traj, ops
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_only_the_rkc_coefficient_table_is_cached():
+    # a process-wide cache would share a run's buffers with other runs and keep
+    # its operators alive; the rkc table is a pure function of the stage count
+    cached, mentions = [], []
+    for path in sorted(Path(run.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "lru_cache" in text or "functools.cache" in text or "import cache" in text:
+            mentions.append(path.stem)
+        for fn in ast.walk(ast.parse(text)):
+            for decorator in getattr(fn, "decorator_list", ()):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache", "cached_property"):
+                    cached.append(f"{path.stem}.{fn.name}")
+    assert (cached, mentions) == (["integrate._rkc_coefficients"], ["integrate"])
 
 
 def test_simulate_rejects_a_bundle_built_for_another_config():
