@@ -1,8 +1,8 @@
 """Observables tracked along trajectories.
 
-Diameter, mean phase, the record fields (a run computes its records in
-:func:`nlkuramoto.run.simulate_family`), uniform-bound checks, the
-computable dual-norm bound, the sharp discrete Poincare constant, and
+Diameter, mean phase, the record fields (a run computes its records, the
+computable dual-norm bound among them, in :func:`nlkuramoto.run.simulate_family`),
+uniform-bound checks, the sharp discrete Poincare constant, and
 decay-rate fits.  All functions are pure and operate on immutable inputs.
 """
 
@@ -51,11 +51,6 @@ def mean_phase(theta, grid: Grid) -> float:
     return float(grid.weight * values.sum() / grid.measure)
 
 
-def _kinetic_from_seminorm(seminorm, delta):
-    """(delta / 4) seminorm, exactly 0.0 where delta is 0; elementwise over members."""
-    return np.where(delta == 0.0, 0.0, 0.25 * delta * seminorm)
-
-
 def min_sinc(m: float) -> float:
     """Lower bound of sin(z)/z over |z| <= m, in (0, 1]; m = 0 gives 1."""
     if m < 0.0 or m >= math.pi:
@@ -63,15 +58,6 @@ def min_sinc(m: float) -> float:
     if m == 0.0:
         return 1.0
     return math.sin(m) / m
-
-
-def _dual_bound(sin2, seminorm, kappa: float, delta):
-    """(kappa/2) sqrt(sin2) + (delta/2) sqrt(seminorm), the rate field's dual-norm bound,
-    elementwise over members; each term is left out where its strength is 0, and a
-    negative or NaN seminorm counts as 0."""
-    value = 0.5 * kappa * np.sqrt(sin2) if kappa != 0.0 else 0.0
-    clipped = np.where(seminorm > 0.0, seminorm, 0.0)
-    return value + np.where(delta != 0.0, 0.5 * delta * np.sqrt(clipped), 0.0)
 
 
 def energy_identity_residual(trajectory) -> float:

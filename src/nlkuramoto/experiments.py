@@ -29,7 +29,8 @@ from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, poincare_domain_constant
 from .integrate import Trajectory
 from .kernel import assemble_kernel_matrix
-from .run import Operators, build_operators, family_step, simulate, simulate_family
+from .run import (RECORD_KEYS, RELAX_RECORD_BYTES, Operators, build_operators, family_step,
+                  memory_problems, simulate, simulate_family)
 
 RELAXATION_TOL = 1e-2  # slack on the pointwise exponential bound
 DIAMETER_SLOPE_TOL = 1e-8  # allowed diameter growth per unit time
@@ -262,22 +263,23 @@ def relaxation_experiment(cfg: SimConfig) -> tuple[RelaxationReport, Trajectory]
     """Run the undamped singular dynamics and verify exponential relaxation
     (:func:`relaxation_report`), lambda_star solved before the first step.
 
-    Hypothesis violations, and a record grid that leaves the rate fit fewer
-    than two records after its transient, fail before any step, all listed
-    in one ConfigurationError.
+    Hypothesis violations, a record grid that leaves the rate fit fewer than
+    two records after its transient, and records whose report table would
+    not fit in physical memory (:data:`~nlkuramoto.run.RELAX_RECORD_BYTES`
+    each) fail before any step, all listed in one ConfigurationError.
     """
-    problems = [f"relax: {problem}"
-                for problem in relaxation_problems(cfg.physics, cfg.initial.effective_diameter)]
+    problems = relaxation_problems(cfg.physics, cfg.initial.effective_diameter)
     ops = build_operators(cfg)
     times = family_step([cfg], [ops]).times
     fitted = int(fit_window(times).sum())
     if fitted < 2:
         problems.append(
-            f"relax: the decay-rate fit needs two records at t >= {FIT_TRANSIENT:g} x horizon; "
+            f"the decay-rate fit needs two records at t >= {FIT_TRANSIENT:g} x horizon; "
             f"integrator.stride = {cfg.integrator.stride} leaves {fitted} there "
             f"({len(times)} records in all): lower integrator.stride")
+    problems += memory_problems(len(times) * RELAX_RECORD_BYTES, RECORD_KEYS)
     if problems:
-        raise ConfigurationError(problems)
+        raise ConfigurationError([f"relax: {problem}" for problem in problems])
 
     lam_star = poincare_sharp_discrete(ops.dissipation)
     traj = simulate(cfg, ops)

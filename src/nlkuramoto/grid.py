@@ -48,6 +48,12 @@ class Grid:
         return self.coords.shape[0]
 
 
+def check_s(s: float) -> None:
+    """ParameterError unless the kernel exponent s lies in (0, 1)."""
+    if not 0.0 < s < 1.0:
+        raise ParameterError(f"s must lie in (0, 1), got {s}")
+
+
 def grids_match(a: Grid, b: Grid) -> bool:
     """Whether two grids describe the same lattice."""
     return a is b or (a.dim == b.dim and a.n == b.n and a.extents == b.extents)
@@ -71,11 +77,14 @@ def grid_problems(dim: int, n: int, extents, s: float | None = None) -> list[str
         if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
             problems.append(f"grid.extent{'' if k == 0 else k + 1}: degenerate interval ({a}, {b})")
     if s is not None and not problems:
-        widths = [b - a for a, b in extents]
-        log_h = [math.log10(width) - math.log10(n) for width in widths]
+        # each width's log without forming b - a, which overflows past 1.8e308
+        log_widths = [math.log10(b - a) if b - a < math.inf
+                      else math.log10(b / 2.0 - a / 2.0) + math.log10(2.0) for a, b in extents]
+        top = max(log_widths)  # and the box diameter's without hypot, for the same reason
+        log_d = top + 0.5 * math.log10(sum(100.0 ** (v - top) for v in log_widths))
+        log_h = [v - math.log10(n) for v in log_widths]
         log_w, p = sum(log_h), dim + 2.0 * s
-        logs = [log_w, *(v for r in (min(log_h), math.log10(math.hypot(*widths)))
-                         for v in (2.0 * r, -p * r, log_w - p * r))]
+        logs = [log_w, *(v for r in (min(log_h), log_d) for v in (2.0 * r, -p * r, log_w - p * r))]
         if not _LOG10_MIN <= min(logs) <= max(logs) <= _LOG10_MAX:
             keys = "grid.extent" if dim == 1 else "grid.extent, grid.extent2"
             problems.append(f"{keys}: the kernel weights and squared node distances span "
@@ -127,6 +136,5 @@ def poincare_domain_constant(grid: Grid, s: float) -> float:
     Equals max(diam, 1)^(d+2s) / measure; a guaranteed (generally loose) upper
     bound for the reciprocal of the sharp discrete constant.
     """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0, 1), got {s}")
+    check_s(s)
     return max(grid.diameter, 1.0) ** (grid.dim + 2.0 * s) / grid.measure

@@ -25,17 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, SingularityError
-from .grid import Grid, grids_match
-
-
-def _check_s(s: float) -> None:
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0, 1), got {s}")
+from .grid import Grid, check_s, grids_match
 
 
 def psi(r, d: int, s: float):
     """Singular kernel r**-(d+2s); r must be strictly positive."""
-    _check_s(s)
+    check_s(s)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise SingularityError("kernel is singular at zero distance; exclude the diagonal")
@@ -44,7 +39,7 @@ def psi(r, d: int, s: float):
 
 def psi_eps(r, d: int, s: float, eps: float):
     """Truncated kernel (r+eps)**-(d+2s); finite for r = 0."""
-    _check_s(s)
+    check_s(s)
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
     r = np.asarray(r, dtype=float)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import RECORD_DTYPE, _dual_bound, _kinetic_from_seminorm, diameter, mean_phase
+from .diagnostics import RECORD_DTYPE, diameter, mean_phase
 from .dynamics import RateStack, rhs_lattice, rhs_regularized, rhs_singular
 from .errors import BlowUpError, ConfigurationError, ParameterError
 from .grid import Grid, build_grid, grids_match
@@ -51,19 +51,27 @@ class Operators(NamedTuple):
 
 # The least peak RSS a run added, over simulate, sweep-delta, relax, verify and
 # poincare (Linux x86-64, numpy 2.4): 380-530 B per node (1d 16,384 -> 65,536,
-# 2d 128^2 -> 256^2); per record and member, 131-134 B (sweep-delta, 3 members),
-# 153-161 B (simulate), 243 B (verify) and 445-458 B (relax, its report's table),
+# 2d 128^2 -> 256^2); per record and member, 130-134 B (sweep-delta, 3 members),
+# 151-161 B (simulate), 160-243 B (verify) and 445-458 B (relax, which also holds
+# its report's table, so its own pre-check prices a record at RELAX_RECORD_BYTES),
 # from 20k to 100k and 100k to 300k records at 16 nodes
 NODE_BYTES = 380
 RECORD_BYTES = 130
+RELAX_RECORD_BYTES = 445
+RECORD_KEYS = "integrator.stride, integrator.dt or integrator.horizon"
+
+
+def memory_problems(size: float, keys: str) -> list[str]:
+    """The problem of a run that needs ``size`` bytes, more than the physical
+    memory, naming the config ``keys`` that change it; none if it fits."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return [f"the run needs about {size:.3g} bytes, more than the {physical:,} bytes of "
+            f"physical memory: change {keys}"] if size > physical else []
 
 
 def _refuse_beyond_memory(size: float, keys: str) -> None:
-    """ConfigurationError when ``size`` bytes exceed the physical memory."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if size > physical:
-        raise ConfigurationError([f"the run needs about {size:.3g} bytes, more than the "
-                                  f"{physical:,} bytes of physical memory: change {keys}"])
+    if problems := memory_problems(size, keys):
+        raise ConfigurationError(problems)
 
 
 def build_operators(cfg: SimConfig) -> Operators:
@@ -127,12 +135,14 @@ RK4_EVALS_MAX = 800
 class FamilyStep(NamedTuple):
     """A family's shared base step ``dt`` (the configured one or else the
     smallest of the members' automatic steps), the ``n_steps`` of that size
-    that cover the horizon, the record ``times``, each member's stiffness
+    that cover the horizon, the step ``h`` = horizon / n_steps the family
+    takes (``dt`` shortened), the record ``times``, each member's stiffness
     bound, the scheme the family steps with, and whether rkc sizes the steps
     adaptively."""
 
     dt: float
     n_steps: int
+    h: float
     times: np.ndarray
     bounds: tuple[float, ...]
     scheme: str
@@ -151,9 +161,9 @@ def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyS
     whether such a step is stable as rk4 has it.  With an automatic step, to
     rk4 when rk4's own count of rate evaluations, 4 n_steps, is at most
     :data:`RK4_EVALS_MAX`, else to adaptive rkc.  Sweeps write ``dt`` and the
-    scheme into every rung's config; :func:`simulate_family` shortens ``dt``
-    to h = horizon / n_steps.  The record times, here and only here, are k h
-    for every ``stride``-th k and k = n_steps, known before any step."""
+    scheme into every rung's config.  The family steps at h = horizon /
+    n_steps and records at k h for every ``stride``-th k and k = n_steps,
+    both worked out here and only here, before any step."""
     policy = configs[0].integrator
     kappa = _rate_kappa(configs[0], operators[0].grid)
     bounds = tuple(stiffness_bound(ops.coupling, ops.dissipation, kappa, cfg.physics.delta)
@@ -164,8 +174,7 @@ def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyS
         dt = min(auto_step(bound, policy.safety, free_drift_horizon=policy.horizon)
                  for bound in bounds)
     records = policy.horizon / dt / policy.stride  # a float: an infinite count is refused too
-    _refuse_beyond_memory(records * len(configs) * RECORD_BYTES,
-                          "integrator.stride, integrator.dt or integrator.horizon")
+    _refuse_beyond_memory(records * len(configs) * RECORD_BYTES, RECORD_KEYS)
     n_steps = max(1, math.ceil(policy.horizon / dt - 1e-12))
     h = policy.horizon / n_steps
     times = np.append(np.arange(0, n_steps, policy.stride), n_steps) * h
@@ -178,7 +187,7 @@ def family_step(configs: list[SimConfig], operators: list[Operators]) -> FamilyS
         scheme = RKC if two_stages else RK4
     elif scheme == AUTO:
         scheme = RK4 if 4 * n_steps <= RK4_EVALS_MAX else RKC
-    return FamilyStep(dt, n_steps, times, bounds, scheme, scheme == RKC and not fixed)
+    return FamilyStep(dt, n_steps, h, times, bounds, scheme, scheme == RKC and not fixed)
 
 
 def simulate(cfg: SimConfig, ops: Operators | None = None) -> Trajectory:
@@ -243,7 +252,6 @@ def simulate_family(configs: list[SimConfig],
     work = theta0 - theta_bar
 
     step = family_step(configs, operators)
-    dt = cfg.integrator.horizon / step.n_steps
     directories = []
     if "snapshots" in cfg.output.formats:
         directories = snapshot_directories(configs, len(step.times), grid.node_count)
@@ -298,14 +306,18 @@ def simulate_family(configs: list[SimConfig],
         record["diameter"] = his - los
         record["e_pot"] = cosine_double_sum(kept.rows, kept.applied, 0.5 * kappa)
         record["sin2_seminorm"] = cosine_double_sum(fields, applied, 0.5)
-        record["seminorm_sq"] = 2.0 * (w * (np.vecdot(dissipation.row_sums * shifted, shifted)
-                                            - np.vecdot(shifted, wu)))
-        record["e_kin"] = _kinetic_from_seminorm(record["seminorm_sq"], deltas)
+        seminorm = record["seminorm_sq"] = 2.0 * (
+            w * (np.vecdot(dissipation.row_sums * shifted, shifted) - np.vecdot(shifted, wu)))
+        record["e_kin"] = np.where(deltas == 0.0, 0.0, 0.25 * deltas * seminorm)
         centered = values - record["mean"][:, None]
         record["dist_sq"] = w * np.vecdot(centered, centered)
         if bounded_diameter:  # else the dual bound has no meaning and stays NaN
-            record["dual_bound"] = _dual_bound(record["sin2_seminorm"], record["seminorm_sq"],
-                                               kappa, deltas)
+            # (kappa/2) sqrt(sin2) + (delta/2) sqrt(seminorm), each term left out where its
+            # strength is 0, and a negative or NaN seminorm read as 0
+            clipped = np.where(seminorm > 0.0, seminorm, 0.0)
+            record["dual_bound"] = (
+                (0.5 * kappa * np.sqrt(record["sin2_seminorm"]) if kappa != 0.0 else 0.0)
+                + np.where(deltas != 0.0, 0.5 * deltas * np.sqrt(clipped), 0.0))
         record["linf"] = np.maximum(np.abs(his), np.abs(los))
         # the overshoot norms, w |max(excess, 0)|^2, are exactly 0.0 until a row
         # crosses its t = 0 extreme
@@ -318,13 +330,13 @@ def simulate_family(configs: list[SimConfig],
     def trajectory(j, flow, status) -> Trajectory:
         return Trajectory(
             config=configs[j], grid=grid, final=flow.final[j],
-            records=flow.records[:, j], gauge_reduced=gauge, dt=dt, scheme=step.scheme,
+            records=flow.records[:, j], gauge_reduced=gauge, dt=step.h, scheme=step.scheme,
             adaptive=step.adaptive, stiffness=step.bounds[j], step_counts=list(flow.step_counts),
             counters=flow.counters, status=status)
 
     try:
         flow = integrate_flow(
-            np.broadcast_to(work, (len(configs), work.size)), grid, rhs, dt, step.n_steps,
+            np.broadcast_to(work, (len(configs), work.size)), grid, rhs, step.h, step.n_steps,
             step.times, step.scheme, make_record, stiffness=max(step.bounds),
             adaptive=step.adaptive)
     except BlowUpError as exc:

@@ -6,7 +6,10 @@ module, deliberately avoiding the mat-vec identities the package uses, so a
 match is evidence and not a tautology.  The exceptions are the last two
 sections: the record formulas one field at a time, which the records must
 match bitwise, and the relaxation check one record at a time, which the
-relaxation report's column expressions must match bitwise.
+relaxation report's column expressions must match bitwise.  Both are
+written here in full, scalar by scalar, with the floating-point operations
+of the package's column expressions; they borrow no package code, only its
+kernel operators' applies and row sums, which the loops above check.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import math
 
 import numpy as np
 
-from nlkuramoto.diagnostics import _dual_bound, _kinetic_from_seminorm
-from nlkuramoto.dynamics import _field, _versine
-from nlkuramoto.errors import ParameterError
+from nlkuramoto.errors import GridMismatchError, ParameterError
 from nlkuramoto.experiments import RELAXATION_TOL
 from nlkuramoto.grid import Grid
 from nlkuramoto.kernel import KernelOperator
@@ -210,11 +211,20 @@ def linf_series(snapshots) -> list[float]:
 # every member at once: a record must match each bitwise, and the loops above
 # check them.
 
+def _field(theta, grid: Grid) -> np.ndarray:
+    """``theta`` as floats, one per node of ``grid``; GridMismatchError otherwise."""
+    values = np.asarray(theta, dtype=float)
+    if values.shape != (grid.node_count,):
+        raise GridMismatchError(
+            f"field of shape {values.shape} for a grid with {grid.node_count} nodes")
+    return values
+
+
 def _cosine_fields(theta, matrix: KernelOperator, scale: float) -> np.ndarray:
     """Rows a = 1 - cos = 2 sin^2(angle / 2) and s = sin(angle), angle = scale (u - u_0)."""
     values = _field(theta, matrix.grid)
     angle = scale * (values - values.flat[0])
-    return np.stack([_versine(angle), np.sin(angle)])
+    return np.stack([2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)])
 
 
 def _cosine_double_sum(fields, applied, matrix: KernelOperator, factor: float) -> float:
@@ -280,7 +290,7 @@ def energy_kinetic(theta, dissipation, delta: float) -> float:
     """(delta/4) times the squared seminorm taken with the singular matrix."""
     if not dissipation.is_singular:
         raise ParameterError("the dissipative energy uses the singular kernel matrix")
-    return _kinetic_from_seminorm(seminorm_sq(theta, dissipation), delta)
+    return 0.0 if delta == 0.0 else 0.25 * delta * seminorm_sq(theta, dissipation)
 
 
 def dual_bound_value(theta, coupling, dissipation, kappa: float, delta: float,
@@ -288,13 +298,16 @@ def dual_bound_value(theta, coupling, dissipation, kappa: float, delta: float,
     """Computable upper bound for the dual norm of the rate field.
 
     (kappa/2) * sqrt(sin^2-seminorm with the coupling matrix)
-    + (delta/2) * sqrt(squared seminorm with the singular matrix).
+    + (delta/2) * sqrt(squared seminorm with the singular matrix), each term
+    left out where its strength is 0, and a negative seminorm read as 0.
     Requires the diameter bound m below pi.
     """
     if m >= math.pi:
         raise ParameterError(f"diameter bound must be below pi, got {m}")
-    sin2 = sin2_seminorm(theta, coupling) if kappa != 0.0 else 0.0
-    return _dual_bound(sin2, seminorm_sq(theta, dissipation), kappa, delta)
+    value = 0.5 * kappa * math.sqrt(sin2_seminorm(theta, coupling)) if kappa != 0.0 else 0.0
+    seminorm = seminorm_sq(theta, dissipation)
+    clipped = seminorm if seminorm > 0.0 else 0.0
+    return value + (0.5 * delta * math.sqrt(clipped) if delta != 0.0 else 0.0)
 
 
 # The relaxation check one record at a time, in Python floats: the relaxation

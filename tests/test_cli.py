@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 
 import nlkuramoto
 import nlkuramoto.diagnostics as diagnostics
+import nlkuramoto.experiments as experiments
 import nlkuramoto.run as run
 from nlkuramoto.cli import main
-from nlkuramoto.config import OUTPUT_FORMATS
+from nlkuramoto.config import OUTPUT_FORMATS, apply_overrides, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -149,6 +151,16 @@ def test_a_grid_beyond_the_double_range_is_listed_with_the_other_problems(tmp_pa
         "  physics.kappa: must be nonnegative, got -1.0\n")
 
 
+def test_an_overflowing_extent_is_refused_with_its_span(tmp_path, capsys):
+    # b - a is inf here: the message read "span 1e-inf to 1einf"
+    assert main(["poincare", str(CONFIGS / "relaxation_quarter_circle.cfg"), "--nodes", "8",
+                 "--set", "grid.extent=-1e308 1e308"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error:\n"
+        "  grid.extent: the kernel weights and squared node distances span 1e-617 to "
+        "1e617, beyond the double range\n")
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 
@@ -235,6 +247,21 @@ def test_verify_passes_and_is_bitwise_deterministic(tmp_path, capsys):
     assert (out_a / "diagnostics.csv").read_bytes() == (out_b / "diagnostics.csv").read_bytes()
 
 
+def test_verify_fails_on_a_violated_uniform_bound(tmp_path, capsys, monkeypatch):
+    # one violated row fails the check and the command; the others still print
+    real = experiments.uniform_bound_report
+
+    def one_violated(traj):
+        return [replace(row, satisfied=False) if row.name == "sin2-seminorm-bound" else row
+                for row in real(traj)]
+    monkeypatch.setattr(experiments, "uniform_bound_report", one_violated)
+    assert main(["verify", str(write_cfg(tmp_path, BASE)), "--out", str(tmp_path / "v")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(("[pass]", "[skip]"))] == [
+        "[FAIL] uniform-bounds: violated: sin2-seminorm-bound"]
+    assert len(lines) == 7
+
+
 def test_verify_certifies_relaxation_above_1024_nodes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["verify", str(cfg), "--nodes", "2048", "--horizon", "0.002",
@@ -295,6 +322,36 @@ def test_a_run_too_large_for_memory_exits_2_before_any_allocation(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error:\n") and "bytes of physical memory" in err
     assert key in err and not out.exists()
+
+
+def test_relax_prices_a_record_with_its_report_row(tmp_path, capsys, monkeypatch):
+    # relax also holds its report table, about 445 B a record where the other
+    # commands hold 130: memory between the two prices refuses relax alone,
+    # listed like its other problems, before any step
+    path = CONFIGS / "relaxation_quarter_circle.cfg"
+    cfg = apply_overrides(parse_config(path), {
+        ("grid", "nodes"): "16", ("integrator", "horizon"): "0.5",
+        ("integrator", "stride"): "1", ("physics", "delta"): "0.1"})
+    records = len(run.family_step([cfg], [run.build_operators(cfg)]).times)
+    physical = records * (run.RECORD_BYTES + run.RELAX_RECORD_BYTES) // 2
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PHYS_PAGES": physical,
+                                                     "SC_PAGE_SIZE": 1}.get(name) or sysconf(name))
+    flags = ["--nodes", "16", "--horizon", "0.5", "--stride", "1", "--delta", "0.1",
+             "--out", str(tmp_path / "out")]
+    assert main(["simulate", str(path), *flags]) == 0
+    capsys.readouterr()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("relax stepped")
+    monkeypatch.setattr(run, "integrate_flow", no_step)
+    assert main(["relax", str(path), *flags]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error:\n"
+        "  relax: needs delta = 0 (undamped dynamics)\n"
+        f"  relax: the run needs about {records * run.RELAX_RECORD_BYTES:.3g} bytes, more than "
+        f"the {physical:,} bytes of physical memory: change integrator.stride, integrator.dt "
+        "or integrator.horizon\n")
 
 
 def test_unconverged_lambda_star_exits_3(monkeypatch, capsys):

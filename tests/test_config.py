@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,6 +304,20 @@ def test_content_hash_is_hashlibs_sha256(cfg):
     # the interpreter's built-in SHA-256 (_sha2, or _sha256 before 3.12) stands
     # in for hashlib's, which would map OpenSSL's libcrypto
     assert cfg.content_hash() == hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
+
+
+def test_content_hash_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without the _sha2 and _sha256 modules: hashlib's
+    # SHA-256 gives the same digest
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # importing it raises ImportError
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    cfg = parse_config(CONFIGS / "relaxation_quarter_circle.cfg")
+    assert cfg.content_hash() == (
+        "23a5d613ed0181488826eca3079b39e1ef7f1e24b436488c60a6fbb75d5fe8b0")
+    assert calls == [cfg.canonical_text().encode("utf-8")]
 
 
 @pytest.mark.parametrize("section, key, raw, expected", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nlkuramoto import (ConfigurationError, GridConfig, ParameterError, SimConfig,
                         assemble_kernel_matrix, build_grid, poincare_domain_constant)
+from nlkuramoto.grid import grid_problems
 
 
 def test_1d_midpoints():
@@ -95,6 +96,18 @@ def test_config_refuses_kernel_weights_beyond_the_double_range(dim, length, refu
         op = assemble_kernel_matrix(build_grid(dim, 8, extents), 0.5)
         weights = op.generator.ravel()[1:]
         assert weights.min() >= np.finfo(float).tiny and np.isfinite(op.spectrum).all()
+
+
+@pytest.mark.parametrize("dim,extents,span", [
+    (1, ((-1e308, 1e308),), "1e-617 to 1e617"),
+    (2, ((-1.7e308, 1.7e308), (0.0, 1.0)), "1e-926 to 1e617"),
+], ids=["1d", "2d"])
+def test_an_overflowing_width_still_names_the_span(dim, extents, span):
+    # b - a overflows to inf for these intervals; the message gave 1e-inf to 1einf
+    keys = "grid.extent" if dim == 1 else "grid.extent, grid.extent2"
+    assert grid_problems(dim, 8, extents, 0.5) == [
+        f"{keys}: the kernel weights and squared node distances span {span}, "
+        "beyond the double range"]
 
 
 def test_poincare_domain_constant_unit_interval(grid16):

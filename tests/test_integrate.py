@@ -723,3 +723,4 @@ def test_family_step_gives_the_record_grid_before_the_run(scheme, dt, stride):
     assert len(expected) == (plan.n_steps // stride + 2 if stride == 7 else 2)
     traj = simulate(cfg, ops)
     assert traj.records["t"].tolist() == expected and len(traj.step_counts) == len(expected) - 1
+    assert plan.h == h == traj.dt
